@@ -523,6 +523,20 @@ fn kind_mismatch_and_bad_specs_fail_cleanly() {
 }
 
 #[test]
+fn pathologically_nested_json_is_an_error_not_a_crash() {
+    // 200,000 unclosed `[`: the parser's depth limit must turn this
+    // into a diagnostic and exit 1, not a stack-overflow abort (134).
+    let dir = scratch("deep");
+    let deep = dir.join("deep.json");
+    fs::write(&deep, "[".repeat(200_000)).unwrap();
+    let out = xrbench(&["run-suite", deep.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("invalid JSON"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+}
+
+#[test]
 fn gen_scenarios_writes_loadable_deterministic_files() {
     let dir = scratch("gen");
     let out = xrbench(&[

@@ -53,7 +53,7 @@ pub fn figure5(harness: &Harness, repeats: u32) -> Vec<Figure5Row> {
         .collect();
 
     let per_cell =
-        crate::pool::parallel_map(&grid, crate::pool::default_workers(), |&(pes, ci)| {
+        crate::pool::parallel_map(&grid, xrbench_fleet::default_workers(), |&(pes, ci)| {
             let cfg = &configs[ci];
             let system = AcceleratorSystem::new(cfg.clone(), pes);
             let bench = crate::suite::catalog_serial_impl(

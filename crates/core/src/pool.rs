@@ -12,16 +12,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The default worker count for benchmark sweeps:
-/// `max(available_parallelism, 2)`, so a fan-out is exercised even on
-/// a single-core host (workers then time-slice).
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .max(2)
-}
-
 /// Maps `f` over `jobs` using up to `workers` threads, preserving job
 /// order in the returned vector.
 ///
@@ -80,11 +70,6 @@ mod tests {
     fn empty_job_list_is_fine() {
         let out: Vec<u64> = parallel_map(&[], 4, |&j: &u64| j);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn default_workers_is_at_least_two() {
-        assert!(default_workers() >= 2);
     }
 
     #[test]

@@ -107,7 +107,7 @@ pub fn run_suite(
         system,
         repeats,
         &ScenarioCatalog::builtin(),
-        crate::pool::default_workers(),
+        xrbench_fleet::default_workers(),
     )
 }
 
@@ -129,7 +129,7 @@ pub fn run_suite_catalog(
         system,
         repeats,
         catalog,
-        crate::pool::default_workers(),
+        xrbench_fleet::default_workers(),
     )
 }
 
@@ -206,7 +206,7 @@ pub fn run_suite_parallel(
         system,
         repeats,
         &ScenarioCatalog::builtin(),
-        crate::pool::default_workers(),
+        xrbench_fleet::default_workers(),
     )
 }
 
@@ -297,7 +297,7 @@ pub fn run_sessions(
     sessions: &[SessionSpec],
 ) -> Vec<SessionReport> {
     assert!(!sessions.is_empty(), "at least one session required");
-    let workers = crate::pool::default_workers().min(sessions.len());
+    let workers = xrbench_fleet::default_workers().min(sessions.len());
     crate::pool::parallel_map(sessions, workers, |session| {
         harness.run_session(session, system, &mut LatencyGreedy::new())
     })

@@ -41,6 +41,19 @@
 //! fault-free workloads therefore evaluates each simulation once and
 //! serves the other half of its points from cache.
 //!
+//! That result memo is the outer of two levels. The inner one holds
+//! built hardware: the first evaluation at a hardware point
+//! `(id, pes)` runs the analytical cost model over every model and
+//! sub-accelerator, and every later evaluation at that point reuses
+//! the same [`CostProvider`] (every workload × scheduler × recovery
+//! combination shares it). Both memos are keyed by value in
+//! `BTreeMap`s, are filled lazily — a `--limit`, resumed, or sharded
+//! run builds only the hardware its remaining evaluations touch — and
+//! live for one `run_with`/`run_shard` call. They are deliberately not
+//! process-global: each run pays its own construction, as a user's
+//! `xrbench sweep` does, so repeated in-process runs time the same
+//! work, and no state outlives the document that produced it.
+//!
 //! ## Report
 //!
 //! [`SweepReport`] carries every point's score, energy, drop rate,
@@ -52,6 +65,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use serde::de::Cursor;
@@ -63,7 +77,7 @@ use xrbench_fleet::{
     default_workers, fleet_to_json, merge_fleet_shards, run_fleet_shard_with, FleetRunConfig,
     FleetSpec,
 };
-use xrbench_sim::RecoveryPolicy;
+use xrbench_sim::{CostProvider, RecoveryPolicy};
 use xrbench_workload::spec::{
     extend_catalog, parse_json, scenario_to_json, session_from_value, session_to_json, SpecError,
 };
@@ -174,6 +188,9 @@ pub struct SweepStats {
     pub cache_hits: usize,
     /// Points restored from the checkpoint file.
     pub resumed: usize,
+    /// Hardware points `(id, pes)` whose cost tables this call built —
+    /// at most one per distinct point the evaluated keys touch.
+    pub hardware_builds: usize,
 }
 
 /// The result of [`SweepDocument::run_with`]: the report (when the
@@ -492,18 +509,14 @@ impl SweepDocument {
         fnv1a64(text.as_bytes())
     }
 
-    /// Evaluates one point through the existing engines.
-    fn evaluate(&self, point: &SweepPoint) -> PointMetrics {
-        let system = SystemSpec::Accelerator {
-            id: point.accelerator,
-            pes: point.pes,
-        }
-        .build();
+    /// Evaluates one point through the existing engines on its
+    /// already-built hardware point.
+    fn evaluate(&self, point: &SweepPoint, system: &(dyn CostProvider + Sync)) -> PointMetrics {
         let harness = self.params.harness();
         match &self.workloads[point.workload].kind {
             SweepWorkloadKind::Scenario(spec) => {
                 let mut scheduler = point.scheduler.build();
-                let (report, _) = harness.run_spec(spec, system.as_ref(), scheduler.as_mut());
+                let (report, _) = harness.run_spec(spec, system, scheduler.as_mut());
                 PointMetrics {
                     score: report.overall(),
                     total_energy_mj: report.total_energy_mj,
@@ -512,7 +525,7 @@ impl SweepDocument {
             }
             SweepWorkloadKind::Session(spec) => {
                 let mut scheduler = point.scheduler.build();
-                let report = harness.run_session(spec, system.as_ref(), scheduler.as_mut());
+                let report = harness.run_session(spec, system, scheduler.as_mut());
                 PointMetrics {
                     score: report.session_score,
                     total_energy_mj: report.total_energy_mj,
@@ -526,14 +539,8 @@ impl SweepDocument {
                     recovery: point.recovery,
                     ..FleetRunConfig::default()
                 };
-                let state = run_fleet_shard_with(
-                    spec,
-                    system.as_ref(),
-                    &config,
-                    &|| point.scheduler.build(),
-                    0,
-                    1,
-                );
+                let state =
+                    run_fleet_shard_with(spec, system, &config, &|| point.scheduler.build(), 0, 1);
                 let report =
                     merge_fleet_shards(spec, &system.label(), point.scheduler.name(), &[state])
                         .expect("a single shard is a complete partition");
@@ -599,7 +606,6 @@ impl SweepDocument {
         let points = self.points();
         let fingerprint = self.fingerprint();
         let mut metrics: Vec<Option<PointMetrics>> = vec![None; points.len()];
-        let mut cache: BTreeMap<String, PointMetrics> = BTreeMap::new();
         let mut stats = SweepStats {
             points: points.len(),
             ..SweepStats::default()
@@ -614,37 +620,13 @@ impl SweepDocument {
                         stats.resumed += 1;
                     }
                     metrics[index] = Some(m);
-                    cache.insert(self.cache_key(&points[index]), m);
                 }
             }
         }
 
-        let completed_target = options.limit.unwrap_or(points.len()).min(points.len());
-        for point in &points {
-            if point.index >= completed_target {
-                break;
-            }
-            if metrics[point.index].is_some() {
-                continue;
-            }
-            let key = self.cache_key(point);
-            let m = match cache.get(&key) {
-                Some(&m) => {
-                    stats.cache_hits += 1;
-                    m
-                }
-                None => {
-                    stats.evaluated += 1;
-                    let m = self.evaluate(point);
-                    cache.insert(key, m);
-                    m
-                }
-            };
-            metrics[point.index] = Some(m);
-            if let Some(path) = &options.checkpoint {
-                write_checkpoint(path, fingerprint, &metrics)?;
-            }
-        }
+        let limit = options.limit.unwrap_or(points.len()).min(points.len());
+        let checkpoint = options.checkpoint.as_deref().zip(Some(fingerprint));
+        self.complete(&points, 0..limit, &mut metrics, &mut stats, checkpoint)?;
 
         let report = if metrics.iter().all(Option::is_some) {
             let all: Vec<PointMetrics> = metrics.into_iter().map(|m| m.expect("checked")).collect();
@@ -668,34 +650,70 @@ impl SweepDocument {
         );
         let points = self.points();
         let (start, end) = shard_range(points.len(), shard, num_shards);
-        let mut cache: BTreeMap<String, PointMetrics> = BTreeMap::new();
-        let mut evaluated = 0;
-        let mut cache_hits = 0;
-        let mut rows = Vec::with_capacity(end - start);
-        for point in &points[start..end] {
-            let key = self.cache_key(point);
-            let m = match cache.get(&key) {
-                Some(&m) => {
-                    cache_hits += 1;
-                    m
-                }
-                None => {
-                    evaluated += 1;
-                    let m = self.evaluate(point);
-                    cache.insert(key, m);
-                    m
-                }
-            };
-            rows.push((point.index, m));
-        }
+        let mut metrics = vec![None; points.len()];
+        let mut stats = SweepStats::default();
+        self.complete(&points, start..end, &mut metrics, &mut stats, None)
+            .expect("no checkpoint I/O is configured");
         SweepShardState {
             shard,
             num_shards,
             fingerprint: self.fingerprint(),
-            rows,
-            evaluated,
-            cache_hits,
+            rows: (start..end)
+                .map(|i| (i, metrics[i].expect("every point in range completed")))
+                .collect(),
+            evaluated: stats.evaluated,
+            cache_hits: stats.cache_hits,
         }
+    }
+
+    /// The evaluation loop shared by [`SweepDocument::run_with`] and
+    /// [`SweepDocument::run_shard`]: fills every empty slot of
+    /// `metrics` in `range`, in index order, through the two memos of
+    /// one run (see "Cache keying" in the module docs). Slots already
+    /// filled — resumed from a checkpoint — seed the result memo.
+    /// With a checkpoint, the file is rewritten after every point.
+    fn complete(
+        &self,
+        points: &[SweepPoint],
+        range: Range<usize>,
+        metrics: &mut [Option<PointMetrics>],
+        stats: &mut SweepStats,
+        checkpoint: Option<(&Path, u64)>,
+    ) -> Result<(), XrError> {
+        let mut results: BTreeMap<String, PointMetrics> = points
+            .iter()
+            .zip(metrics.iter())
+            .filter_map(|(point, m)| m.map(|m| (self.cache_key(point), m)))
+            .collect();
+        let mut hardware = BTreeMap::new();
+        for point in &points[range] {
+            if metrics[point.index].is_some() {
+                continue;
+            }
+            let key = self.cache_key(point);
+            let m = match results.get(&key) {
+                Some(&m) => {
+                    stats.cache_hits += 1;
+                    m
+                }
+                None => {
+                    stats.evaluated += 1;
+                    let (id, pes) = (point.accelerator, point.pes);
+                    let system = hardware.entry((id, pes)).or_insert_with(|| {
+                        stats.hardware_builds += 1;
+                        SystemSpec::Accelerator { id, pes }.build()
+                    });
+                    let m = self.evaluate(point, system.as_ref());
+                    results.insert(key, m);
+                    m
+                }
+            };
+            metrics[point.index] = Some(m);
+            if let Some((path, fingerprint)) = checkpoint {
+                write_checkpoint(path, fingerprint, metrics)?;
+            }
+        }
+        Ok(())
     }
 
     /// Merges shard states produced by [`SweepDocument::run_shard`]
@@ -1348,6 +1366,65 @@ mod tests {
             report.points[0].total_energy_mj,
             report.points[1].total_energy_mj
         );
+    }
+
+    #[test]
+    fn hardware_memo_builds_each_touched_point_once_per_run() {
+        let run = sweep(SMALL_SWEEP);
+        assert_eq!(run.hardware_points(), vec![('J', 8192), ('J', 4096)]);
+        let full = run.run_with(&SweepOptions::default()).unwrap();
+        assert_eq!(full.stats.hardware_builds, 2);
+        // A shared cost table yields exactly what a fresh one per
+        // evaluation does.
+        let report = full.report.expect("no limit configured");
+        for point in run.points() {
+            let fresh = SystemSpec::Accelerator {
+                id: point.accelerator,
+                pes: point.pes,
+            }
+            .build();
+            let m = run.evaluate(&point, fresh.as_ref());
+            let row = &report.points[point.index];
+            assert_eq!(m.score.to_bits(), row.score.to_bits());
+            assert_eq!(m.total_energy_mj.to_bits(), row.total_energy_mj.to_bits());
+            assert_eq!(m.drop_rate.to_bits(), row.drop_rate.to_bits());
+        }
+
+        let limited = run
+            .run_with(&SweepOptions {
+                checkpoint: None,
+                limit: Some(1),
+            })
+            .unwrap();
+        assert_eq!(limited.stats.hardware_builds, 1);
+    }
+
+    #[test]
+    fn resuming_a_complete_checkpoint_builds_no_hardware() {
+        let run = sweep(SMALL_SWEEP);
+        let dir = std::env::temp_dir().join(format!(
+            "xrbench-sweep-hw-{}-{}",
+            std::process::id(),
+            run.fingerprint()
+        ));
+        fs::create_dir_all(&dir).unwrap();
+        let checkpoint = dir.join("ckpt.json");
+        let _ = fs::remove_file(&checkpoint);
+        let options = SweepOptions {
+            checkpoint: Some(checkpoint),
+            limit: None,
+        };
+        let first = run.run_with(&options).unwrap();
+        assert_eq!(first.stats.hardware_builds, 2);
+        let resumed = run.run_with(&options).unwrap();
+        assert_eq!(resumed.stats.resumed, 8);
+        assert_eq!(resumed.stats.evaluated, 0);
+        assert_eq!(resumed.stats.hardware_builds, 0);
+        assert_eq!(
+            resumed.report.expect("complete checkpoint").to_json(),
+            run.run().to_json()
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

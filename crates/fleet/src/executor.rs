@@ -432,6 +432,11 @@ mod tests {
     }
 
     #[test]
+    fn default_workers_is_at_least_two() {
+        assert!(default_workers() >= 2);
+    }
+
+    #[test]
     #[should_panic(expected = "worker")]
     fn zero_workers_rejected() {
         let p = UniformProvider::new(1, 0.001, 0.001);
