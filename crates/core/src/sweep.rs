@@ -294,8 +294,8 @@ pub struct SweepShardState {
     pub cache_hits: usize,
 }
 
-/// The flat-index range `[⌊kP/N⌋, ⌊(k+1)P/N⌋)` shard `k` owns — the
-/// same cut rule as the fleet shard plan.
+/// The flat-index range `[⌊kP/N⌋, ⌊(k+1)P/N⌋)` shard `k` owns — an
+/// even cut by point count.
 fn shard_range(total: usize, shard: u32, num_shards: u32) -> (usize, usize) {
     let p = total as u64;
     let n = u64::from(num_shards);

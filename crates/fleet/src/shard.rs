@@ -5,12 +5,22 @@
 //! [`crate::replica_seed`]`(base, group, replica)` derives each session's
 //! RNG stream — and, through `fault_seed`, its outage timeline — from
 //! that coordinate alone. A shard is therefore nothing more than a
-//! **slice of the flat job list**: shard `k` of `N` runs the jobs
-//! with flat index in `[⌊kJ/N⌋, ⌊(k+1)J/N⌋)` (where `J` is the total
-//! session count), keeping the *global* indices, so every session
-//! computes exactly the contribution it would make to an unsharded
-//! run. No session state crosses shard boundaries, so the cut cannot
-//! change any replica's identity.
+//! **contiguous slice of the flat job list**, keeping the *global*
+//! indices, so every session computes exactly the contribution it
+//! would make to an unsharded run. No session state crosses shard
+//! boundaries, so the cut cannot change any replica's identity.
+//!
+//! The cut balances **work**, not session counts: the scenarios differ
+//! about 5× in per-user request rate (Table 2), so equal session counts
+//! can mean very unequal shards. Job `j` weighs `w_j`, the exact number
+//! of requests its session issues over the run
+//! ([`xrbench_workload::SessionSpec::request_count`]); with `P_j` the
+//! weight of the jobs before it and `W` the total, it goes to shard
+//! `min(N−1, ⌊N·(2P_j + w_j) / 2W⌋)` — the shard whose share of `[0, W)`
+//! holds the job's midpoint. The assignment is monotone in `j`, so
+//! shards stay contiguous, and every shard's weight lies within
+//! `max_j w_j` of `W/N`. A request count rather than a rate keeps
+//! per-session fixed cost in the weight, which dominates short runs.
 //!
 //! A shard's result is a [`ShardState`]: one [`FleetAccumulator`] per
 //! device group. Because the accumulator is built from integer
@@ -29,6 +39,8 @@
 //! each child's `ShardState` over a pipe, and merging — see
 //! [`crate::supervise`] and `DESIGN.md`'s "shard-plan layer" section.
 
+use std::ops::Range;
+
 use serde::de::Cursor;
 use serde::json::JsonValue;
 
@@ -42,8 +54,10 @@ use crate::executor::{run_jobs, FleetRunConfig};
 use crate::report::{build_report, FleetReport};
 use crate::spec::FleetSpec;
 
-/// Wire-format version tag for [`ShardState`] documents.
-const SHARD_STATE_VERSION: u64 = 1;
+/// Wire-format version tag for [`ShardState`] documents. Version 2
+/// names the request-weighted cut: "shard k of N" covers different
+/// sessions than under version 1's session-count cut.
+const SHARD_STATE_VERSION: u64 = 2;
 
 /// One contiguous run of replicas of one device group, as assigned to
 /// a shard by [`plan_shards`].
@@ -93,35 +107,62 @@ fn flat_jobs(spec: &FleetSpec) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// The flat-index range `[⌊kJ/N⌋, ⌊(k+1)J/N⌋)` shard `k` owns.
-fn shard_range(total: usize, shard: u32, num_shards: u32) -> (usize, usize) {
-    let j = total as u64;
-    let n = u64::from(num_shards);
-    let start = (u64::from(shard) * j / n) as usize;
-    let end = ((u64::from(shard) + 1) * j / n) as usize;
-    (start, end)
+/// The flat-index range of every shard's jobs under the
+/// request-weighted cut (see the module docs), indexed by shard.
+fn shard_ranges(spec: &FleetSpec, duration_s: f64, num_shards: u32) -> Vec<Range<usize>> {
+    let n = u128::from(num_shards);
+    let weights: Vec<u128> = spec
+        .groups
+        .iter()
+        .map(|g| u128::from(g.session.request_count(duration_s)))
+        .collect();
+    let total: u128 = spec
+        .groups
+        .iter()
+        .zip(&weights)
+        .map(|(g, &w)| w * u128::from(g.replicas))
+        .sum();
+    let mut sizes = vec![0usize; num_shards as usize];
+    let mut prefix = 0u128;
+    for (g, &w) in spec.groups.iter().zip(&weights) {
+        for _ in 0..g.replicas {
+            let shard = (n * (2 * prefix + w) / (2 * total).max(1)).min(n - 1);
+            sizes[shard as usize] += 1;
+            prefix += w;
+        }
+    }
+    let mut start = 0;
+    sizes
+        .into_iter()
+        .map(|size| {
+            start += size;
+            start - size..start
+        })
+        .collect()
 }
 
-/// Splits a fleet into `num_shards` balanced shards along
-/// `(group, replica-range)` boundaries.
+/// Splits a fleet into `num_shards` shards of balanced work along
+/// `(group, replica-range)` boundaries, for a run of `duration_s`
+/// simulated seconds per user.
 ///
-/// Every session appears in exactly one shard, shard sizes differ by
-/// at most one session, and replica indices stay **global** — which
-/// is what keeps `replica_seed` (and every fault timeline derived
-/// from it) independent of the cut.
+/// Every session appears in exactly one shard, every shard's request
+/// count lies within one session's request count of an even share,
+/// and replica indices stay **global** — which is what keeps
+/// `replica_seed` (and every fault timeline derived from it)
+/// independent of the cut. [`run_fleet_shard_with`] runs exactly the
+/// sessions this plan assigns.
 ///
 /// # Panics
 ///
 /// Panics if the fleet is invalid or `num_shards == 0`.
-pub fn plan_shards(spec: &FleetSpec, num_shards: u32) -> ShardPlan {
+pub fn plan_shards(spec: &FleetSpec, duration_s: f64, num_shards: u32) -> ShardPlan {
     spec.validate();
     assert!(num_shards > 0, "shard plan needs at least one shard");
     let jobs = flat_jobs(spec);
     let mut shards = Vec::with_capacity(num_shards as usize);
-    for k in 0..num_shards {
-        let (start, end) = shard_range(jobs.len(), k, num_shards);
+    for range in shard_ranges(spec, duration_s, num_shards) {
         let mut pieces: Vec<ShardPiece> = Vec::new();
-        for &(g, r) in &jobs[start..end] {
+        for &(g, r) in &jobs[range] {
             match pieces.last_mut() {
                 Some(p) if p.group == g && p.replica_start + p.replica_count == r => {
                     p.replica_count += 1;
@@ -155,8 +196,10 @@ pub struct ShardState {
 }
 
 /// Runs one shard of a fleet under an explicit scheduler and returns
-/// its partial state. `run_fleet_shard(spec, …, 0, 1)` computes the
-/// full fleet's accumulator state.
+/// its partial state: the sessions [`plan_shards`] assigns to `shard`
+/// for the run's `config.sim.duration_s`.
+/// `run_fleet_shard(spec, …, 0, 1)` computes the full fleet's
+/// accumulator state.
 ///
 /// # Panics
 ///
@@ -176,8 +219,8 @@ pub fn run_fleet_shard_with(
         "shard index {shard} out of range for {num_shards} shards"
     );
     let jobs = flat_jobs(spec);
-    let (start, end) = shard_range(jobs.len(), shard, num_shards);
-    let groups = run_jobs(spec, system, config, scheduler_factory, &jobs[start..end]);
+    let range = shard_ranges(spec, config.sim.duration_s, num_shards)[shard as usize].clone();
+    let groups = run_jobs(spec, system, config, scheduler_factory, &jobs[range]);
     ShardState {
         shard,
         num_shards,
@@ -212,7 +255,9 @@ pub fn run_fleet_shard(
 ///
 /// Returns a [`SpecError`] when the states do not form a complete,
 /// consistent partition: wrong shard count, a missing or duplicated
-/// shard index, or a group list that does not match the spec.
+/// shard index, a group list that does not match the spec, or a group
+/// whose merged session count differs from its replica count (states
+/// cut for another fleet or duration).
 pub fn merge_fleet_shards(
     spec: &FleetSpec,
     system_label: &str,
@@ -260,6 +305,14 @@ pub fn merge_fleet_shards(
     for st in states {
         for (g, acc) in st.groups.iter().enumerate() {
             group_accs[g].merge(acc);
+        }
+    }
+    for (group, acc) in spec.groups.iter().zip(&group_accs) {
+        if acc.sessions != u64::from(group.replicas) {
+            return Err(invalid(format!(
+                "group `{}` merged {} sessions, the spec has {} replicas",
+                group.name, acc.sessions, group.replicas
+            )));
         }
     }
     let mut fleet_acc = FleetAccumulator::new();
@@ -637,31 +690,95 @@ mod tests {
     fn plan_partitions_every_session_exactly_once() {
         let spec = fleet();
         let all = flat_jobs(&spec);
-        for n in [1u32, 2, 3, 7, 9, 64] {
-            let plan = plan_shards(&spec, n);
-            assert_eq!(plan.num_shards(), n);
-            assert_eq!(plan.total_sessions(), all.len() as u64, "n = {n}");
-            let mut covered: Vec<(u32, u32)> = plan
-                .shards
-                .iter()
-                .flatten()
-                .flat_map(|p| {
-                    (p.replica_start..p.replica_start + p.replica_count).map(|r| (p.group, r))
-                })
-                .collect();
-            covered.sort_unstable();
-            let mut expected = all.clone();
-            expected.sort_unstable();
-            assert_eq!(covered, expected, "n = {n}");
-            // Balance: shard sizes differ by at most one session.
-            let sizes: Vec<u64> = plan
-                .shards
-                .iter()
-                .map(|pieces| pieces.iter().map(|p| u64::from(p.replica_count)).sum())
-                .collect();
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1, "n = {n}: unbalanced {sizes:?}");
+        for duration_s in [1e-6, 1.0] {
+            let weight =
+                |g: u32| u128::from(spec.groups[g as usize].session.request_count(duration_s));
+            let total: u128 = all.iter().map(|&(g, _)| weight(g)).sum();
+            let max_w = all.iter().map(|&(g, _)| weight(g)).max().unwrap();
+            for n in [1u32, 2, 3, 7, 9, 64] {
+                let plan = plan_shards(&spec, duration_s, n);
+                assert_eq!(plan.num_shards(), n);
+                assert_eq!(plan.total_sessions(), all.len() as u64, "n = {n}");
+                // Contiguous in the flat job list, in shard order.
+                let covered: Vec<(u32, u32)> = plan
+                    .shards
+                    .iter()
+                    .flatten()
+                    .flat_map(|p| {
+                        (p.replica_start..p.replica_start + p.replica_count).map(|r| (p.group, r))
+                    })
+                    .collect();
+                assert_eq!(covered, all, "n = {n}");
+                // Balance: every shard's request count lies within one
+                // session's request count of an even share W/N.
+                for (k, pieces) in plan.shards.iter().enumerate() {
+                    let w: u128 = pieces
+                        .iter()
+                        .map(|p| weight(p.group) * u128::from(p.replica_count))
+                        .sum();
+                    let n = u128::from(n);
+                    assert!(
+                        (w * n).abs_diff(total) <= max_w * n,
+                        "n = {n}, shard {k}: weight {w} of {total}"
+                    );
+                }
+            }
         }
+    }
+
+    #[test]
+    fn shards_run_the_sessions_the_plan_assigns() {
+        let spec = fleet();
+        let p = provider();
+        let config = FleetRunConfig {
+            workers: 1,
+            ..FleetRunConfig::default()
+        };
+        for n in [2u32, 3, 5] {
+            let plan = plan_shards(&spec, config.sim.duration_s, n);
+            for (k, pieces) in plan.shards.iter().enumerate() {
+                let state = run_fleet_shard(&spec, &p, &config, k as u32, n);
+                for (g, acc) in state.groups.iter().enumerate() {
+                    let planned: u32 = pieces
+                        .iter()
+                        .filter(|p| p.group as usize == g)
+                        .map(|p| p.replica_count)
+                        .sum();
+                    assert_eq!(acc.sessions, u64::from(planned), "n = {n}, shard {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cut_weighs_sessions_by_request_count() {
+        // Four light 1-user sessions (36 requests/s) then one heavy
+        // one (180 requests/s). Cut by session count, shard 0 would
+        // get 2 light sessions and shard 1 the other 2 plus the heavy
+        // one; weighed by requests, 4 light balance the heavy one.
+        let one = |s: UsageScenario| SessionSpec::uniform("s", s.spec(), 1, 0.0);
+        let light = one(UsageScenario::OutdoorActivityB);
+        let heavy = one(UsageScenario::SocialInteractionA);
+        assert_eq!(heavy.request_count(1.0), 5 * light.request_count(1.0));
+        let spec = FleetSpec::new("skewed")
+            .group("light", light, 4)
+            .group("heavy", heavy, 1);
+        let plan = plan_shards(&spec, 1.0, 2);
+        assert_eq!(
+            plan.shards,
+            vec![
+                vec![ShardPiece {
+                    group: 0,
+                    replica_start: 0,
+                    replica_count: 4
+                }],
+                vec![ShardPiece {
+                    group: 1,
+                    replica_start: 0,
+                    replica_count: 1
+                }],
+            ]
+        );
     }
 
     #[test]
@@ -767,9 +884,53 @@ mod tests {
         )
         .is_err());
         assert!(ShardState::from_json(
-            "{\"xrbench_shard_state\":\"1\",\"shard\":\"3\",\"num_shards\":\"2\",\"groups\":[]}"
+            "{\"xrbench_shard_state\":\"2\",\"shard\":\"3\",\"num_shards\":\"2\",\"groups\":[]}"
         )
         .is_err());
+    }
+
+    #[test]
+    fn version_1_states_are_refused() {
+        // Version 1 cut fleets by session count, so its "shard k of N"
+        // names other sessions than this build's.
+        let config = FleetRunConfig {
+            workers: 1,
+            ..FleetRunConfig::default()
+        };
+        let wire = run_fleet_shard(&fleet(), &provider(), &config, 0, 2).to_json();
+        let v1 = wire.replacen(
+            "\"xrbench_shard_state\":\"2\"",
+            "\"xrbench_shard_state\":\"1\"",
+            1,
+        );
+        assert_ne!(v1, wire);
+        let err = ShardState::from_json(&v1).unwrap_err();
+        assert!(err.to_string().contains("version 1"), "{err}");
+    }
+
+    #[test]
+    fn merge_rejects_states_cut_for_another_duration() {
+        // Shards 0 and 1 of a 1 µs cut and shard 2 of a 1 s cut form
+        // a complete envelope set but not a partition of the sessions.
+        let spec = fleet();
+        let p = provider();
+        let config = |duration_s| FleetRunConfig {
+            workers: 1,
+            sim: xrbench_sim::SimConfig {
+                duration_s,
+                ..FleetRunConfig::default().sim
+            },
+            ..FleetRunConfig::default()
+        };
+        let (short, long) = (plan_shards(&spec, 1e-6, 3), plan_shards(&spec, 1.0, 3));
+        assert_ne!(short.shards[2], long.shards[2], "the two cuts must differ");
+        let states = [
+            run_fleet_shard(&spec, &p, &config(1e-6), 0, 3),
+            run_fleet_shard(&spec, &p, &config(1e-6), 1, 3),
+            run_fleet_shard(&spec, &p, &config(1.0), 2, 3),
+        ];
+        let err = merge_fleet_shards(&spec, "u", "latency-greedy", &states).unwrap_err();
+        assert!(err.to_string().contains("sessions"), "{err}");
     }
 
     #[test]

@@ -12,23 +12,30 @@
 //!
 //! ## Semantics
 //!
-//! * **Bounded concurrency.** At most `max_concurrent` children run
-//!   at once; further shards wait for a slot. Children are spawned in
-//!   shard order and reaped in shard order (the pipeline is a FIFO),
-//!   which bounds coordinator memory at `max_concurrent` buffered
-//!   pipes without any polling.
+//! * **Bounded concurrency, refilled on completion.** At most
+//!   `max_concurrent` children are alive at once, retries included.
+//!   Children are spawned in shard order, and a slot freed by *any*
+//!   finished child is refilled at once — a long shard never holds up
+//!   the launch of the next one behind a short sibling. Each live
+//!   child has one scoped thread blocked in `wait_with_output`, which
+//!   drains both pipes and sends the outcome to the coordinator over
+//!   a channel, so the coordinator sleeps in a blocking receive with
+//!   no polling, and buffers at most `max_concurrent` pipes.
 //! * **Retry-once.** A child that exits nonzero (or fails to spawn)
-//!   is retried exactly once, synchronously, in its slot. A second
-//!   failure aborts the whole run with a [`ShardError`] carrying the
-//!   child's captured stderr — shard results are partial sums, so a
-//!   missing shard makes the merged report silently wrong; failing
-//!   loudly is the only correct option.
-//! * **Determinism.** Results are returned indexed by shard, so the
-//!   caller's merge order never depends on child completion order.
-//!   (The merge is commutative anyway — this just keeps the pipeline
-//!   boring.)
+//!   is retried exactly once, in the slot it freed. A second failure
+//!   launches nothing new (no further shards, no further retries),
+//!   drains the children still in flight, and aborts the whole run
+//!   with a [`ShardError`] carrying the child's captured stderr —
+//!   shard results are partial sums, so a missing shard makes the
+//!   merged report silently wrong; failing loudly is the only correct
+//!   option.
+//! * **Determinism.** Results are returned indexed by shard, and of
+//!   several failed shards the lowest one is reported, so neither the
+//!   caller's merge order nor the error depends on child completion
+//!   order.
 
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
 
 /// A shard child failed twice (or its output pipe broke).
 #[derive(Debug)]
@@ -66,41 +73,31 @@ struct Attempt {
     stderr: String,
 }
 
-/// Spawns shard `k`'s command and waits for it, capturing both pipes.
-fn run_attempt(command: &mut Command) -> Attempt {
-    let spawned = command
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn();
-    let child = match spawned {
-        Ok(c) => c,
-        Err(e) => {
-            return Attempt {
-                ok: false,
-                message: format!("failed to spawn: {e}"),
-                stdout: String::new(),
-                stderr: String::new(),
-            }
-        }
-    };
-    match child.wait_with_output() {
-        Ok(out) => Attempt {
-            ok: out.status.success(),
-            message: if out.status.success() {
-                String::new()
-            } else {
-                format!("exited with {}", out.status)
-            },
-            stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
-            stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
-        },
-        Err(e) => Attempt {
+impl Attempt {
+    fn failed(message: String) -> Attempt {
+        Attempt {
             ok: false,
-            message: format!("failed to collect output: {e}"),
+            message,
             stdout: String::new(),
             stderr: String::new(),
-        },
+        }
+    }
+
+    /// Waits for `child` to exit, reading both pipes to EOF.
+    fn collect(child: Child) -> Attempt {
+        match child.wait_with_output() {
+            Ok(out) => Attempt {
+                ok: out.status.success(),
+                message: if out.status.success() {
+                    String::new()
+                } else {
+                    format!("exited with {}", out.status)
+                },
+                stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
+                stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
+            },
+            Err(e) => Attempt::failed(format!("failed to collect output: {e}")),
+        }
     }
 }
 
@@ -115,9 +112,9 @@ fn run_attempt(command: &mut Command) -> Attempt {
 ///
 /// # Errors
 ///
-/// Returns the first [`ShardError`] in shard order once every child
-/// spawned before the failure has been reaped (no zombies are left
-/// behind on the error path).
+/// Returns the lowest-shard [`ShardError`] once every child still in
+/// flight has been reaped (no zombies are left behind on the error
+/// path).
 ///
 /// # Panics
 ///
@@ -129,101 +126,76 @@ pub fn supervise(
 ) -> Result<Vec<String>, ShardError> {
     assert!(num_shards > 0, "supervisor needs at least one shard");
     assert!(max_concurrent > 0, "supervisor needs at least one slot");
-    // Spawning is wrapped in run_attempt's wait, so "concurrent"
-    // means: keep a window of in-flight children and reap the oldest
-    // before spawning past the window. wait_with_output() reads the
-    // pipes to EOF, so a child ahead of the reap point can never
-    // block on a full pipe longer than the window allows.
-    let mut in_flight: std::collections::VecDeque<(u32, std::process::Child)> =
-        std::collections::VecDeque::new();
     let mut results: Vec<Option<String>> = (0..num_shards).map(|_| None).collect();
-
-    let reap = |shard: u32,
-                child: std::process::Child,
-                command_for: &mut dyn FnMut(u32) -> Command|
-     -> Result<String, ShardError> {
-        let first = match child.wait_with_output() {
-            Ok(out) if out.status.success() => {
-                return Ok(String::from_utf8_lossy(&out.stdout).into_owned())
-            }
-            Ok(out) => Attempt {
-                ok: false,
-                message: format!("exited with {}", out.status),
-                stdout: String::new(),
-                stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
-            },
-            Err(e) => Attempt {
-                ok: false,
-                message: format!("failed to collect output: {e}"),
-                stdout: String::new(),
-                stderr: String::new(),
-            },
-        };
-        // Retry once, synchronously in this slot.
-        let second = run_attempt(&mut command_for(shard));
-        if second.ok {
-            return Ok(second.stdout);
-        }
-        Err(ShardError {
-            shard,
-            message: format!("{} (first attempt: {})", second.message, first.message),
-            stderr: if second.stderr.is_empty() {
-                first.stderr
-            } else {
-                second.stderr
-            },
-        })
-    };
-
+    let mut first_failure: Vec<Option<Attempt>> = (0..num_shards).map(|_| None).collect();
     let mut error: Option<ShardError> = None;
-    for shard in 0..num_shards {
-        if error.is_some() {
-            break;
-        }
-        if in_flight.len() >= max_concurrent {
-            let (done_shard, done_child) = in_flight.pop_front().expect("window non-empty");
-            match reap(done_shard, done_child, command_for) {
-                Ok(stdout) => results[done_shard as usize] = Some(stdout),
-                Err(e) => error = Some(e),
-            }
-            if error.is_some() {
-                break;
-            }
-        }
-        match command_for(shard)
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-        {
-            Ok(child) => in_flight.push_back((shard, child)),
-            Err(e) => {
-                // Spawn failure: retry once immediately.
-                let second = run_attempt(&mut command_for(shard));
-                if second.ok {
-                    results[shard as usize] = Some(second.stdout);
-                } else {
-                    error = Some(ShardError {
-                        shard,
-                        message: format!(
-                            "{} (first attempt: failed to spawn: {e})",
-                            second.message
-                        ),
-                        stderr: second.stderr,
+
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel::<(u32, Attempt)>();
+        // Starts one attempt of `shard`. Every attempt — spawn failures
+        // included — reports exactly once on `rx`, and holds its slot
+        // until it has.
+        let mut launch = |shard: u32| {
+            let spawned = command_for(shard)
+                .stdin(Stdio::null())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn();
+            let tx = tx.clone();
+            match spawned {
+                Ok(child) => {
+                    scope.spawn(move || {
+                        // The receiver outlives every attempt.
+                        let _ = tx.send((shard, Attempt::collect(child)));
                     });
                 }
+                Err(e) => {
+                    let _ = tx.send((shard, Attempt::failed(format!("failed to spawn: {e}"))));
+                }
+            }
+        };
+        let (mut next, mut live) = (0u32, 0usize);
+        loop {
+            while error.is_none() && live < max_concurrent && next < num_shards {
+                launch(next);
+                next += 1;
+                live += 1;
+            }
+            if live == 0 {
+                break;
+            }
+            let (shard, attempt) = rx.recv().expect("a live attempt always reports");
+            live -= 1;
+            let k = shard as usize;
+            if attempt.ok {
+                results[k] = Some(attempt.stdout);
+                continue;
+            }
+            match first_failure[k].take() {
+                // Retry once, in the slot this attempt just freed.
+                None if error.is_none() => {
+                    first_failure[k] = Some(attempt);
+                    launch(shard);
+                    live += 1;
+                }
+                // A second failure; the lowest failed shard is reported.
+                Some(first) if error.as_ref().is_none_or(|e| shard < e.shard) => {
+                    error = Some(ShardError {
+                        shard,
+                        message: format!("{} (first attempt: {})", attempt.message, first.message),
+                        stderr: if attempt.stderr.is_empty() {
+                            first.stderr
+                        } else {
+                            attempt.stderr
+                        },
+                    });
+                }
+                // The run is already failing: drain, launch nothing.
+                _ => {}
             }
         }
-    }
-    // Drain the window — on the error path too, so no zombies linger.
-    while let Some((shard, child)) = in_flight.pop_front() {
-        match reap(shard, child, command_for) {
-            Ok(stdout) => results[shard as usize] = Some(stdout),
-            Err(e) => {
-                error.get_or_insert(e);
-            }
-        }
-    }
+    });
+
     if let Some(e) = error {
         return Err(e);
     }
@@ -300,6 +272,33 @@ mod tests {
         .expect_err("spawn fails twice");
         assert_eq!(err.shard, 0);
         assert!(err.message.contains("spawn"), "{}", err.message);
+    }
+
+    #[test]
+    fn a_finished_child_frees_its_slot_for_the_next_shard() {
+        // Shard 0 waits (up to ~5 s) for a marker only shard 2
+        // creates, and shard 1 exits at once. With two slots, shard 2
+        // can only start in the slot shard 1 frees; reaping in shard
+        // order would leave it queued behind shard 0 until shard 0
+        // timed out.
+        let dir = std::env::temp_dir().join(format!("xrbench-refill-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let marker = dir.join("shard-2-ran");
+        let _ = std::fs::remove_file(&marker);
+        let out = supervise(3, 2, &mut |k| {
+            sh(match k {
+                0 => format!(
+                    "i=0; while [ ! -f {m} ] && [ $i -lt 500 ]; do sleep 0.01; i=$((i+1)); done; \
+                     [ -f {m} ] && echo waited",
+                    m = marker.display()
+                ),
+                1 => "echo quick".to_string(),
+                _ => format!("touch {m} && echo marker", m = marker.display()),
+            })
+        })
+        .expect("shard 2 starts while shard 0 waits");
+        assert_eq!(out, ["waited\n", "quick\n", "marker\n"]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

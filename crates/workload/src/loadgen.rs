@@ -81,7 +81,7 @@ impl LoadGenerator {
             let mut rng = StdRng::seed_from_u64(
                 self.seed ^ (sm.model as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );
-            let n = (sm.target_fps * duration_s).ceil() as u64;
+            let n = sm.request_count(duration_s);
             let ratio = src.fps / sm.target_fps;
             assert!(
                 ratio >= 1.0 - 1e-9,

@@ -56,6 +56,15 @@ pub struct ScenarioModel {
     pub deps: Vec<ModelDependency>,
 }
 
+impl ScenarioModel {
+    /// How many requests the model issues over `duration_s` seconds:
+    /// `⌈target_fps · duration⌉`, the count [`crate::LoadGenerator`]
+    /// emits for it.
+    pub fn request_count(&self, duration_s: f64) -> u64 {
+        (self.target_fps * duration_s).ceil() as u64
+    }
+}
+
 /// A fully-specified usage scenario (Definition 4).
 ///
 /// Specs are *open*: the seven Table 2 scenarios are ordinary values

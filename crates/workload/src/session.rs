@@ -144,6 +144,18 @@ impl SessionSpec {
         max_offset + duration_s
     }
 
+    /// How many requests [`SessionSpec::generate`] emits for
+    /// `duration_s`, counted without generating them: the sum of
+    /// [`crate::ScenarioModel::request_count`] over every user's
+    /// models.
+    pub fn request_count(&self, duration_s: f64) -> u64 {
+        self.users
+            .iter()
+            .flat_map(|u| &u.spec.models)
+            .map(|sm| sm.request_count(duration_s))
+            .sum()
+    }
+
     /// Generates the merged, time-sorted session request stream.
     ///
     /// Each user's stream comes from its own [`LoadGenerator`] seeded
@@ -227,6 +239,20 @@ mod tests {
         }
         for u in 0..4u32 {
             assert_eq!(reqs.iter().filter(|r| r.user == u).count(), 165);
+        }
+    }
+
+    #[test]
+    fn request_count_matches_the_generated_stream() {
+        for scenario in UsageScenario::ALL {
+            let s = SessionSpec::uniform("s", scenario.spec(), 3, 0.01);
+            for d in [1e-6, 1.0, 8.0] {
+                assert_eq!(
+                    s.request_count(d),
+                    s.generate(5, d).len() as u64,
+                    "{scenario} at {d} s"
+                );
+            }
         }
     }
 

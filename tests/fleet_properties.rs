@@ -413,12 +413,38 @@ proptest! {
         // Every (group, replica) coordinate appears in exactly one
         // shard, with global indices preserved — the invariant that
         // keeps replica_seed (and thus fault timelines) independent
-        // of the cut.
+        // of the cut — and every shard's request count lies within
+        // one session's request count of an even share W/N.
         let fleet = random_fleet(seed);
-        let plan = plan_shards(&fleet, num_shards);
+        let duration_s = [1e-6, 0.25, 1.0, 8.0][(seed % 4) as usize];
+        let weight = |group: u32| {
+            u128::from(fleet.groups[group as usize].session.request_count(duration_s))
+        };
+        let total: u128 = fleet
+            .groups
+            .iter()
+            .enumerate()
+            .map(|(g, grp)| weight(g as u32) * u128::from(grp.replicas))
+            .sum();
+        let max_w = (0..fleet.groups.len() as u32).map(weight).max().unwrap();
+        let plan = plan_shards(&fleet, duration_s, num_shards);
         prop_assert_eq!(plan.num_shards(), num_shards);
         let mut seen = std::collections::BTreeSet::new();
-        for shard in &plan.shards {
+        for (k, shard) in plan.shards.iter().enumerate() {
+            let w: u128 = shard
+                .iter()
+                .map(|p| weight(p.group) * u128::from(p.replica_count))
+                .sum();
+            let n = u128::from(num_shards);
+            prop_assert!(
+                (w * n).abs_diff(total) <= max_w * n,
+                "shard {} weighs {} of {} across {} shards (max session {})",
+                k,
+                w,
+                total,
+                num_shards,
+                max_w
+            );
             for piece in shard {
                 for r in piece.replica_start..piece.replica_start + piece.replica_count {
                     prop_assert!(
