@@ -2,18 +2,13 @@
 //! themselves (one data point per table/figure of the evaluation):
 //! these are the "experiments" of the paper, so their cost matters to
 //! anyone sweeping design spaces with the harness.
-//!
-//! The serial/parallel suite entry points are deprecated API-side,
-//! but the serial-vs-parallel timing comparison is exactly what this
-//! bench measures, so it calls them deliberately.
-#![allow(deprecated)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use xrbench_accel::{table5, AcceleratorSystem};
 use xrbench_core::figures::{figure6, figure7, figure8};
-use xrbench_core::{run_suite_parallel, run_suite_serial, Harness};
+use xrbench_core::{run_suite, Harness};
 
 fn bench_figure6(c: &mut Criterion) {
     let h = Harness::new();
@@ -36,18 +31,14 @@ fn bench_figure8(c: &mut Criterion) {
 }
 
 fn bench_full_suite_one_accel(c: &mut Criterion) {
-    // One Figure 5 cell group: a full-suite run on one accelerator.
-    // Both paths are timed: the serial run is the stable per-job
-    // signal, while the parallel run includes worker spawn/teardown
-    // (the cost real `run_suite` callers pay per suite).
+    // One Figure 5 cell group: a full-suite run on one accelerator,
+    // including the worker spawn/teardown every `run_suite` caller
+    // pays per suite.
     let cfg = table5().into_iter().find(|x| x.id == 'A').expect("A");
     let system = AcceleratorSystem::new(cfg, 4096);
     let h = Harness::new();
-    c.bench_function("figure5_one_accel_suite_serial", |b| {
-        b.iter(|| run_suite_serial(black_box(&h), &system, 3));
-    });
-    c.bench_function("figure5_one_accel_suite_parallel", |b| {
-        b.iter(|| run_suite_parallel(black_box(&h), &system, 3));
+    c.bench_function("figure5_one_accel_suite", |b| {
+        b.iter(|| run_suite(black_box(&h), &system, 3));
     });
 }
 

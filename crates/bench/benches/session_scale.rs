@@ -36,7 +36,13 @@ fn bench_engine_vs_reference(c: &mut Criterion) {
     });
     g.bench_function("reference_loop", |b| {
         b.iter(|| {
-            sim.run_session_reference(black_box(&session), &provider, &mut LatencyGreedy::new())
+            sim.run_session_reference(
+                black_box(&session),
+                &provider,
+                &mut LatencyGreedy::new(),
+                None,
+                None,
+            )
         });
     });
     g.finish();

@@ -116,7 +116,13 @@ fn main() {
         } else {
             let naive_reps = if users >= 256 { 1 } else { 2 };
             let (_, naive_eps) = measure(naive_reps, arrivals, || {
-                let r = sim.run_session_reference(&session, &provider, &mut LatencyGreedy::new());
+                let r = sim.run_session_reference(
+                    &session,
+                    &provider,
+                    &mut LatencyGreedy::new(),
+                    None,
+                    None,
+                );
                 r.per_user.iter().map(|(_, u)| u.records.len() as u64).sum()
             });
             Some(naive_eps)

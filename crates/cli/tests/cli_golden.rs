@@ -9,8 +9,9 @@
 //! 2. **CLI = library**: `run-suite specs/suite_default.json` must
 //!    emit exactly the JSON the library's `run_suite` path produces
 //!    (the quickstart configuration, XRBench Score 0.888).
-//! 3. **Reports are frozen**: all four default run documents must
-//!    reproduce the golden fixtures in `tests/fixtures/cli/`.
+//! 3. **Reports are frozen**: all four default run documents, and the
+//!    faulted `run-fleet --compare-policies` report, must reproduce the
+//!    golden fixtures in `tests/fixtures/cli/`.
 //!
 //! To re-bless after an intentional change:
 //!
@@ -295,6 +296,26 @@ fn compare_policies_replays_the_fleet_per_recovery_policy() {
     // Byte-identical on replay: the comparison shares one fault seed.
     let again = xrbench(&["run-fleet", spec.to_str().unwrap(), "--compare-policies"]);
     assert_eq!(again.stdout, stdout.as_bytes());
+
+    // Frozen against a golden fixture: the one committed report of a
+    // faulted run, covering all three recovery policies.
+    let fixture = repo_root()
+        .join("tests")
+        .join("fixtures")
+        .join("cli")
+        .join("fleet_compare_policies.report.json");
+    if bless() {
+        fs::write(&fixture, &stdout).expect("write fixture");
+    } else {
+        let expected = fs::read_to_string(&fixture)
+            .unwrap_or_else(|e| panic!("missing fixture {}: {e}", fixture.display()));
+        assert!(
+            expected == stdout,
+            "--compare-policies report diverged from {} \
+             (run with XRBENCH_BLESS=1 to re-bless after an intentional change)",
+            fixture.display()
+        );
+    }
 
     // The flag is fleet-only: usage error (exit 2) elsewhere.
     let out = xrbench(&[

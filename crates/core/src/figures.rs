@@ -1,8 +1,8 @@
 //! Regeneration of the paper's evaluation figures.
 //!
 //! Each function returns plain data rows; the `xrbench-bench` binaries
-//! print them in figure-shaped tables (and EXPERIMENTS.md records the
-//! paper-vs-measured comparison).
+//! print them in figure-shaped tables (the README section
+//! "Regenerating the paper's evaluation" lists the commands).
 
 use serde::Serialize;
 

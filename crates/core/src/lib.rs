@@ -48,11 +48,6 @@ pub use report::{
 pub use runner::{RunReport, Runner};
 pub use spec::{FleetRun, RunDocument, RunParams, SchedulerSpec, SessionRun, SuiteRun, SystemSpec};
 pub use suite::{run_sessions, run_suite, run_suite_catalog};
-#[allow(deprecated)]
-pub use suite::{
-    run_suite_catalog_serial, run_suite_catalog_with_workers, run_suite_parallel,
-    run_suite_parallel_with_workers, run_suite_serial,
-};
 pub use sweep::{
     AxisMarginalReport, SweepDocument, SweepOptions, SweepOutcome, SweepPoint, SweepPointReport,
     SweepReport, SweepShardState, SweepStats, SweepWorkload, SweepWorkloadKind,

@@ -1,14 +1,13 @@
 //! The unified execution entry point: one [`Runner`], any document.
 //!
-//! The library grew one entry point per workload shape —
-//! `SuiteRun::run`, `SessionRun::run`, `FleetRun::run`, plus a zoo of
-//! suite free functions — and every caller that executed "whatever
-//! document the user handed me" had to dispatch by hand and invent
-//! its own report plumbing. [`Runner::run`] executes any
-//! [`RunDocument`] through exactly the same engine paths (reports are
-//! byte-identical to the legacy entry points, which remain as
-//! deprecated shims) and returns one tagged [`RunReport`], with one
-//! error type ([`XrError`]) across every kind:
+//! Every caller that executes "whatever document the user handed me"
+//! goes through [`Runner::run`]: it executes any [`RunDocument`]
+//! through exactly the library paths a hand-written caller would use
+//! ([`crate::run_suite_catalog`], [`crate::Harness::run_session`],
+//! [`crate::Harness::run_fleet_with_recovery`], and the sweep
+//! executor), so reports are byte-identical to theirs, and returns one
+//! tagged [`RunReport`], with one error type ([`XrError`]) across
+//! every kind:
 //!
 //! ```
 //! use xrbench_core::{Runner, RunReport};
@@ -118,18 +117,22 @@ mod tests {
     const UNIFORM_HW: &str = r#""hardware": { "uniform":
         { "engines": 2, "latency_s": 0.001, "energy_j": 0.001 } }"#;
 
+    /// The legacy entry points are the library functions that predate
+    /// `Runner`: `run_suite`, `Harness::run_session` and
+    /// `Harness::run_fleet`.
     #[test]
     fn runner_reports_match_the_legacy_entry_points() {
+        use crate::Harness;
+        use xrbench_sim::{LatencyGreedy, UniformProvider};
+        use xrbench_workload::{SessionSpec, UsageScenario};
+
         let runner = Runner::new();
+        let system = UniformProvider::new(2, 0.001, 0.001);
 
         let suite_json = format!(r#"{{ "kind": "suite", {UNIFORM_HW}, "repeats": 2 }}"#);
         let report = runner.run_json(&suite_json).unwrap();
         assert_eq!(report.kind(), "suite");
-        let RunDocument::Suite(legacy) = RunDocument::from_json_str(&suite_json).unwrap() else {
-            unreachable!()
-        };
-        #[allow(deprecated)]
-        let expected = legacy.run();
+        let expected = crate::run_suite(&Harness::new(), &system, 2);
         assert_eq!(report.to_json(), expected.to_json());
 
         let session_json = format!(
@@ -138,12 +141,8 @@ mod tests {
         );
         let report = runner.run_json(&session_json).unwrap();
         assert_eq!(report.kind(), "session");
-        let RunDocument::Session(legacy) = RunDocument::from_json_str(&session_json).unwrap()
-        else {
-            unreachable!()
-        };
-        #[allow(deprecated)]
-        let expected = legacy.run();
+        let session = SessionSpec::uniform("party", UsageScenario::VrGaming.spec(), 2, 0.01);
+        let expected = Harness::new().run_session(&session, &system, &mut LatencyGreedy::new());
         assert_eq!(report.to_json(), expected.to_json());
 
         let fleet_json = format!(
@@ -154,11 +153,15 @@ mod tests {
         );
         let report = runner.run_json(&fleet_json).unwrap();
         assert_eq!(report.kind(), "fleet");
-        let RunDocument::Fleet(legacy) = RunDocument::from_json_str(&fleet_json).unwrap() else {
-            unreachable!()
-        };
-        #[allow(deprecated)]
-        let expected = legacy.run();
+        let fleet = xrbench_fleet::FleetSpec::new("tiny").group(
+            "vr",
+            SessionSpec::uniform("s", UsageScenario::VrGaming.spec(), 1, 0.0),
+            2,
+        );
+        // The worker count cannot change a fleet report.
+        let expected = Harness::new()
+            .with_duration(0.2)
+            .run_fleet(&fleet, &system, 1);
         assert_eq!(report.to_json(), expected.to_json());
     }
 

@@ -475,13 +475,7 @@ pub struct SuiteRun {
 
 impl SuiteRun {
     /// Executes the suite exactly as [`crate::run_suite_catalog`]
-    /// would.
-    #[deprecated(note = "execute documents through `Runner::run` instead")]
-    #[doc(hidden)]
-    pub fn run(&self) -> BenchmarkReport {
-        self.execute()
-    }
-
+    /// would (the [`crate::Runner`] path for suite documents).
     pub(crate) fn execute(&self) -> BenchmarkReport {
         let system = self.system.build();
         run_suite_catalog(
@@ -507,13 +501,8 @@ pub struct SessionRun {
 }
 
 impl SessionRun {
-    /// Executes the session exactly as [`Harness::run_session`] would.
-    #[deprecated(note = "execute documents through `Runner::run` instead")]
-    #[doc(hidden)]
-    pub fn run(&self) -> SessionReport {
-        self.execute()
-    }
-
+    /// Executes the session exactly as [`Harness::run_session`] would
+    /// (the [`crate::Runner`] path for session documents).
     pub(crate) fn execute(&self) -> SessionReport {
         let system = self.system.build();
         self.params.harness().run_session(
@@ -543,13 +532,8 @@ pub struct FleetRun {
 
 impl FleetRun {
     /// Executes the fleet exactly as
-    /// [`Harness::run_fleet_with_recovery`] would.
-    #[deprecated(note = "execute documents through `Runner::run` instead")]
-    #[doc(hidden)]
-    pub fn run(&self) -> xrbench_fleet::FleetReport {
-        self.execute()
-    }
-
+    /// [`Harness::run_fleet_with_recovery`] would (the
+    /// [`crate::Runner`] path for fleet documents).
     pub(crate) fn execute(&self) -> xrbench_fleet::FleetReport {
         let system = self.system.build();
         self.params.harness().run_fleet_with_recovery(
@@ -562,7 +546,7 @@ impl FleetRun {
 
     /// Runs one shard of the fleet: the sessions whose global
     /// `(group, replica)` coordinates fall in shard `shard` of
-    /// `num_shards`, seeded exactly as [`FleetRun::run`] would seed
+    /// `num_shards`, seeded exactly as the whole-fleet run would seed
     /// them. The returned [`xrbench_fleet::ShardState`] serializes
     /// over a pipe and merges back through
     /// [`FleetRun::merge_shards`].
@@ -585,7 +569,8 @@ impl FleetRun {
 
     /// Merges shard states produced by [`FleetRun::run_shard`] (in
     /// any order, possibly in other processes) into the final report
-    /// — byte-identical to [`FleetRun::run`]'s.
+    /// — byte-identical to the whole-fleet run's (see
+    /// [`crate::Runner::run`]).
     ///
     /// # Errors
     ///
@@ -833,7 +818,6 @@ impl RunDocument {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use xrbench_sim::{SlackAwareEdf, UniformProvider};
@@ -852,7 +836,7 @@ mod tests {
             panic!("expected suite");
         };
         assert_eq!(suite.repeats, 3);
-        let report = suite.run();
+        let report = suite.execute();
         let system = UniformProvider::new(2, 0.001, 0.001);
         let expected = crate::run_suite(&Harness::new(), &system, 3);
         assert_eq!(report, expected);
@@ -871,7 +855,7 @@ mod tests {
         let RunDocument::Session(run) = doc else {
             panic!("expected session");
         };
-        let report = run.run();
+        let report = run.execute();
         let system = UniformProvider::new(2, 0.001, 0.001);
         let session = SessionSpec::uniform("party", UsageScenario::VrGaming.spec(), 4, 0.01);
         let expected =
@@ -896,7 +880,7 @@ mod tests {
         let RunDocument::Fleet(run) = doc else {
             panic!("expected fleet");
         };
-        let report = run.run();
+        let report = run.execute();
         let system = UniformProvider::new(2, 0.001, 0.001);
         let fleet = xrbench_fleet::FleetSpec::new("arcade").group(
             "vr",
@@ -928,7 +912,7 @@ mod tests {
             panic!("expected fleet");
         };
         assert_eq!(run.recovery, RecoveryPolicy::Requeue);
-        let report = run.run();
+        let report = run.execute();
         let system = UniformProvider::new(2, 0.001, 0.001);
         let fleet = xrbench_fleet::FleetSpec::new("churn").group_faulted(
             "vr",
@@ -1111,7 +1095,7 @@ mod tests {
         };
         assert_eq!(suite.catalog.len(), 8);
         assert!(suite.catalog.contains("Fitness"));
-        let report = suite.run();
+        let report = suite.execute();
         assert_eq!(report.scenarios.len(), 8);
     }
 }

@@ -3,28 +3,27 @@
 //! The suite `Ω` is a [`ScenarioCatalog`] — by default the seven
 //! Table 2 scenarios, but any catalog with user-defined scenarios
 //! registered through `ScenarioBuilder` runs identically. Two
-//! execution paths produce bit-for-bit identical reports:
+//! crate-private execution strategies produce bit-for-bit identical
+//! reports:
 //!
-//! * [`run_suite_serial`] — one (scenario, repeat) run after another.
-//! * [`run_suite_parallel`] — the same (scenario, repeat) job grid
+//! * the serial strategy — one (scenario, repeat) run after another;
+//! * the parallel strategy — the same (scenario, repeat) job grid
 //!   fanned across `std::thread` workers. Determinism holds because
 //!   every job derives its seed from the harness seed exactly as the
 //!   serial path does, results land in pre-assigned slots, and the
 //!   order-sensitive float aggregation happens after the join, in
 //!   serial order.
 //!
-//! [`run_suite`] is the public entry point and defaults to the
-//! parallel path over the built-in catalog — the full 13-accelerator ×
-//! 7-scenario sweeps behind the figure binaries are embarrassingly
-//! parallel, and the suite is the unit of work they repeat.
+//! [`run_suite`] (the built-in catalog) and [`run_suite_catalog`] are
+//! the public entry points, together with [`crate::Runner`]. Both take
+//! the parallel path — the full 13-accelerator × 7-scenario sweeps
+//! behind the figure binaries are embarrassingly parallel, and the
+//! suite is the unit of work they repeat. The unit tests below prove
+//! the two strategies equal on every Table 5 accelerator;
+//! `tests/suite_parallel.rs` checks [`run_suite`] from outside the
+//! crate against the scenarios run one by one.
 //! [`run_sessions`] is the session-aware parallel path: a batch of
 //! multi-user sessions fanned across the same worker pool.
-//!
-//! The historical per-strategy entry points ([`run_suite_serial`],
-//! [`run_suite_parallel`], and the `_with_workers` variants) are
-//! deprecated shims: serial/parallel equivalence is proven, so the
-//! strategy is an implementation detail and [`run_suite`] /
-//! [`run_suite_catalog`] (or [`crate::Runner`]) are the API.
 
 use xrbench_score::benchmark_score;
 use xrbench_sim::{CostProvider, LatencyGreedy};
@@ -91,8 +90,8 @@ fn assemble(system_label: String, per_scenario: Vec<Vec<ScenarioReport>>) -> Ben
 /// Table 2 usage scenarios) on one system and aggregates the overall
 /// XRBench Score (Definition 16).
 ///
-/// This is the parallel path by default (see [`run_suite_parallel`]);
-/// it produces bit-for-bit the same report as [`run_suite_serial`].
+/// This takes the parallel path, which produces bit-for-bit the same
+/// report as the serial one.
 ///
 /// # Panics
 ///
@@ -133,38 +132,6 @@ pub fn run_suite_catalog(
     )
 }
 
-/// Serial reference implementation of the suite run over the built-in
-/// catalog.
-///
-/// # Panics
-///
-/// Panics if `repeats == 0`.
-#[deprecated(note = "byte-identical to `run_suite`; use it (or `Runner::run`) instead")]
-#[doc(hidden)]
-pub fn run_suite_serial(
-    harness: &Harness,
-    system: &dyn CostProvider,
-    repeats: u32,
-) -> BenchmarkReport {
-    catalog_serial_impl(harness, system, repeats, &ScenarioCatalog::builtin())
-}
-
-/// Serial reference implementation over an explicit catalog.
-///
-/// # Panics
-///
-/// Panics if `repeats == 0` or the catalog is empty.
-#[deprecated(note = "byte-identical to `run_suite_catalog`; use it (or `Runner::run`) instead")]
-#[doc(hidden)]
-pub fn run_suite_catalog_serial(
-    harness: &Harness,
-    system: &dyn CostProvider,
-    repeats: u32,
-    catalog: &ScenarioCatalog,
-) -> BenchmarkReport {
-    catalog_serial_impl(harness, system, repeats, catalog)
-}
-
 /// The serial execution strategy (the reference the parallel path is
 /// proven against).
 pub(crate) fn catalog_serial_impl(
@@ -181,76 +148,6 @@ pub(crate) fn catalog_serial_impl(
         per_scenario[job.scenario_idx].push(run_job(harness, system, specs[job.scenario_idx], job));
     }
     assemble(system.label(), per_scenario)
-}
-
-/// Parallel suite run over the built-in catalog: fans the (scenario ×
-/// repeat) job grid across `std::thread` workers and aggregates
-/// deterministically.
-///
-/// Worker count is `max(available_parallelism, 2)` capped at the job
-/// count, so the sweep always exercises a real multi-worker fan-out
-/// (workers time-slice on a single-core host).
-///
-/// # Panics
-///
-/// Panics if `repeats == 0`, or propagates a panic from a worker.
-#[deprecated(note = "byte-identical to `run_suite`; use it (or `Runner::run`) instead")]
-#[doc(hidden)]
-pub fn run_suite_parallel(
-    harness: &Harness,
-    system: &(dyn CostProvider + Sync),
-    repeats: u32,
-) -> BenchmarkReport {
-    catalog_parallel_impl(
-        harness,
-        system,
-        repeats,
-        &ScenarioCatalog::builtin(),
-        xrbench_fleet::default_workers(),
-    )
-}
-
-/// [`run_suite_parallel`] with an explicit worker count.
-///
-/// # Panics
-///
-/// Panics if `repeats == 0` or `workers == 0`, or propagates a panic
-/// from a worker.
-#[deprecated(note = "the report is byte-identical for any worker count; use `run_suite` instead")]
-#[doc(hidden)]
-pub fn run_suite_parallel_with_workers(
-    harness: &Harness,
-    system: &(dyn CostProvider + Sync),
-    repeats: u32,
-    workers: usize,
-) -> BenchmarkReport {
-    catalog_parallel_impl(
-        harness,
-        system,
-        repeats,
-        &ScenarioCatalog::builtin(),
-        workers,
-    )
-}
-
-/// [`run_suite_catalog`] with an explicit worker count.
-///
-/// # Panics
-///
-/// Panics if `repeats == 0`, `workers == 0`, or the catalog is empty;
-/// propagates a panic from a worker.
-#[deprecated(
-    note = "the report is byte-identical for any worker count; use `run_suite_catalog` instead"
-)]
-#[doc(hidden)]
-pub fn run_suite_catalog_with_workers(
-    harness: &Harness,
-    system: &(dyn CostProvider + Sync),
-    repeats: u32,
-    catalog: &ScenarioCatalog,
-    workers: usize,
-) -> BenchmarkReport {
-    catalog_parallel_impl(harness, system, repeats, catalog, workers)
 }
 
 /// The parallel execution strategy: fans the job grid across the
@@ -357,11 +254,30 @@ fn average_reports(mut reports: Vec<ScenarioReport>) -> ScenarioReport {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use xrbench_accel::{table5, AcceleratorSystem};
     use xrbench_sim::UniformProvider;
     use xrbench_workload::{ScenarioBuilder, UsageScenario};
+
+    fn serial(harness: &Harness, system: &dyn CostProvider, repeats: u32) -> BenchmarkReport {
+        catalog_serial_impl(harness, system, repeats, &ScenarioCatalog::builtin())
+    }
+
+    fn parallel(
+        harness: &Harness,
+        system: &(dyn CostProvider + Sync),
+        repeats: u32,
+        workers: usize,
+    ) -> BenchmarkReport {
+        catalog_parallel_impl(
+            harness,
+            system,
+            repeats,
+            &ScenarioCatalog::builtin(),
+            workers,
+        )
+    }
 
     #[test]
     fn suite_covers_all_scenarios() {
@@ -384,11 +300,39 @@ mod tests {
     fn parallel_matches_serial_bit_for_bit() {
         let p = UniformProvider::new(2, 0.002, 0.001);
         let h = Harness::new();
-        let serial = run_suite_serial(&h, &p, 4);
+        let serial = serial(&h, &p, 4);
         for workers in [1, 2, 5] {
-            let parallel = run_suite_parallel_with_workers(&h, &p, 4, workers);
+            let parallel = parallel(&h, &p, 4, workers);
             assert_eq!(serial, parallel, "workers = {workers}");
         }
+    }
+
+    #[test]
+    fn serial_and_parallel_impls_agree_on_all_13_accelerators() {
+        let harness = Harness::new();
+        let workers = xrbench_fleet::default_workers();
+        for cfg in table5() {
+            let system = AcceleratorSystem::new(cfg, 4096);
+            let serial = serial(&harness, &system, 2);
+            let parallel = parallel(&harness, &system, 2, workers);
+            assert_eq!(
+                serial,
+                parallel,
+                "parallel suite diverged from serial on {}",
+                system.label()
+            );
+            assert_eq!(serial.scenarios.len(), 7);
+        }
+    }
+
+    #[test]
+    fn run_suite_matches_the_serial_impl_over_repeats() {
+        let system =
+            AcceleratorSystem::new(table5().into_iter().find(|c| c.id == 'J').expect("J"), 8192);
+        let harness = Harness::new().with_seed(7);
+        let via_default = run_suite(&harness, &system, 3);
+        let via_serial = serial(&harness, &system, 3);
+        assert_eq!(via_default, via_serial);
     }
 
     #[test]
@@ -440,7 +384,7 @@ mod tests {
             .unwrap();
         let p = UniformProvider::new(2, 0.002, 0.001);
         let h = Harness::new();
-        let serial = run_suite_catalog_serial(&h, &p, 3, &catalog);
+        let serial = catalog_serial_impl(&h, &p, 3, &catalog);
         let parallel = run_suite_catalog(&h, &p, 3, &catalog);
         assert_eq!(serial, parallel);
     }
@@ -482,14 +426,14 @@ mod tests {
     #[should_panic(expected = "repeats")]
     fn zero_repeats_rejected_serial() {
         let p = UniformProvider::new(1, 0.001, 0.001);
-        let _ = run_suite_serial(&Harness::new(), &p, 0);
+        let _ = serial(&Harness::new(), &p, 0);
     }
 
     #[test]
     #[should_panic(expected = "workers")]
     fn zero_workers_rejected() {
         let p = UniformProvider::new(1, 0.001, 0.001);
-        let _ = run_suite_parallel_with_workers(&Harness::new(), &p, 1, 0);
+        let _ = parallel(&Harness::new(), &p, 1, 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The fleet executor: a bounded work-stealing worker pool running
-//! each device session through the heap engine's folding path, with
+//! each device session through the event engine's folding path, with
 //! per-worker accumulators merged deterministically at the end.
 //!
 //! ## Determinism under parallelism

@@ -2,16 +2,16 @@
 //! hot state, batched same-timestamp scheduling, and precomputed
 //! per-scenario dispatch tables.
 //!
-//! This is the next-generation rewrite of the PR 3 heap engine (which
-//! survives verbatim in [`crate::heap`] as a doc-hidden reference,
-//! next to the original quadratic loop in [`crate::naive`]). The four
+//! This is the next-generation rewrite of the PR 3 heap engine (since
+//! deleted). Its one differential reference is the quadratic loop in
+//! [`crate::naive`], which shares [`run_tagged`]'s signature. The four
 //! structural changes, each preserving the event order bit-for-bit:
 //!
 //! * **Calendar-queue completion list** — the `BinaryHeap` completion
 //!   calendar becomes a bucketed [`CalendarQueue`](crate::calendar):
 //!   O(1) amortized insert, drains that scan only the occupied-bucket
 //!   bitmask, and a per-cohort unstable sort under the same total
-//!   `(t, key, sensor_frame, token)` tie-break the heap popped in.
+//!   `(t, key, sensor_frame, token)` tie-break the PR 3 heap popped in.
 //! * **Struct-of-arrays slot state** — the `ready` and `waiting`
 //!   queues are flat per-field arrays over the dense
 //!   `user * NUM_MODELS + model` key, pre-sized at setup, so
@@ -32,14 +32,13 @@
 //!   footprint collapse from `users × models` heap vectors to one
 //!   shared table plus a `user → scenario` index.
 //!
-//! Output is **bit-identical** to [`crate::heap`] and
-//! [`crate::naive`]; the differential property tests in
-//! `tests/runtime_properties.rs` and the golden suite fixtures enforce
-//! it across all schedulers, record modes, and fault policies. The
-//! fault-injection semantics (revocation, recovery policies, deferred
-//! emission) are unchanged from the heap engine — faulted runs always
-//! take the generic `select` path, since kernels cannot observe
-//! mid-run outages.
+//! Output is **bit-identical** to [`crate::naive`]; the differential
+//! property tests in `tests/runtime_properties.rs` and the golden
+//! fixtures enforce it across all schedulers, record modes, and fault
+//! policies. The fault-injection semantics (revocation, recovery
+//! policies, deferred emission) are unchanged since PR 7 — faulted
+//! runs always take the generic `select` path, since kernels cannot
+//! observe mid-run outages.
 
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
@@ -565,8 +564,7 @@ struct Tables {
     dep_up: Vec<u8>,
     dep_prob: Vec<f64>,
     /// CSR offsets/payloads for each model's dependents (reverse
-    /// dependencies), in the same per-scenario declaration order the
-    /// heap engine builds.
+    /// dependencies), in per-scenario declaration order.
     down_off: Vec<u32>,
     down: Vec<u8>,
 }
@@ -658,7 +656,7 @@ impl Tables {
 }
 
 /// Per-key upstream resolution windows: a flat-array replacement for
-/// the heap engine's `BTreeMap<u64, Resolution>` per key. Each window
+/// a `BTreeMap<u64, Resolution>` per key. Each window
 /// is a sorted `(sensor_frame, resolution)` run with a retired-prefix
 /// head index — retirement advances the head (O(1) per entry, exactly
 /// the `BTreeMap` pop loop), lookups binary-search the live suffix,
@@ -1005,50 +1003,14 @@ fn kernel_export(state: KernelState) -> DispatchKernel {
 
 /// The production event loop over user-tagged requests (`requests`
 /// must be sorted by `t_req`, and strictly frame-monotone per
-/// `(user, model)`). Returns one [`SimResult`] per user. Bit-identical
-/// to [`crate::naive::run_tagged_naive`] and [`crate::heap`].
-pub(crate) fn run_tagged(
-    config: SimConfig,
-    specs: &[(u32, &ScenarioSpec)],
-    requests: Vec<Pending>,
-    provider: &dyn CostProvider,
-    scheduler: &mut dyn Scheduler,
-    duration_s: f64,
-) -> BTreeMap<u32, SimResult> {
-    run_tagged_mode(
-        config,
-        specs,
-        requests,
-        provider,
-        scheduler,
-        duration_s,
-        RecordMode::Collect,
-    )
-}
-
-/// [`run_tagged`] with an explicit [`RecordMode`]. In `Fold` mode the
-/// returned [`SimResult`]s carry empty `records` vectors (stats are
-/// still complete).
-pub(crate) fn run_tagged_mode(
-    config: SimConfig,
-    specs: &[(u32, &ScenarioSpec)],
-    requests: Vec<Pending>,
-    provider: &dyn CostProvider,
-    scheduler: &mut dyn Scheduler,
-    duration_s: f64,
-    mode: RecordMode<'_>,
-) -> BTreeMap<u32, SimResult> {
-    run_tagged_faulted(
-        config, specs, requests, provider, scheduler, duration_s, mode, None,
-    )
-}
-
-/// [`run_tagged_mode`] with optional fault injection. With
-/// `faults: None` this *is* the fault-free loop — no fault state is
-/// allocated and every fault branch is behind an `Option` check, so
-/// the classic path stays bit-identical to the reference loops.
+/// `(user, model)`). Returns one [`SimResult`] per user, bit-identical
+/// to [`crate::naive::run_tagged_naive`]. In `Fold` mode the returned
+/// [`SimResult`]s carry empty `records` vectors (stats are still
+/// complete). With `faults: None` this *is* the fault-free loop — no
+/// fault state is allocated and every fault branch is behind an
+/// `Option` check.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_tagged_faulted(
+pub(crate) fn run_tagged(
     config: SimConfig,
     specs: &[(u32, &ScenarioSpec)],
     requests: Vec<Pending>,
@@ -1134,9 +1096,9 @@ pub(crate) fn run_tagged_faulted(
 
     loop {
         // 1. Process completions due now (stashed first, then the
-        //    calendar drain — sorted per cohort under the same total
-        //    order the heap popped in) and re-queue cascade candidates
-        //    deferred from the previous pass.
+        //    calendar drain — sorted per cohort under the total
+        //    `(t, key, sensor_frame, token)` order) and re-queue
+        //    cascade candidates deferred from the previous pass.
         let fresh = due.len();
         calendar.drain_due(now + EPS, &mut due);
         due[fresh..].sort_unstable();
@@ -1678,8 +1640,8 @@ pub(crate) fn run_tagged_faulted(
 
     // Assemble one SimResult per user. Fault-free records were emitted
     // in dispatch order — already nondecreasing in `t_start` — so the
-    // heap engine's final re-sort is skipped (its stable sort on
-    // sorted input is the identity); faulted records were emitted at
+    // final re-sort is skipped (a stable sort on sorted input is the
+    // identity); faulted records were emitted at
     // completion and still need the stable start-time sort.
     let emit_at_completion = fstate.is_some();
     let mut out = BTreeMap::new();

@@ -105,6 +105,16 @@ impl FaultTimeline {
         Self::default()
     }
 
+    /// A hand-built timeline; `events` must already be in firing order.
+    #[cfg(test)]
+    pub(crate) fn from_events(events: Vec<FaultEvent>) -> Self {
+        assert!(
+            events.windows(2).all(|w| w[0].t <= w[1].t),
+            "fault events must be time-sorted"
+        );
+        Self { events }
+    }
+
     /// The events in firing order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events

@@ -55,7 +55,6 @@
 mod calendar;
 mod engine;
 mod fault;
-mod heap;
 mod naive;
 mod provider;
 mod result;

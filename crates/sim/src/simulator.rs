@@ -30,10 +30,12 @@
 //! same-timestamp scheduling with an indexed fast path for kernel-
 //! declaring schedulers, and precomputed per-scenario dispatch tables
 //! — amortized constant per event where the original loop was linear
-//! (see `DESIGN.md`). The two previous loops survive verbatim as
-//! differential-testing references: the original quadratic loop in
-//! [`crate::naive`] and the PR 3 heap engine in [`crate::heap`]; all
-//! three produce bit-identical results.
+//! (see `DESIGN.md`). Its one differential-testing reference is the
+//! quadratic loop in [`crate::naive`], which has the same signature
+//! and covers fault-free and faulted runs in both record modes; one
+//! private function feeds either loop, so every `run_session*` variant
+//! and its reference share the input and assembly steps, and the two
+//! loops produce bit-identical results.
 
 use std::collections::BTreeMap;
 
@@ -43,12 +45,31 @@ use rand::{Rng, SeedableRng};
 use xrbench_models::ModelId;
 use xrbench_workload::{InferenceRequest, LoadGenerator, ScenarioSpec, SessionSpec};
 
+use crate::engine::{FaultCtx, RecordMode};
+use crate::fault::{FaultProcess, FaultTimeline, RecoveryPolicy};
 use crate::provider::CostProvider;
-use crate::result::{SessionSimResult, SimResult};
+use crate::result::{ExecRecord, SessionSimResult, SimResult};
 use crate::scheduler::Scheduler;
 
 /// The time-comparison slack used when grouping events at one instant.
 pub(crate) const EPS: f64 = 1e-15;
+
+/// A streaming record sink, handed `(user, record)` per inference.
+type Sink<'a> = &'a mut dyn FnMut(u32, &ExecRecord);
+
+/// An event loop over user-tagged requests: the production engine
+/// ([`crate::engine::run_tagged`]) or the reference loop
+/// ([`crate::naive::run_tagged_naive`]), which share this signature.
+type EventLoop = fn(
+    SimConfig,
+    &[(u32, &ScenarioSpec)],
+    Vec<Pending>,
+    &dyn CostProvider,
+    &mut dyn Scheduler,
+    f64,
+    RecordMode<'_>,
+    Option<FaultCtx<'_>>,
+) -> BTreeMap<u32, SimResult>;
 
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -167,23 +188,13 @@ impl Simulator {
         provider: &dyn CostProvider,
         scheduler: &mut dyn Scheduler,
     ) -> SimResult {
-        assert!(
-            requests.windows(2).all(|w| w[0].t_req <= w[1].t_req),
-            "requests must be sorted by t_req"
-        );
-        let tagged = requests
-            .into_iter()
-            .map(|req| Pending { user: 0, req })
-            .collect();
-        let mut per_user = crate::engine::run_tagged(
-            self.config,
-            &[(0, spec)],
-            tagged,
+        self.drive_requests(
+            crate::engine::run_tagged,
+            spec,
+            requests,
             provider,
             scheduler,
-            self.config.duration_s,
-        );
-        per_user.remove(&0).expect("user 0 always present")
+        )
     }
 
     /// Simulates a multi-user session: every user's jittered,
@@ -203,10 +214,14 @@ impl Simulator {
         provider: &dyn CostProvider,
         scheduler: &mut dyn Scheduler,
     ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let per_user_map =
-            crate::engine::run_tagged(self.config, &specs, tagged, provider, scheduler, span_s);
-        Self::assemble_session(session, per_user_map, provider, span_s)
+        self.drive(
+            crate::engine::run_tagged,
+            session,
+            provider,
+            scheduler,
+            None,
+            None,
+        )
     }
 
     /// [`Simulator::run_session`] with **streaming result folding**:
@@ -242,68 +257,52 @@ impl Simulator {
         session: &SessionSpec,
         provider: &dyn CostProvider,
         scheduler: &mut dyn Scheduler,
-        sink: &mut dyn FnMut(u32, &crate::result::ExecRecord),
+        sink: &mut dyn FnMut(u32, &ExecRecord),
     ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let per_user_map = crate::engine::run_tagged_mode(
-            self.config,
-            &specs,
-            tagged,
+        self.drive(
+            crate::engine::run_tagged,
+            session,
             provider,
             scheduler,
-            span_s,
-            crate::engine::RecordMode::Fold(sink),
-        );
-        Self::assemble_session(session, per_user_map, provider, span_s)
+            None,
+            Some(sink),
+        )
     }
 
     /// [`Simulator::run_session`] under a dynamic fleet: the
-    /// [`FaultProcess`](crate::FaultProcess) is expanded into a
-    /// deterministic per-engine event timeline (seeded from
+    /// [`FaultProcess`] is expanded into a deterministic per-engine
+    /// event timeline (seeded from
     /// [`fault_seed`](crate::fault_seed)`(config.seed)`, so in a fleet
     /// the timeline is part of each replica's identity and merges stay
     /// exact) and injected into the event loop; in-flight work on a
     /// lost engine is recovered per `policy`.
     ///
     /// A *quiet* process (zero rates, no effective throttle — see
-    /// [`FaultProcess::is_quiet`](crate::FaultProcess::is_quiet)) or
-    /// an empty expanded timeline routes through the unmodified
-    /// fault-free path, bit-identical to [`Simulator::run_session`].
+    /// [`FaultProcess::is_quiet`]) or an empty expanded timeline
+    /// routes through the unmodified fault-free path, bit-identical to
+    /// [`Simulator::run_session`].
     ///
     /// # Panics
     ///
     /// Panics if the session has no users, session user ids are not
     /// unique, the provider has no engines, or the fault process fails
-    /// [`FaultProcess::validate`](crate::FaultProcess::validate).
+    /// [`FaultProcess::validate`].
     pub fn run_session_faulted(
         &self,
         session: &SessionSpec,
         provider: &dyn CostProvider,
         scheduler: &mut dyn Scheduler,
-        faults: &crate::FaultProcess,
-        policy: crate::RecoveryPolicy,
+        faults: &FaultProcess,
+        policy: RecoveryPolicy,
     ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let timeline = self.expand_timeline(faults, provider, span_s);
-        let per_user_map = match timeline {
-            Some(ref tl) => crate::engine::run_tagged_faulted(
-                self.config,
-                &specs,
-                tagged,
-                provider,
-                scheduler,
-                span_s,
-                crate::engine::RecordMode::Collect,
-                Some(crate::engine::FaultCtx {
-                    timeline: tl,
-                    policy,
-                }),
-            ),
-            None => {
-                crate::engine::run_tagged(self.config, &specs, tagged, provider, scheduler, span_s)
-            }
-        };
-        Self::assemble_session(session, per_user_map, provider, span_s)
+        self.drive(
+            crate::engine::run_tagged,
+            session,
+            provider,
+            scheduler,
+            Some((faults, policy)),
+            None,
+        )
     }
 
     /// [`Simulator::run_session_faulted`] with the streaming fold of
@@ -320,26 +319,18 @@ impl Simulator {
         session: &SessionSpec,
         provider: &dyn CostProvider,
         scheduler: &mut dyn Scheduler,
-        faults: &crate::FaultProcess,
-        policy: crate::RecoveryPolicy,
-        sink: &mut dyn FnMut(u32, &crate::result::ExecRecord),
+        faults: &FaultProcess,
+        policy: RecoveryPolicy,
+        sink: &mut dyn FnMut(u32, &ExecRecord),
     ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let timeline = self.expand_timeline(faults, provider, span_s);
-        let per_user_map = crate::engine::run_tagged_faulted(
-            self.config,
-            &specs,
-            tagged,
+        self.drive(
+            crate::engine::run_tagged,
+            session,
             provider,
             scheduler,
-            span_s,
-            crate::engine::RecordMode::Fold(sink),
-            timeline.as_ref().map(|tl| crate::engine::FaultCtx {
-                timeline: tl,
-                policy,
-            }),
-        );
-        Self::assemble_session(session, per_user_map, provider, span_s)
+            Some((faults, policy)),
+            Some(sink),
+        )
     }
 
     /// Expands a fault process into this run's timeline, or `None`
@@ -347,10 +338,10 @@ impl Simulator {
     /// the run through the unmodified fault-free path).
     fn expand_timeline(
         &self,
-        faults: &crate::FaultProcess,
+        faults: &FaultProcess,
         provider: &dyn CostProvider,
         span_s: f64,
-    ) -> Option<crate::FaultTimeline> {
+    ) -> Option<FaultTimeline> {
         assert!(
             faults.validate().is_ok(),
             "invalid fault process: {:?}",
@@ -371,15 +362,23 @@ impl Simulator {
         }
     }
 
-    /// Prepares the merged, user-tagged session stream.
-    fn session_inputs<'s>(
+    /// The one session pipeline behind every `run_session*` variant:
+    /// session inputs → fault-timeline expansion → `event_loop` →
+    /// per-user assembly. A `sink` folds records instead of collecting
+    /// them.
+    fn drive(
         &self,
-        session: &'s SessionSpec,
-    ) -> (Vec<(u32, &'s ScenarioSpec)>, Vec<Pending>, f64) {
+        event_loop: EventLoop,
+        session: &SessionSpec,
+        provider: &dyn CostProvider,
+        scheduler: &mut dyn Scheduler,
+        faults: Option<(&FaultProcess, RecoveryPolicy)>,
+        sink: Option<Sink<'_>>,
+    ) -> SessionSimResult {
         assert!(!session.users.is_empty(), "session has no users");
         let span_s = session.span_s(self.config.duration_s);
-        let merged = session.generate(self.config.seed, self.config.duration_s);
-        let tagged = merged
+        let tagged = session
+            .generate(self.config.seed, self.config.duration_s)
             .into_iter()
             .map(|r| Pending {
                 user: r.user,
@@ -388,31 +387,39 @@ impl Simulator {
             .collect();
         let specs: Vec<(u32, &ScenarioSpec)> =
             session.users.iter().map(|u| (u.user, &u.spec)).collect();
-        (specs, tagged, span_s)
-    }
-
-    /// Packages per-user results into a [`SessionSimResult`].
-    fn assemble_session(
-        session: &SessionSpec,
-        per_user_map: BTreeMap<u32, SimResult>,
-        provider: &dyn CostProvider,
-        span_s: f64,
-    ) -> SessionSimResult {
-        let per_user: Vec<(u32, SimResult)> = per_user_map.into_iter().collect();
+        let timeline =
+            faults.and_then(|(process, _)| self.expand_timeline(process, provider, span_s));
+        let fault_ctx = timeline
+            .as_ref()
+            .zip(faults)
+            .map(|(timeline, (_, policy))| FaultCtx { timeline, policy });
+        let mode = match sink {
+            Some(sink) => RecordMode::Fold(sink),
+            None => RecordMode::Collect,
+        };
+        let per_user = event_loop(
+            self.config,
+            &specs,
+            tagged,
+            provider,
+            scheduler,
+            span_s,
+            mode,
+            fault_ctx,
+        );
         SessionSimResult {
             session: session.name.clone(),
-            per_user,
+            per_user: per_user.into_iter().collect(),
             num_engines: provider.num_engines(),
             span_s,
         }
     }
 
-    /// Reference (pre-heap) counterpart of [`Simulator::run_requests`]
-    /// — the original quadratic event loop, kept for differential
-    /// testing and before/after benchmarking. Not a supported API.
-    #[doc(hidden)]
-    pub fn run_requests_reference(
+    /// Runs one scenario's explicit request stream (tagged as user 0)
+    /// through `event_loop`, fault-free and collecting.
+    fn drive_requests(
         &self,
+        event_loop: EventLoop,
         spec: &ScenarioSpec,
         requests: Vec<InferenceRequest>,
         provider: &dyn CostProvider,
@@ -426,143 +433,62 @@ impl Simulator {
             .into_iter()
             .map(|req| Pending { user: 0, req })
             .collect();
-        let mut per_user = crate::naive::run_tagged_naive(
+        let mut per_user = event_loop(
             self.config,
             &[(0, spec)],
             tagged,
             provider,
             scheduler,
             self.config.duration_s,
+            RecordMode::Collect,
+            None,
         );
         per_user.remove(&0).expect("user 0 always present")
     }
 
-    /// Reference (pre-heap) counterpart of [`Simulator::run_session`].
+    /// Reference counterpart of [`Simulator::run_requests`]: the same
+    /// run through the quadratic reference loop of [`crate::naive`],
+    /// kept for differential testing and before/after benchmarking.
     /// Not a supported API.
+    #[doc(hidden)]
+    pub fn run_requests_reference(
+        &self,
+        spec: &ScenarioSpec,
+        requests: Vec<InferenceRequest>,
+        provider: &dyn CostProvider,
+        scheduler: &mut dyn Scheduler,
+    ) -> SimResult {
+        self.drive_requests(
+            crate::naive::run_tagged_naive,
+            spec,
+            requests,
+            provider,
+            scheduler,
+        )
+    }
+
+    /// Reference counterpart of all four session variants: `faults`
+    /// selects [`Simulator::run_session_faulted`]'s fault injection
+    /// and `sink` selects [`Simulator::run_session_folded`]'s
+    /// streaming fold, run through the quadratic reference loop of
+    /// [`crate::naive`]. Not a supported API.
     #[doc(hidden)]
     pub fn run_session_reference(
         &self,
         session: &SessionSpec,
         provider: &dyn CostProvider,
         scheduler: &mut dyn Scheduler,
+        faults: Option<(&FaultProcess, RecoveryPolicy)>,
+        sink: Option<Sink<'_>>,
     ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let per_user_map = crate::naive::run_tagged_naive(
-            self.config,
-            &specs,
-            tagged,
+        self.drive(
+            crate::naive::run_tagged_naive,
+            session,
             provider,
             scheduler,
-            span_s,
-        );
-        Self::assemble_session(session, per_user_map, provider, span_s)
-    }
-
-    /// Heap-engine (PR 3) counterpart of [`Simulator::run_session`] —
-    /// the previous production loop, kept as a second differential
-    /// reference for the calendar-queue engine. Not a supported API.
-    #[doc(hidden)]
-    pub fn run_session_heap_reference(
-        &self,
-        session: &SessionSpec,
-        provider: &dyn CostProvider,
-        scheduler: &mut dyn Scheduler,
-    ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let per_user_map = crate::heap::run_tagged_faulted(
-            self.config,
-            &specs,
-            tagged,
-            provider,
-            scheduler,
-            span_s,
-            crate::engine::RecordMode::Collect,
-            None,
-        );
-        Self::assemble_session(session, per_user_map, provider, span_s)
-    }
-
-    /// Heap-engine counterpart of [`Simulator::run_session_folded`].
-    /// Not a supported API.
-    #[doc(hidden)]
-    pub fn run_session_folded_heap_reference(
-        &self,
-        session: &SessionSpec,
-        provider: &dyn CostProvider,
-        scheduler: &mut dyn Scheduler,
-        sink: &mut dyn FnMut(u32, &crate::result::ExecRecord),
-    ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let per_user_map = crate::heap::run_tagged_faulted(
-            self.config,
-            &specs,
-            tagged,
-            provider,
-            scheduler,
-            span_s,
-            crate::engine::RecordMode::Fold(sink),
-            None,
-        );
-        Self::assemble_session(session, per_user_map, provider, span_s)
-    }
-
-    /// Heap-engine counterpart of [`Simulator::run_session_faulted`].
-    /// Not a supported API.
-    #[doc(hidden)]
-    pub fn run_session_faulted_heap_reference(
-        &self,
-        session: &SessionSpec,
-        provider: &dyn CostProvider,
-        scheduler: &mut dyn Scheduler,
-        faults: &crate::FaultProcess,
-        policy: crate::RecoveryPolicy,
-    ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let timeline = self.expand_timeline(faults, provider, span_s);
-        let per_user_map = crate::heap::run_tagged_faulted(
-            self.config,
-            &specs,
-            tagged,
-            provider,
-            scheduler,
-            span_s,
-            crate::engine::RecordMode::Collect,
-            timeline.as_ref().map(|tl| crate::engine::FaultCtx {
-                timeline: tl,
-                policy,
-            }),
-        );
-        Self::assemble_session(session, per_user_map, provider, span_s)
-    }
-
-    /// Heap-engine counterpart of
-    /// [`Simulator::run_session_folded_faulted`]. Not a supported API.
-    #[doc(hidden)]
-    pub fn run_session_folded_faulted_heap_reference(
-        &self,
-        session: &SessionSpec,
-        provider: &dyn CostProvider,
-        scheduler: &mut dyn Scheduler,
-        faults: &crate::FaultProcess,
-        policy: crate::RecoveryPolicy,
-        sink: &mut dyn FnMut(u32, &crate::result::ExecRecord),
-    ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let timeline = self.expand_timeline(faults, provider, span_s);
-        let per_user_map = crate::heap::run_tagged_faulted(
-            self.config,
-            &specs,
-            tagged,
-            provider,
-            scheduler,
-            span_s,
-            crate::engine::RecordMode::Fold(sink),
-            timeline.as_ref().map(|tl| crate::engine::FaultCtx {
-                timeline: tl,
-                policy,
-            }),
-        );
-        Self::assemble_session(session, per_user_map, provider, span_s)
+            faults,
+            sink,
+        )
     }
 }
 
@@ -982,7 +908,7 @@ mod tests {
         ];
         let session = SessionSpec::mixed("mix", &specs, 6, 0.013);
         let fast = sim.run_session(&session, &p, &mut LatencyGreedy::new());
-        let slow = sim.run_session_reference(&session, &p, &mut LatencyGreedy::new());
+        let slow = sim.run_session_reference(&session, &p, &mut LatencyGreedy::new(), None, None);
         assert_eq!(fast, slow);
     }
 
@@ -1212,6 +1138,65 @@ mod tests {
                 assert!(f.records.is_empty());
                 assert_eq!(f.stats, r.stats, "{policy} user {u} stats");
             }
+        }
+    }
+
+    #[test]
+    fn completions_precede_fault_events_at_one_instant() {
+        // A Down landing exactly when the first dispatch ends must find
+        // its engine idle, in both loops: the work completes, so the
+        // first record is unchanged and nothing is preempted.
+        use crate::fault::{FaultAction, FaultEvent, FaultKind, FaultTimeline};
+        let p = UniformProvider::new(1, 0.004, 0.001);
+        let sim = Simulator::new(SimConfig::default());
+        let spec = UsageScenario::VrGaming.spec();
+        let requests = LoadGenerator::new(sim.config.seed).generate(&spec, 1.0);
+        let clean = sim.run_requests(&spec, requests.clone(), &p, &mut LatencyGreedy::new());
+        let first = clean.records[0].clone();
+        let timeline = FaultTimeline::from_events(vec![
+            FaultEvent {
+                t: first.t_end,
+                engine: first.engine as u32,
+                action: FaultAction::Down(FaultKind::Preemption),
+            },
+            FaultEvent {
+                t: first.t_end + 0.01,
+                engine: first.engine as u32,
+                action: FaultAction::Up,
+            },
+        ]);
+        let loops: [(&str, EventLoop); 2] = [
+            ("engine", crate::engine::run_tagged),
+            ("naive", crate::naive::run_tagged_naive),
+        ];
+        for (name, event_loop) in loops {
+            let tagged = requests
+                .iter()
+                .map(|req| Pending {
+                    user: 0,
+                    req: req.clone(),
+                })
+                .collect();
+            let per_user = event_loop(
+                sim.config,
+                &[(0, &spec)],
+                tagged,
+                &p,
+                &mut LatencyGreedy::new(),
+                1.0,
+                RecordMode::Collect,
+                Some(FaultCtx {
+                    timeline: &timeline,
+                    policy: RecoveryPolicy::Drop,
+                }),
+            );
+            let r = &per_user[&0];
+            assert_eq!(r.records[0], first, "{name}: first record changed");
+            let preempted: u64 = r.stats.values().map(|s| s.dropped_preempted).sum();
+            assert_eq!(
+                preempted, 0,
+                "{name}: work ending at the Down was preempted"
+            );
         }
     }
 

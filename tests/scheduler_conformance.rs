@@ -292,9 +292,9 @@ fn conformance_same_timestamp_ties_are_deterministic() {
 
 #[test]
 fn conformance_same_timestamp_ties_match_reference_loop() {
-    // The heap calendar's (t, user, model, sensor_frame, token)
-    // tie-break must reproduce the pre-refactor loop's insertion-order
-    // behavior bit-for-bit, including under exact event-time ties.
+    // The engine calendar's (t, user, model, sensor_frame, token)
+    // tie-break must reproduce the reference loop bit-for-bit,
+    // including under exact event-time ties.
     let (spec, requests, provider) = tie_fixture();
     for (name, factory) in all_schedulers() {
         let sim = Simulator::new(SimConfig {
@@ -318,7 +318,7 @@ fn conformance_multi_user_zero_stagger_matches_reference_loop() {
     for (name, factory) in all_schedulers() {
         let sim = Simulator::new(SimConfig::default());
         let fast = sim.run_session(&session, &provider, factory().as_mut());
-        let slow = sim.run_session_reference(&session, &provider, factory().as_mut());
+        let slow = sim.run_session_reference(&session, &provider, factory().as_mut(), None, None);
         assert_eq!(fast, slow, "{name} session diverges from reference");
     }
 }
