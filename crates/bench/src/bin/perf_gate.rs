@@ -104,7 +104,7 @@ fn main() {
     let mut results: Vec<Measurement> = Vec::new();
     for users in USER_COUNTS {
         let session = mixed_session(users);
-        let arrivals = session.generate(config.seed, config.duration_s).len() as u64;
+        let arrivals = session.request_count(config.duration_s);
         // More repetitions where runs are cheap, fewer at scale.
         let reps = if users >= 256 { 2 } else { 5 };
         let (events, events_per_sec) = measure(reps, arrivals, || {

@@ -43,31 +43,19 @@
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use xrbench_models::ModelId;
-use xrbench_workload::ScenarioSpec;
+use xrbench_workload::loadgen::time_bits;
+use xrbench_workload::{ScenarioSpec, SessionRequest};
 
 use crate::calendar::{CalendarQueue, CompletionEv};
 use crate::fault::{FaultAction, FaultKind, FaultTimeline, RecoveryPolicy};
 use crate::provider::{CostProvider, DenseCostCache, NUM_MODELS};
 use crate::result::{DropReason, ExecRecord, ModelStats, SimResult};
 use crate::scheduler::{DispatchKernel, PendingView, Scheduler};
-use crate::simulator::{trigger_draw, Pending, Resolution, SimConfig, EPS};
+use crate::simulator::{trigger_draw, Resolution, SimConfig, EPS};
 
 /// Sentinel for "slot empty" in the SoA queues (a real sequence number
 /// never reaches it: sequence numbers count queue insertions).
 const EMPTY_SEQ: u64 = u64::MAX;
-
-/// Maps an `f64` to a `u64` whose unsigned order equals
-/// `f64::total_cmp` order — the standard sign-flip trick, letting the
-/// pick tree compare times as plain integers.
-#[inline]
-fn time_bits(x: f64) -> u64 {
-    let b = x.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | (1 << 63)
-    }
-}
 
 /// The two total request orders every kernel-declaring scheduler uses
 /// (see [`DispatchKernel`]).
@@ -1001,10 +989,11 @@ fn kernel_export(state: KernelState) -> DispatchKernel {
     }
 }
 
-/// The production event loop over user-tagged requests (`requests`
-/// must be sorted by `t_req`, and strictly frame-monotone per
-/// `(user, model)`). Returns one [`SimResult`] per user, bit-identical
-/// to [`crate::naive::run_tagged_naive`]. In `Fold` mode the returned
+/// The production event loop over user-tagged requests, consumed
+/// lazily as the clock reaches them (`requests` must be sorted by
+/// `t_req`, and strictly frame-monotone per `(user, model)`). Returns
+/// one [`SimResult`] per user, bit-identical to
+/// [`crate::naive::run_tagged_naive`]. In `Fold` mode the returned
 /// [`SimResult`]s carry empty `records` vectors (stats are still
 /// complete). With `faults: None` this *is* the fault-free loop — no
 /// fault state is allocated and every fault branch is behind an
@@ -1013,7 +1002,7 @@ fn kernel_export(state: KernelState) -> DispatchKernel {
 pub(crate) fn run_tagged(
     config: SimConfig,
     specs: &[(u32, &ScenarioSpec)],
-    requests: Vec<Pending>,
+    requests: &mut dyn Iterator<Item = SessionRequest>,
     provider: &dyn CostProvider,
     scheduler: &mut dyn Scheduler,
     duration_s: f64,
@@ -1091,7 +1080,7 @@ pub(crate) fn run_tagged(
         revoked: BTreeSet::new(),
     });
 
-    let mut arrivals = requests.into_iter().peekable();
+    let mut arrivals = requests.peekable();
     let mut now = 0.0_f64;
 
     loop {

@@ -31,22 +31,22 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use xrbench_models::ModelId;
-use xrbench_workload::ScenarioSpec;
+use xrbench_workload::{ScenarioSpec, SessionRequest};
 
 use crate::engine::{FaultCtx, RecordMode};
 use crate::fault::{FaultAction, FaultKind, RecoveryPolicy};
 use crate::provider::CostProvider;
 use crate::result::{DropReason, ExecRecord, ModelStats, SimResult};
 use crate::scheduler::{PendingView, Scheduler};
-use crate::simulator::{trigger_all, Pending, Resolution, SimConfig, EPS};
+use crate::simulator::{trigger_all, Resolution, SimConfig, EPS};
 
 /// A queued frame and the fraction of its work still to run: 1.0 for
 /// fresh frames, less for work migrated off a lost engine.
-type Queued = (Pending, f64);
+type Queued = (SessionRequest, f64);
 
 /// One dispatch, listed from its start until its scheduled end.
 struct Dispatch {
-    p: Pending,
+    p: SessionRequest,
     /// Index of `p.user` in the run's user list.
     user_idx: usize,
     engine: usize,
@@ -72,14 +72,15 @@ fn completion_order(a: &Dispatch, b: &Dispatch) -> Ordering {
 }
 
 /// The O(n²) event loop over user-tagged requests (`requests` must be
-/// sorted by `t_req`), with the production loop's signature: records
+/// sorted by `t_req`; they are consumed lazily as the clock reaches
+/// them), with the production loop's signature: records
 /// are collected or folded per `mode`, and `faults` optionally injects
 /// an engine event timeline. Returns one [`SimResult`] per user.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_tagged_naive(
     config: SimConfig,
     specs: &[(u32, &ScenarioSpec)],
-    requests: Vec<Pending>,
+    requests: &mut dyn Iterator<Item = SessionRequest>,
     provider: &dyn CostProvider,
     scheduler: &mut dyn Scheduler,
     duration_s: f64,
@@ -140,7 +141,7 @@ pub(crate) fn run_tagged_naive(
     let mut records: BTreeMap<u32, Vec<ExecRecord>> =
         specs.iter().map(|&(user, _)| (user, Vec::new())).collect();
 
-    let mut arrivals = requests.into_iter().peekable();
+    let mut arrivals = requests.peekable();
     let mut now = 0.0_f64;
 
     loop {
@@ -426,7 +427,7 @@ fn emit(
 /// (freshness policy), updating drop stats.
 fn drop_older(
     queue: &mut Vec<Queued>,
-    newer: &Pending,
+    newer: &SessionRequest,
     stats: &mut BTreeMap<(u32, ModelId), ModelStats>,
 ) {
     queue.retain(|(p, _)| {

@@ -36,6 +36,12 @@
 //! private function feeds either loop, so every `run_session*` variant
 //! and its reference share the input and assembly steps, and the two
 //! loops produce bit-identical results.
+//!
+//! Both loops pull arrivals lazily: [`Simulator::run`] and every
+//! `run_session*` variant feed them the k-way merge of
+//! [`LoadGenerator::arrivals`] / [`SessionSpec::arrivals`], so a run
+//! holds one pending arrival per `(user, model)` stream, never the
+//! whole request stream.
 
 use std::collections::BTreeMap;
 
@@ -43,7 +49,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use xrbench_models::ModelId;
-use xrbench_workload::{InferenceRequest, LoadGenerator, ScenarioSpec, SessionSpec};
+use xrbench_workload::{
+    InferenceRequest, LoadGenerator, ScenarioSpec, SessionRequest, SessionSpec,
+};
 
 use crate::engine::{FaultCtx, RecordMode};
 use crate::fault::{FaultProcess, FaultTimeline, RecoveryPolicy};
@@ -57,13 +65,16 @@ pub(crate) const EPS: f64 = 1e-15;
 /// A streaming record sink, handed `(user, record)` per inference.
 type Sink<'a> = &'a mut dyn FnMut(u32, &ExecRecord);
 
+/// A time-sorted stream of user-tagged requests.
+type Requests<'a> = &'a mut dyn Iterator<Item = SessionRequest>;
+
 /// An event loop over user-tagged requests: the production engine
 /// ([`crate::engine::run_tagged`]) or the reference loop
 /// ([`crate::naive::run_tagged_naive`]), which share this signature.
 type EventLoop = fn(
     SimConfig,
     &[(u32, &ScenarioSpec)],
-    Vec<Pending>,
+    Requests<'_>,
     &dyn CostProvider,
     &mut dyn Scheduler,
     f64,
@@ -101,13 +112,6 @@ pub struct Simulator {
 pub(crate) enum Resolution {
     Completed,
     Dropped,
-}
-
-/// A user-tagged inference request flowing through the event loop.
-#[derive(Debug, Clone)]
-pub(crate) struct Pending {
-    pub(crate) user: u32,
-    pub(crate) req: InferenceRequest,
 }
 
 /// One deterministic cascade-trigger draw: seeded per
@@ -160,15 +164,25 @@ impl Simulator {
         self.config
     }
 
-    /// Generates the scenario's request stream and simulates it.
+    /// Generates the scenario's request stream and simulates it,
+    /// exactly as [`Simulator::run_requests`] would simulate
+    /// [`LoadGenerator::generate`]'s output, but generating each
+    /// request only when the clock reaches it.
     pub fn run(
         &self,
         spec: &ScenarioSpec,
         provider: &dyn CostProvider,
         scheduler: &mut dyn Scheduler,
     ) -> SimResult {
-        let requests = LoadGenerator::new(self.config.seed).generate(spec, self.config.duration_s);
-        self.run_requests(spec, requests, provider, scheduler)
+        let mut arrivals =
+            LoadGenerator::new(self.config.seed).arrivals(spec, self.config.duration_s);
+        self.drive_scenario(
+            crate::engine::run_tagged,
+            spec,
+            &mut arrivals,
+            provider,
+            scheduler,
+        )
     }
 
     /// Simulates an explicit, pre-generated request stream (must be
@@ -235,7 +249,8 @@ impl Simulator {
     ///
     /// This is the memory contract fleet-scale execution builds on:
     /// a session's footprint stays proportional to its in-flight
-    /// window (users × models) instead of its request count. Apart
+    /// window (users × models) instead of its request count, however
+    /// long the run, since arrivals are merged lazily too. Apart
     /// from the empty `records`, the run is bit-identical to
     /// [`Simulator::run_session`]: same events, same stats, same
     /// tie-breaks.
@@ -377,14 +392,7 @@ impl Simulator {
     ) -> SessionSimResult {
         assert!(!session.users.is_empty(), "session has no users");
         let span_s = session.span_s(self.config.duration_s);
-        let tagged = session
-            .generate(self.config.seed, self.config.duration_s)
-            .into_iter()
-            .map(|r| Pending {
-                user: r.user,
-                req: r.req,
-            })
-            .collect();
+        let mut arrivals = session.arrivals(self.config.seed, self.config.duration_s);
         let specs: Vec<(u32, &ScenarioSpec)> =
             session.users.iter().map(|u| (u.user, &u.spec)).collect();
         let timeline =
@@ -400,7 +408,7 @@ impl Simulator {
         let per_user = event_loop(
             self.config,
             &specs,
-            tagged,
+            &mut arrivals,
             provider,
             scheduler,
             span_s,
@@ -429,14 +437,31 @@ impl Simulator {
             requests.windows(2).all(|w| w[0].t_req <= w[1].t_req),
             "requests must be sorted by t_req"
         );
-        let tagged = requests
-            .into_iter()
-            .map(|req| Pending { user: 0, req })
-            .collect();
+        self.drive_scenario(
+            event_loop,
+            spec,
+            &mut requests
+                .into_iter()
+                .map(|req| SessionRequest { user: 0, req }),
+            provider,
+            scheduler,
+        )
+    }
+
+    /// Runs one scenario's user-0 request stream through `event_loop`,
+    /// fault-free and collecting.
+    fn drive_scenario(
+        &self,
+        event_loop: EventLoop,
+        spec: &ScenarioSpec,
+        requests: Requests<'_>,
+        provider: &dyn CostProvider,
+        scheduler: &mut dyn Scheduler,
+    ) -> SimResult {
         let mut per_user = event_loop(
             self.config,
             &[(0, spec)],
-            tagged,
+            requests,
             provider,
             scheduler,
             self.config.duration_s,
@@ -1150,8 +1175,7 @@ mod tests {
         let p = UniformProvider::new(1, 0.004, 0.001);
         let sim = Simulator::new(SimConfig::default());
         let spec = UsageScenario::VrGaming.spec();
-        let requests = LoadGenerator::new(sim.config.seed).generate(&spec, 1.0);
-        let clean = sim.run_requests(&spec, requests.clone(), &p, &mut LatencyGreedy::new());
+        let clean = sim.run(&spec, &p, &mut LatencyGreedy::new());
         let first = clean.records[0].clone();
         let timeline = FaultTimeline::from_events(vec![
             FaultEvent {
@@ -1170,17 +1194,10 @@ mod tests {
             ("naive", crate::naive::run_tagged_naive),
         ];
         for (name, event_loop) in loops {
-            let tagged = requests
-                .iter()
-                .map(|req| Pending {
-                    user: 0,
-                    req: req.clone(),
-                })
-                .collect();
             let per_user = event_loop(
                 sim.config,
                 &[(0, &spec)],
-                tagged,
+                &mut LoadGenerator::new(sim.config.seed).arrivals(&spec, 1.0),
                 &p,
                 &mut LatencyGreedy::new(),
                 1.0,

@@ -12,7 +12,8 @@
 //!   speech pipelines ([`scenario`]).
 //! * **Box 1** — inference request times, deadlines, and slack,
 //!   including the jitter term
-//!   `2·Jt·(Dist(rand(inSrcID × InFrameID)) − 0.5)` ([`loadgen`]).
+//!   `2·Jt·(Dist(rand(inSrcID × InFrameID)) − 0.5)`, generated lazily
+//!   per model and merged in time order ([`loadgen`]).
 //!
 //! Beyond the paper, the crate hosts the scenario composition engine:
 //!
@@ -55,7 +56,7 @@ pub mod spec;
 
 pub use builder::{ScenarioBuildError, ScenarioBuilder};
 pub use catalog::{CatalogError, ScenarioCatalog};
-pub use loadgen::{InferenceRequest, LoadGenerator};
+pub use loadgen::{Arrivals, InferenceRequest, LoadGenerator, ModelStream};
 pub use scenario::{DependencyKind, ModelDependency, ScenarioModel, ScenarioSpec, UsageScenario};
 pub use session::{SessionRequest, SessionSpec, SessionUser};
 pub use sources::{source_spec, SourceSpec};

@@ -12,13 +12,24 @@
 //! and deadlines follow Definition 8 at the *model's* consumption rate
 //! (the arrival of the next frame the model would process — Figure 3's
 //! "30 FPS deadline" for a 30 FPS model on a 60 FPS camera).
+//!
+//! Each model's requests form a lazy [`ModelStream`], strictly
+//! increasing in `t_req` (consumed frames are at least 1/60 s apart and
+//! the jitter is at most 0.1 ms, Table 3). A scenario or session only
+//! interleaves those streams, which [`Arrivals`] does lazily instead of
+//! materializing and sorting every request.
+
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::iter::Peekable;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use xrbench_models::ModelId;
 
-use crate::scenario::ScenarioSpec;
+use crate::scenario::{ScenarioModel, ScenarioSpec};
+use crate::session::SessionRequest;
 use crate::sources::source_spec;
 
 /// One inference request `IR = (µ, InFrameID)` (Definition 6) with its
@@ -63,7 +74,8 @@ impl LoadGenerator {
     }
 
     /// Generates all inference requests for `spec` over `duration_s`
-    /// seconds, sorted by request time.
+    /// seconds, sorted by request time: [`LoadGenerator::arrivals`]
+    /// collected.
     ///
     /// Each model emits `⌈target_fps · duration⌉` requests — the
     /// paper requires a number of runs equal to the target processing
@@ -73,45 +85,215 @@ impl LoadGenerator {
     ///
     /// Panics if `duration_s` is not positive.
     pub fn generate(&self, spec: &ScenarioSpec, duration_s: f64) -> Vec<InferenceRequest> {
+        self.arrivals(spec, duration_s).map(|r| r.req).collect()
+    }
+
+    /// The requests of [`LoadGenerator::generate`], generated lazily in
+    /// the same order and tagged as user 0 (the tag a single-scenario
+    /// run carries in a simulation). Requests with equal `t_req` come
+    /// in the order their models are listed in `spec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `duration_s` is not positive.
+    pub fn arrivals(&self, spec: &ScenarioSpec, duration_s: f64) -> Arrivals {
         assert!(duration_s > 0.0, "duration must be positive");
-        let mut out = Vec::new();
-        for sm in &spec.models {
-            let src = source_spec(sm.model.driving_source());
-            // A per-(model, scenario) RNG keeps streams independent.
-            let mut rng = StdRng::seed_from_u64(
-                self.seed ^ (sm.model as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            let n = sm.request_count(duration_s);
-            let ratio = src.fps / sm.target_fps;
-            assert!(
-                ratio >= 1.0 - 1e-9,
-                "{}: target rate {} exceeds sensor rate {}",
-                sm.model,
-                sm.target_fps,
-                src.fps
-            );
-            let linit = src.init_latency_ms / 1e3;
-            let jt = src.jitter_ms / 1e3;
-            for k in 0..n {
-                // Consumed sensor frames: floor(k * sensor/model) gives
-                // the 3:4 skip pattern for 45 FPS models on a 60 FPS
-                // camera and every-other-frame for 30 FPS models.
-                let sensor_frame = (k as f64 * ratio).floor() as u64;
-                let next_frame = ((k + 1) as f64 * ratio).floor() as u64;
-                let jitter = 2.0 * jt * (gaussian_unit(&mut rng) - 0.5);
-                let t_req = linit + sensor_frame as f64 / src.fps + jitter;
-                let t_deadline = linit + next_frame as f64 / src.fps;
-                out.push(InferenceRequest {
-                    model: sm.model,
-                    frame_id: k,
-                    sensor_frame,
-                    t_req,
-                    t_deadline,
-                });
+        Arrivals::new(
+            spec.models
+                .iter()
+                .map(|sm| ModelStream::new(sm, self.seed, duration_s, 0, 0.0))
+                .collect(),
+        )
+    }
+}
+
+/// One model's request stream for one user: the requests Box 1 defines
+/// for the model over the run, generated one at a time in `t_req`
+/// order and shifted by the user's start offset.
+///
+/// Streams are built by [`LoadGenerator::arrivals`] and
+/// [`crate::SessionSpec::arrivals`], and consumed through [`Arrivals`].
+#[derive(Debug, Clone)]
+pub struct ModelStream {
+    user: u32,
+    model: ModelId,
+    /// A per-(model, generator seed) RNG keeps streams independent.
+    rng: StdRng,
+    /// The next model-local frame index.
+    frame: u64,
+    /// The stream's length, `⌈target_fps · duration⌉`.
+    frames: u64,
+    /// Sensor frames per consumed frame (`FPS_sensor / FPS_model`).
+    ratio: f64,
+    fps: f64,
+    linit_s: f64,
+    jitter_s: f64,
+    offset_s: f64,
+}
+
+impl ModelStream {
+    /// The stream of `sm` for generator seed `seed`, starting
+    /// `offset_s` after session start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model's target rate exceeds its sensor's rate.
+    pub(crate) fn new(
+        sm: &ScenarioModel,
+        seed: u64,
+        duration_s: f64,
+        user: u32,
+        offset_s: f64,
+    ) -> Self {
+        let src = source_spec(sm.model.driving_source());
+        let ratio = src.fps / sm.target_fps;
+        assert!(
+            ratio >= 1.0 - 1e-9,
+            "{}: target rate {} exceeds sensor rate {}",
+            sm.model,
+            sm.target_fps,
+            src.fps
+        );
+        Self {
+            user,
+            model: sm.model,
+            rng: StdRng::seed_from_u64(
+                seed ^ (sm.model as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ),
+            frame: 0,
+            frames: sm.request_count(duration_s),
+            ratio,
+            fps: src.fps,
+            linit_s: src.init_latency_ms / 1e3,
+            jitter_s: src.jitter_ms / 1e3,
+            offset_s,
+        }
+    }
+
+    /// The `(user, model)` pair the stream belongs to.
+    pub(crate) fn owner(&self) -> (u32, ModelId) {
+        (self.user, self.model)
+    }
+}
+
+impl Iterator for ModelStream {
+    type Item = SessionRequest;
+
+    fn next(&mut self) -> Option<SessionRequest> {
+        if self.frame == self.frames {
+            return None;
+        }
+        let k = self.frame;
+        self.frame += 1;
+        // Consumed sensor frames: floor(k * sensor/model) gives the 3:4
+        // skip pattern for 45 FPS models on a 60 FPS camera and
+        // every-other-frame for 30 FPS models.
+        let sensor_frame = (k as f64 * self.ratio).floor() as u64;
+        let next_frame = ((k + 1) as f64 * self.ratio).floor() as u64;
+        let jitter = 2.0 * self.jitter_s * (gaussian_unit(&mut self.rng) - 0.5);
+        let t_req = self.linit_s + sensor_frame as f64 / self.fps + jitter;
+        let t_deadline = self.linit_s + next_frame as f64 / self.fps;
+        Some(SessionRequest {
+            user: self.user,
+            req: InferenceRequest {
+                model: self.model,
+                frame_id: k,
+                sensor_frame,
+                // Adding a zero offset keeps every bit, since a stream
+                // time is never -0.0.
+                t_req: t_req + self.offset_s,
+                t_deadline: t_deadline + self.offset_s,
+            },
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.frames - self.frame) as usize;
+        (left, Some(left))
+    }
+}
+
+/// Maps an `f64` to a `u64` whose unsigned order equals
+/// [`f64::total_cmp`] order (the standard sign-flip trick), so times
+/// compare as plain integers.
+#[inline]
+pub fn time_bits(x: f64) -> u64 {
+    let b = x.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | (1 << 63)
+    }
+}
+
+/// A lazy k-way merge of request streams, each sorted by `t_req`, into
+/// one stream sorted by `(t_req, rank)`: a stream's rank is its
+/// position in the list the merge was built from, and breaks exact
+/// time ties.
+///
+/// The heap holds one head per stream, so a stream never competes with
+/// itself and `(t_req, rank)` totally orders the output. The merge
+/// holds one pending request per stream, however long the streams are.
+///
+/// # Panics
+///
+/// Iteration panics if a stream goes back in time: the merge checks
+/// every emitted key against the previous one.
+#[derive(Debug, Clone)]
+pub struct Arrivals<S: Iterator<Item = SessionRequest> = ModelStream> {
+    streams: Vec<Peekable<S>>,
+    /// `Reverse((time_bits(t_req), rank))` of every stream's head.
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// The key emitted last.
+    last: (u64, usize),
+}
+
+impl<S: Iterator<Item = SessionRequest>> Arrivals<S> {
+    /// Merges `streams`, ranked by their position in the list. The heap
+    /// is sized here once and never grows.
+    pub(crate) fn new(streams: Vec<S>) -> Self {
+        let mut streams: Vec<Peekable<S>> = streams.into_iter().map(Iterator::peekable).collect();
+        let mut heap = BinaryHeap::with_capacity(streams.len());
+        for (rank, s) in streams.iter_mut().enumerate() {
+            if let Some(head) = s.peek() {
+                heap.push(Reverse((time_bits(head.req.t_req), rank)));
             }
         }
-        out.sort_by(|a, b| a.t_req.total_cmp(&b.t_req));
-        out
+        Self {
+            streams,
+            heap,
+            last: (0, 0),
+        }
+    }
+}
+
+impl<S: Iterator<Item = SessionRequest>> Iterator for Arrivals<S> {
+    type Item = SessionRequest;
+
+    fn next(&mut self) -> Option<SessionRequest> {
+        let mut top = self.heap.peek_mut()?;
+        let Reverse(key) = *top;
+        assert!(
+            key >= self.last,
+            "requests must be sorted by t_req: stream {} went back in time",
+            key.1
+        );
+        self.last = key;
+        let stream = &mut self.streams[key.1];
+        let head = stream.next().expect("a ranked stream has a head");
+        match stream.peek() {
+            // Replacing the top sifts the stream's next head down once.
+            Some(next) => *top = Reverse((time_bits(next.req.t_req), key.1)),
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+        Some(head)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let pending = self.streams.iter().map(|s| s.size_hint().0).sum();
+        (pending, None)
     }
 }
 
@@ -246,6 +428,64 @@ mod tests {
     fn zero_duration_panics() {
         let spec = UsageScenario::VrGaming.spec();
         let _ = LoadGenerator::new(0).generate(&spec, 0.0);
+    }
+
+    /// A hand-built user-0 request of `model` at `t_req`.
+    fn at(model: ModelId, frame_id: u64, t_req: f64) -> SessionRequest {
+        SessionRequest {
+            user: 0,
+            req: InferenceRequest {
+                model,
+                frame_id,
+                sensor_frame: frame_id,
+                t_req,
+                t_deadline: t_req + 0.01,
+            },
+        }
+    }
+
+    #[test]
+    fn merge_orders_by_time_then_rank() {
+        let streams = vec![
+            vec![
+                at(ModelId::EyeSegmentation, 0, 0.2),
+                at(ModelId::EyeSegmentation, 1, 0.3),
+            ],
+            vec![
+                at(ModelId::HandTracking, 0, 0.1),
+                at(ModelId::HandTracking, 1, 0.2),
+            ],
+        ];
+        let order: Vec<(ModelId, u64)> =
+            Arrivals::new(streams.into_iter().map(Vec::into_iter).collect())
+                .map(|r| (r.req.model, r.req.frame_id))
+                .collect();
+        // The tie at 0.2 s goes to the stream ranked first.
+        assert_eq!(
+            order,
+            [
+                (ModelId::HandTracking, 0),
+                (ModelId::EyeSegmentation, 0),
+                (ModelId::HandTracking, 1),
+                (ModelId::EyeSegmentation, 1),
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "requests must be sorted by t_req")]
+    fn merge_rejects_a_stream_going_back_in_time() {
+        let streams = vec![
+            vec![
+                at(ModelId::HandTracking, 0, 0.1),
+                at(ModelId::HandTracking, 1, 0.3),
+            ],
+            vec![
+                at(ModelId::EyeSegmentation, 0, 0.2),
+                at(ModelId::EyeSegmentation, 1, 0.15),
+            ],
+        ];
+        let _ = Arrivals::new(streams.into_iter().map(Vec::into_iter).collect()).count();
     }
 
     #[test]

@@ -8,8 +8,13 @@
 //! is simulated *concurrently* on one shared system — the first step
 //! toward serving production-scale populations rather than a single
 //! headset.
+//!
+//! The merge is lazy: [`SessionSpec::arrivals`] interleaves the
+//! `(user, model)` streams of [`crate::loadgen`] one request at a time,
+//! so a simulation holds one pending arrival per stream instead of the
+//! whole session.
 
-use crate::loadgen::{InferenceRequest, LoadGenerator};
+use crate::loadgen::{Arrivals, InferenceRequest, ModelStream};
 use crate::scenario::ScenarioSpec;
 
 /// One user's slot within a session.
@@ -156,12 +161,23 @@ impl SessionSpec {
             .sum()
     }
 
-    /// Generates the merged, time-sorted session request stream.
+    /// Generates the merged, time-sorted session request stream:
+    /// [`SessionSpec::arrivals`] collected.
     ///
-    /// Each user's stream comes from its own [`LoadGenerator`] seeded
-    /// with `seed` mixed with the user id (user 0 sees exactly the
-    /// single-user stream for `seed`), then shifted by the user's
-    /// start offset.
+    /// # Panics
+    ///
+    /// Same contract as [`SessionSpec::arrivals`].
+    pub fn generate(&self, seed: u64, duration_s: f64) -> Vec<SessionRequest> {
+        self.arrivals(seed, duration_s).collect()
+    }
+
+    /// The merged session request stream, generated lazily in
+    /// `(t_req, user, model)` order.
+    ///
+    /// Each user's streams come from their own
+    /// [`LoadGenerator`](crate::LoadGenerator) seed, `seed` mixed with
+    /// the user id (user 0 sees exactly the single-user stream for
+    /// `seed`), shifted by the user's start offset.
     ///
     /// # Panics
     ///
@@ -169,7 +185,7 @@ impl SessionSpec {
     /// (the simulator keys all bookkeeping per user — duplicates would
     /// silently merge two users' streams), or `duration_s` is not
     /// positive.
-    pub fn generate(&self, seed: u64, duration_s: f64) -> Vec<SessionRequest> {
+    pub fn arrivals(&self, seed: u64, duration_s: f64) -> Arrivals {
         assert!(!self.users.is_empty(), "session has no users");
         let mut seen: Vec<u32> = self.users.iter().map(|u| u.user).collect();
         seen.sort_unstable();
@@ -180,30 +196,28 @@ impl SessionSpec {
             self.users.len(),
             seen.len()
         );
-        let mut out = Vec::new();
-        for u in &self.users {
-            let user_seed = seed ^ u64::from(u.user).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-            for mut req in LoadGenerator::new(user_seed).generate(&u.spec, duration_s) {
-                req.t_req += u.start_offset_s;
-                req.t_deadline += u.start_offset_s;
-                out.push(SessionRequest { user: u.user, req });
-            }
-        }
-        out.sort_by(|a, b| {
-            a.req
-                .t_req
-                .total_cmp(&b.req.t_req)
-                .then(a.user.cmp(&b.user))
-                .then(a.req.model.cmp(&b.req.model))
-                .then(a.req.frame_id.cmp(&b.req.frame_id))
-        });
-        out
+        assert!(duration_s > 0.0, "duration must be positive");
+        let mut streams: Vec<ModelStream> = self
+            .users
+            .iter()
+            .flat_map(|u| {
+                let user_seed = seed ^ u64::from(u.user).wrapping_mul(0xD6E8_FEB8_6659_FD93);
+                u.spec.models.iter().map(move |sm| {
+                    ModelStream::new(sm, user_seed, duration_s, u.user, u.start_offset_s)
+                })
+            })
+            .collect();
+        // Ranking streams by `(user, model)` breaks exact time ties the
+        // way the session order requires.
+        streams.sort_by_key(ModelStream::owner);
+        Arrivals::new(streams)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loadgen::LoadGenerator;
     use crate::scenario::UsageScenario;
 
     #[test]
