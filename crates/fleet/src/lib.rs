@@ -2,8 +2,8 @@
 //!
 //! Fleet-scale execution for the XRBench reproduction: thousands of
 //! independent XR device sessions (each a multi-user
-//! [`xrbench_workload::SessionSpec`] simulated by the calendar-queue
-//! event engine) executed across a bounded work-stealing worker pool,
+//! [`xrbench_workload::SessionSpec`] simulated by the discrete-event
+//! engine) executed across a bounded work-stealing worker pool,
 //! with results folded into a **streaming, exactly-mergeable
 //! aggregate** instead of materialized per-request vectors.
 //!

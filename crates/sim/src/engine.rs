@@ -1,17 +1,17 @@
-//! The production event loop: calendar-queue core, struct-of-arrays
-//! hot state, batched same-timestamp scheduling, and precomputed
-//! per-scenario dispatch tables.
+//! The production event loop: a binary-heap completion calendar,
+//! struct-of-arrays hot state, batched same-timestamp scheduling, and
+//! precomputed per-scenario dispatch tables.
 //!
 //! This is the next-generation rewrite of the PR 3 heap engine (since
 //! deleted). Its one differential reference is the quadratic loop in
 //! [`crate::naive`], which shares [`run_tagged`]'s signature. The four
-//! structural changes, each preserving the event order bit-for-bit:
+//! structural choices, each preserving the event order bit-for-bit:
 //!
-//! * **Calendar-queue completion list** — the `BinaryHeap` completion
-//!   calendar becomes a bucketed [`CalendarQueue`](crate::calendar):
-//!   O(1) amortized insert, drains that scan only the occupied-bucket
-//!   bitmask, and a per-cohort unstable sort under the same total
-//!   `(t, key, sensor_frame, token)` tie-break the PR 3 heap popped in.
+//! * **Completion heap** — in-flight completions sit in a binary
+//!   min-heap ([`crate::calendar`]) under the total
+//!   `(t, key, sensor_frame, token)` order: `O(log engines)` push and
+//!   pop, a peek for the next completion time, and drains that pop
+//!   each same-timestamp cohort already in processing order.
 //! * **Struct-of-arrays slot state** — the `ready` and `waiting`
 //!   queues are flat per-field arrays over the dense
 //!   `user * NUM_MODELS + model` key, pre-sized at setup, so
@@ -26,6 +26,8 @@
 //!   segment-tree argmin over the scheduler's own total request order
 //!   plus a bitmask free-engine set — that reproduces their `select`
 //!   picks exactly while skipping the per-pick linear scans entirely.
+//!   A tree update climbs only until a node comes out unchanged, and a
+//!   supersession overwrites its key's leaf in one climb.
 //! * **Precomputed dispatch tables** — per-*scenario* dependency and
 //!   reverse-dependency lists are deduplicated and flattened into CSR
 //!   tables once per run ([`Tables`]), so the per-user setup cost and
@@ -46,7 +48,7 @@ use xrbench_models::ModelId;
 use xrbench_workload::loadgen::time_bits;
 use xrbench_workload::{ScenarioSpec, SessionRequest};
 
-use crate::calendar::{CalendarQueue, CompletionEv};
+use crate::calendar::{drain_due, Calendar, CompletionEv};
 use crate::fault::{FaultAction, FaultKind, FaultTimeline, RecoveryPolicy};
 use crate::provider::{CostProvider, DenseCostCache, NUM_MODELS};
 use crate::result::{DropReason, ExecRecord, ModelStats, SimResult};
@@ -110,6 +112,10 @@ impl PickTree {
         }
     }
 
+    /// Writes `slot`'s leaf and recomputes its root path, stopping at
+    /// the first ancestor whose `(key, arg)` comes out unchanged: a node
+    /// is a pure function of its two children, so no node above it can
+    /// change either.
     fn set(&mut self, slot: usize, k: PickKey) {
         let mut i = self.size + slot;
         self.key[i] = k;
@@ -117,13 +123,12 @@ impl PickTree {
         while i > 1 {
             i >>= 1;
             let (l, r) = (2 * i, 2 * i + 1);
-            if self.key[l] <= self.key[r] {
-                self.key[i] = self.key[l];
-                self.arg[i] = self.arg[l];
-            } else {
-                self.key[i] = self.key[r];
-                self.arg[i] = self.arg[r];
+            let c = if self.key[l] <= self.key[r] { l } else { r };
+            if self.key[i] == self.key[c] && self.arg[i] == self.arg[c] {
+                break;
             }
+            self.key[i] = self.key[c];
+            self.arg[i] = self.arg[c];
         }
     }
 
@@ -218,18 +223,17 @@ impl Ready {
         self.seq[key] != EMPTY_SEQ
     }
 
-    /// Detaches `key`'s queued entry from the dispatch index (tombstone
-    /// in buffer mode, O(log keys) clear in tree mode).
+    /// Tombstones `key`'s queued buffer entry ahead of a supersession.
+    /// Tree mode has nothing to detach: the `attach` that follows
+    /// overwrites the key's one leaf, which leaves the same tree a clear
+    /// and then a set would.
     fn detach(&mut self, key: usize) {
-        match &mut self.index {
-            ReadyIndex::Buffer { meta, dead, .. } => {
-                let pos = meta
-                    .binary_search_by_key(&self.seq[key], |m| m.seq)
-                    .expect("slot seq is queued");
-                meta[pos].dead = true;
-                *dead += 1;
-            }
-            ReadyIndex::Tree { tree, .. } => tree.clear(key),
+        if let ReadyIndex::Buffer { meta, dead, .. } = &mut self.index {
+            let pos = meta
+                .binary_search_by_key(&self.seq[key], |m| m.seq)
+                .expect("slot seq is queued");
+            meta[pos].dead = true;
+            *dead += 1;
         }
     }
 
@@ -1053,7 +1057,10 @@ pub(crate) fn run_tagged(
     let mut engine_token: Vec<Option<u64>> = vec![None; num_engines];
     let mut next_token = 0u64;
     let mut next_seq = 0u64;
-    let mut calendar = CalendarQueue::with_capacity(num_engines);
+    // Revoked completions stay queued in faulted runs while their
+    // engine takes new work, so the calendar can outgrow the engine
+    // count.
+    let mut calendar = Calendar::with_capacity(num_engines * 2 + 8);
     // Due-but-stashed events: calendar entries discovered at or before
     // `now + EPS` while looking for the next event time (possible only
     // for degenerate sub-epsilon latencies); the reference loop
@@ -1085,12 +1092,10 @@ pub(crate) fn run_tagged(
 
     loop {
         // 1. Process completions due now (stashed first, then the
-        //    calendar drain — sorted per cohort under the total
+        //    calendar drain, which pops each cohort in the total
         //    `(t, key, sensor_frame, token)` order) and re-queue
         //    cascade candidates deferred from the previous pass.
-        let fresh = due.len();
-        calendar.drain_due(now + EPS, &mut due);
-        due[fresh..].sort_unstable();
+        drain_due(&mut calendar, now + EPS, &mut due);
         for ev in due.drain(..) {
             if let Some(f) = fstate.as_mut() {
                 if f.revoked.remove(&ev.token) {
@@ -1441,13 +1446,13 @@ pub(crate) fn run_tagged(
                     // free, matching the reference loop's fresh free-set
                     // rescan; the stale token then never matches at
                     // completion time.
-                    calendar.push(CompletionEv {
+                    calendar.push(std::cmp::Reverse(CompletionEv {
                         t: t_end,
                         key: key as u32,
                         sensor_frame,
                         engine: engine as u32,
                         token,
-                    });
+                    }));
                 }
             }
             Some(kstate) => {
@@ -1544,13 +1549,13 @@ pub(crate) fn run_tagged(
                         engine_token[engine] = Some(token);
                         free.remove(engine);
                     }
-                    calendar.push(CompletionEv {
+                    calendar.push(std::cmp::Reverse(CompletionEv {
                         t: t_end,
                         key: key as u32,
                         sensor_frame,
                         engine: engine as u32,
                         token,
-                    });
+                    }));
                 }
             }
         }
@@ -1561,11 +1566,9 @@ pub(crate) fn run_tagged(
         if let Some(p) = arrivals.peek() {
             next = next.min(p.req.t_req);
         }
-        let fresh = due.len();
-        calendar.drain_due(now + EPS, &mut due);
-        due[fresh..].sort_unstable();
-        if let Some(t) = calendar.next_time() {
-            next = next.min(t);
+        drain_due(&mut calendar, now + EPS, &mut due);
+        if let Some(std::cmp::Reverse(ev)) = calendar.peek() {
+            next = next.min(ev.t);
         }
         if let Some(f) = &fstate {
             // Fault events only matter while some work can still use
@@ -1662,4 +1665,107 @@ pub(crate) fn run_tagged(
         );
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::*;
+
+    /// Every internal node must equal the `(key, arg)` its two children
+    /// select; the leaves must hold exactly the live keys.
+    fn assert_consistent(tree: &PickTree, live: &[Option<PickKey>], ctx: &str) {
+        for (slot, k) in live.iter().enumerate() {
+            assert_eq!(
+                tree.key[tree.size + slot],
+                k.unwrap_or(EMPTY_PICK),
+                "{ctx}: leaf {slot}"
+            );
+        }
+        for i in 1..tree.size {
+            let (l, r) = (2 * i, 2 * i + 1);
+            let c = if tree.key[l] <= tree.key[r] { l } else { r };
+            assert!(
+                tree.key[i] == tree.key[c] && tree.arg[i] == tree.arg[c],
+                "{ctx}: node {i} is not the minimum of its children"
+            );
+        }
+    }
+
+    #[test]
+    fn pick_tree_matches_brute_force_argmin_after_every_operation() {
+        // 11,264 = 1024 users x NUM_MODELS, the 1024-user session's key
+        // space (a 14-level tree).
+        for num_keys in [1usize, 2, 3, 66, 1_000, 1024 * NUM_MODELS] {
+            for order in [PickOrder::Edf, PickOrder::Fifo] {
+                let mut rng = StdRng::seed_from_u64(num_keys as u64 * 31 + order as u64);
+                let mut tree = PickTree::new(num_keys);
+                let mut live: Vec<Option<PickKey>> = vec![None; num_keys];
+                let mut occupied: Vec<usize> = Vec::new();
+                // Coarse millisecond times make time-word ties common,
+                // so the `(model, user)` word decides many comparisons.
+                let draw_key = |rng: &mut StdRng, slot: usize| {
+                    let t_req = rng.gen_range(0u32..40) as f64 * 1e-3;
+                    let t_deadline = t_req + rng.gen_range(1u32..4) as f64 * 1e-3;
+                    let user = (slot / NUM_MODELS) as u32;
+                    pick_key(order, slot % NUM_MODELS, user, t_req, t_deadline)
+                };
+                for op in 0..600 {
+                    let ctx = format!("{num_keys} keys, {order:?}, op {op}");
+                    match rng.gen_range(0u32..9) {
+                        // Set a random key, queued or not.
+                        0..=2 => {
+                            let slot = rng.gen_range(0..num_keys);
+                            if live[slot].is_none() {
+                                occupied.push(slot);
+                            }
+                            let k = draw_key(&mut rng, slot);
+                            tree.set(slot, k);
+                            live[slot] = Some(k);
+                        }
+                        // Overwrite a queued key (a supersession).
+                        3 | 4 if !occupied.is_empty() => {
+                            let slot = occupied[rng.gen_range(0..occupied.len())];
+                            let k = draw_key(&mut rng, slot);
+                            tree.set(slot, k);
+                            live[slot] = Some(k);
+                        }
+                        // Clear a queued key.
+                        5 if !occupied.is_empty() => {
+                            let i = rng.gen_range(0..occupied.len());
+                            let slot = occupied.swap_remove(i);
+                            tree.clear(slot);
+                            live[slot] = None;
+                        }
+                        // Clear any key, queued or not (clearing a key
+                        // that was never set changes only the `arg` of
+                        // empty nodes), or take the minimum, as a kernel
+                        // dispatch does.
+                        op => {
+                            let slot = if op == 6 {
+                                Some(rng.gen_range(0..num_keys))
+                            } else {
+                                tree.min_slot()
+                            };
+                            if let Some(slot) = slot {
+                                tree.clear(slot);
+                                if live[slot].take().is_some() {
+                                    let i = occupied
+                                        .iter()
+                                        .position(|&s| s == slot)
+                                        .expect("a live key is listed");
+                                    occupied.swap_remove(i);
+                                }
+                            }
+                        }
+                    }
+                    let brute = occupied.iter().map(|&s| (live[s], s)).min().map(|(_, s)| s);
+                    assert_eq!(tree.min_slot(), brute, "{ctx}: min_slot");
+                    assert_consistent(&tree, &live, &ctx);
+                }
+            }
+        }
+    }
 }

@@ -24,9 +24,9 @@
 //! users never interfere with each other's cascades — only with each
 //! other's engine time.
 //!
-//! The event loop itself is the calendar-queue engine of
-//! [`crate::engine`]: a bucketed completion calendar with a total
-//! deterministic tie-break, struct-of-arrays pending queues, batched
+//! The event loop itself is the engine of [`crate::engine`]: a
+//! binary-heap completion calendar popped in a total deterministic
+//! order, struct-of-arrays pending queues, batched
 //! same-timestamp scheduling with an indexed fast path for kernel-
 //! declaring schedulers, and precomputed per-scenario dispatch tables
 //! — amortized constant per event where the original loop was linear

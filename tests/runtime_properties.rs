@@ -1,7 +1,7 @@
 //! Property-based tests over the runtime: frame conservation,
 //! schedule validity, cost-model monotonicity under randomized
 //! configurations, and the differential proofs that the production
-//! calendar-queue engine is bit-identical to the reference loop (the
+//! engine is bit-identical to the reference loop (the
 //! original quadratic event loop, extended to faulted runs) across
 //! every shipped scheduler, record mode, and recovery policy.
 

@@ -294,32 +294,57 @@ fn conformance_same_timestamp_ties_are_deterministic() {
 fn conformance_same_timestamp_ties_match_reference_loop() {
     // The engine calendar's (t, user, model, sensor_frame, token)
     // tie-break must reproduce the reference loop bit-for-bit,
-    // including under exact event-time ties.
+    // including under exact event-time ties. The second provider gives
+    // EyeSegmentation zero latency: each of its completions is due at
+    // its own dispatch instant, and both loops must process it at the
+    // next event time, not at that instant.
     let (spec, requests, provider) = tie_fixture();
-    for (name, factory) in all_schedulers() {
-        let sim = Simulator::new(SimConfig {
-            duration_s: 0.4,
-            seed: 5,
-        });
-        let fast = sim.run_requests(&spec, requests.clone(), &provider, factory().as_mut());
-        let slow =
-            sim.run_requests_reference(&spec, requests.clone(), &provider, factory().as_mut());
-        assert_eq!(fast, slow, "{name} diverges from reference under ties");
+    let mut instant = provider.clone();
+    for e in 0..2 {
+        instant.set(
+            ModelId::EyeSegmentation,
+            e,
+            xrbench::sim::InferenceCost {
+                latency_s: 0.0,
+                energy_j: 0.001,
+            },
+        );
+    }
+    for provider in [&provider, &instant] {
+        for (name, factory) in all_schedulers() {
+            let sim = Simulator::new(SimConfig {
+                duration_s: 0.4,
+                seed: 5,
+            });
+            let fast = sim.run_requests(&spec, requests.clone(), provider, factory().as_mut());
+            let slow =
+                sim.run_requests_reference(&spec, requests.clone(), provider, factory().as_mut());
+            assert_eq!(fast, slow, "{name} diverges from reference under ties");
+        }
     }
 }
 
 #[test]
 fn conformance_multi_user_zero_stagger_matches_reference_loop() {
     // Zero stagger maximizes cross-user timestamp collisions; the
-    // engines must still agree for every scheduler.
+    // engines must still agree for every scheduler. 96 users (1,056
+    // keys, an 11-level pick tree) overload the 2 engines, so most
+    // frames are superseded while queued and tree updates stop at
+    // every depth.
     let provider = UniformProvider::new(2, 0.003, 0.001);
     let specs: Vec<ScenarioSpec> = ScenarioCatalog::builtin().iter().cloned().collect();
-    let session = SessionSpec::mixed("tied-users", &specs, 5, 0.0);
-    for (name, factory) in all_schedulers() {
-        let sim = Simulator::new(SimConfig::default());
-        let fast = sim.run_session(&session, &provider, factory().as_mut());
-        let slow = sim.run_session_reference(&session, &provider, factory().as_mut(), None, None);
-        assert_eq!(fast, slow, "{name} session diverges from reference");
+    for users in [5, 96] {
+        let session = SessionSpec::mixed("tied-users", &specs, users, 0.0);
+        for (name, factory) in all_schedulers() {
+            let sim = Simulator::new(SimConfig::default());
+            let fast = sim.run_session(&session, &provider, factory().as_mut());
+            let slow =
+                sim.run_session_reference(&session, &provider, factory().as_mut(), None, None);
+            assert_eq!(
+                fast, slow,
+                "{name} session of {users} users diverges from reference"
+            );
+        }
     }
 }
 

@@ -4,9 +4,10 @@
 //! allocations happen between a post-warm-up checkpoint and a
 //! pre-teardown checkpoint taken inside the record sink.
 //!
-//! The engine pre-sizes its state from spec-derived bounds (calendar
-//! buckets and free set from the engine count, queues and dispatch
-//! tables from the dense `users × models` key space) and `Vec` growth
+//! The engine pre-sizes its state from spec-derived bounds (the
+//! completion heap, the stash of due completions and the free set
+//! from the engine count, queues and dispatch tables from the dense
+//! `users × models` key space) and `Vec` growth
 //! retains capacity, so any transient growth happens in the warm-up
 //! prefix; after that every event is served from pre-sized storage.
 //!
