@@ -64,8 +64,9 @@ USAGE:
                                                  exploration document: the axis cross
                                                  product is evaluated through a memo
                                                  cache and folded into Pareto frontiers
-                      [--checkpoint FILE]        persist completed points to FILE after
-                                                 every evaluation and resume from an
+                      [--checkpoint FILE]        persist completed points to FILE as
+                                                 each evaluation completes (replacing
+                                                 FILE atomically) and resume from an
                                                  existing FILE, so a killed sweep
                                                  continues where it stopped
                       [--limit N]                stop after N completed points without
@@ -173,8 +174,8 @@ pub enum Command {
         out: Option<PathBuf>,
         /// Refuse to run when the analyzer reports errors.
         strict: bool,
-        /// Persist completed points here after every evaluation and
-        /// resume from an existing file.
+        /// Persist completed points here as each evaluation completes
+        /// and resume from an existing file.
         checkpoint: Option<PathBuf>,
         /// Stop after this many completed points without reporting
         /// (requires `--checkpoint`).
@@ -635,7 +636,8 @@ pub fn execute(command: &Command) -> Result<Output, CliError> {
 
 /// The default bound on concurrently-alive shard children: the same
 /// heuristic as the in-process worker pool. Each child runs its own
-/// pool over its shard's sessions, so the coordinator's job is to
+/// pool — a fleet child over its shard's sessions, a sweep child over
+/// its slice's distinct evaluations — so the coordinator's job is to
 /// stop N × workers threads from landing on one machine at once.
 fn default_max_procs() -> usize {
     xrbench_fleet::default_workers()

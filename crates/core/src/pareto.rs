@@ -60,18 +60,47 @@ impl ParetoPoint {
 
 /// Returns the indices of the non-dominated points, in input order.
 ///
+/// Points are visited in descending lexicographic order of their
+/// objectives and each is tested only against the frontier found so
+/// far. That is exact: a dominator is lexicographically greater, so it
+/// is visited first, and by transitivity some frontier member
+/// dominates whatever a dropped point dominates. Objectives compare
+/// with `partial_cmp`, so `-0.0` and `0.0` tie here exactly as they do
+/// in [`ParetoPoint::dominates`].
+///
 /// # Panics
 ///
-/// Panics if points have inconsistent objective counts.
+/// Panics if points have inconsistent objective counts, or if an
+/// objective is NaN (which [`ParetoPoint::new`] rejects).
 pub fn pareto_frontier(points: &[ParetoPoint]) -> Vec<usize> {
-    (0..points.len())
-        .filter(|&i| {
-            !points
-                .iter()
-                .enumerate()
-                .any(|(j, other)| j != i && other.dominates(&points[i]))
-        })
-        .collect()
+    let Some(first) = points.first() else {
+        return Vec::new();
+    };
+    assert!(
+        points
+            .iter()
+            .all(|p| p.objectives.len() == first.objectives.len()),
+        "objective dimensionality mismatch"
+    );
+    let descending = |&a: &usize, &b: &usize| {
+        points[b]
+            .objectives
+            .iter()
+            .zip(&points[a].objectives)
+            .map(|(x, y)| x.partial_cmp(y).expect("objectives are not NaN"))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    };
+    let mut order: Vec<usize> = (0..points.len()).collect();
+    order.sort_unstable_by(descending);
+    let mut frontier: Vec<usize> = Vec::new();
+    for i in order {
+        if !frontier.iter().any(|&f| points[f].dominates(&points[i])) {
+            frontier.push(i);
+        }
+    }
+    frontier.sort_unstable();
+    frontier
 }
 
 #[cfg(test)]
@@ -116,6 +145,31 @@ mod tests {
     fn identical_points_all_survive() {
         let points = vec![p("x", &[0.5, 0.5]), p("y", &[0.5, 0.5])];
         assert_eq!(pareto_frontier(&points), vec![0, 1]);
+    }
+
+    #[test]
+    fn signed_zeros_tie_and_duplicates_all_survive() {
+        // -0.0 == 0.0, so `z` dominates `q` (equal first objective,
+        // better second); a total order would sort `q` ahead of `z`
+        // and keep it.
+        let signed = vec![p("q", &[0.0, 0.0]), p("z", &[-0.0, 1.0])];
+        assert!(signed[1].dominates(&signed[0]));
+        assert_eq!(pareto_frontier(&signed), vec![1]);
+        let ties = vec![
+            p("z", &[-0.0, 1.0]),
+            p("dup", &[0.5, 0.5]),
+            p("z-twin", &[0.0, 1.0]),
+            p("dup-twin", &[0.5, 0.5]),
+            p("low", &[-0.5, 0.5]),
+        ];
+        assert_eq!(pareto_frontier(&ties), vec![0, 1, 2, 3]);
+        assert!(pareto_frontier(&[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "dimensionality")]
+    fn mixed_objective_counts_rejected() {
+        let _ = pareto_frontier(&[p("a", &[1.0]), p("b", &[1.0, 2.0])]);
     }
 
     #[test]

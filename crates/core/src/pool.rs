@@ -2,15 +2,20 @@
 //! bounded set of `std::thread` workers, returning results in job
 //! order.
 //!
-//! Workers claim job indices from a shared atomic counter and write
-//! each result into its pre-assigned slot, so the output order is the
-//! input order no matter how the OS schedules the workers — the
-//! property the suite runner and the figure sweeps rely on for
-//! bit-for-bit reproducibility. Worker panics propagate out of the
-//! enclosing `std::thread::scope`.
+//! Workers claim job indices from a shared atomic counter and send
+//! each result, tagged with its index, back to the calling thread,
+//! which drops it into its pre-assigned slot — so the output order is
+//! the input order no matter how the OS schedules the workers, the
+//! property the suite runner, the figure sweeps and the design-space
+//! sweep rely on for bit-for-bit reproducibility. The calling thread
+//! can also observe each result the moment it arrives
+//! (`parallel_map_observed`), which is how a checkpointed sweep
+//! persists completed work without ever blocking a worker. Worker
+//! panics propagate out of the enclosing `std::thread::scope`.
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc;
 
 /// Maps `f` over `jobs` using up to `workers` threads, preserving job
 /// order in the returned vector.
@@ -24,32 +29,74 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    match parallel_map_observed(jobs, workers, f, |_, _| Ok::<(), Infallible>(())) {
+        Ok(results) => results,
+        Err(never) => match never {},
+    }
+}
+
+/// [`parallel_map`] that also hands every result to `observe` on the
+/// calling thread as soon as a worker finishes it — in completion
+/// order, with its job index — before filing it into its slot.
+///
+/// The channel between the workers and the calling thread is
+/// unbounded, so a slow observer never stalls a worker. When `observe`
+/// fails, the channel closes and each worker stops at its next
+/// hand-over; the error is returned once all of them have exited.
+///
+/// # Errors
+///
+/// Returns the first error `observe` returns.
+///
+/// # Panics
+///
+/// Panics if `workers == 0`, or propagates the first worker panic.
+pub(crate) fn parallel_map_observed<T, R, E, F, O>(
+    jobs: &[T],
+    workers: usize,
+    f: F,
+    mut observe: O,
+) -> Result<Vec<R>, E>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+    O: FnMut(usize, &R) -> Result<(), E>,
+{
     assert!(workers > 0, "workers must be at least 1");
     let workers = workers.min(jobs.len());
-    let slots: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    let mut slots: Vec<Option<R>> = jobs.iter().map(|_| None).collect();
     let next_job = AtomicUsize::new(0);
+    let (done, results) = mpsc::channel::<(usize, R)>();
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
+            let (done, next_job, f) = (done.clone(), &next_job, &f);
+            scope.spawn(move || loop {
                 let idx = next_job.fetch_add(1, Ordering::Relaxed);
                 let Some(job) = jobs.get(idx) else {
                     break;
                 };
-                let result = f(job);
-                *slots[idx].lock().expect("slot lock poisoned") = Some(result);
+                // A closed channel means the observer failed: stop.
+                if done.send((idx, f(job))).is_err() {
+                    break;
+                }
             });
         }
-    });
+        drop(done);
+        // Ends once every worker has exited and dropped its sender; an
+        // early return drops the receiver, which stops the workers.
+        for (idx, result) in results {
+            observe(idx, &result)?;
+            slots[idx] = Some(result);
+        }
+        Ok(())
+    })?;
 
-    slots
+    Ok(slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot lock poisoned")
-                .expect("worker completed every claimed job")
-        })
-        .collect()
+        .map(|slot| slot.expect("worker completed every claimed job"))
+        .collect())
 }
 
 #[cfg(test)]
@@ -76,5 +123,56 @@ mod tests {
     #[should_panic(expected = "workers")]
     fn zero_workers_rejected() {
         let _ = parallel_map(&[1u64], 0, |&j| j);
+    }
+
+    #[test]
+    fn observer_sees_every_result_once_on_the_calling_thread() {
+        let jobs: Vec<u64> = (0..50).collect();
+        let caller = std::thread::current().id();
+        for workers in [1, 3] {
+            let mut seen = vec![0_u32; jobs.len()];
+            let out = parallel_map_observed(
+                &jobs,
+                workers,
+                |&j| j + 1,
+                |idx, &r| {
+                    assert_eq!(std::thread::current().id(), caller);
+                    assert_eq!(r, jobs[idx] + 1);
+                    seen[idx] += 1;
+                    Ok::<(), Infallible>(())
+                },
+            )
+            .unwrap();
+            assert_eq!(out, jobs.iter().map(|j| j + 1).collect::<Vec<_>>());
+            assert!(seen.iter().all(|&n| n == 1), "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn observer_error_is_returned_while_workers_hold_jobs() {
+        // Every job after the first blocks until the observer has
+        // failed, so the error surfaces while jobs are still in
+        // flight; the call must return it, not hang or panic.
+        let (failed, wait) = mpsc::channel::<()>();
+        let wait = std::sync::Mutex::new(wait);
+        let mut failed = Some(failed);
+        let jobs: Vec<u64> = (0..100).collect();
+        let err = parallel_map_observed(
+            &jobs,
+            2,
+            |&j| {
+                if j > 0 {
+                    // Errs once the observer dropped the sender.
+                    let _ = wait.lock().expect("wait lock poisoned").recv();
+                }
+                j
+            },
+            |_, _| {
+                drop(failed.take());
+                Err("stop")
+            },
+        )
+        .unwrap_err();
+        assert_eq!(err, "stop");
     }
 }

@@ -42,17 +42,34 @@
 //! serves the other half of its points from cache.
 //!
 //! That result memo is the outer of two levels. The inner one holds
-//! built hardware: the first evaluation at a hardware point
-//! `(id, pes)` runs the analytical cost model over every model and
-//! sub-accelerator, and every later evaluation at that point reuses
-//! the same [`CostProvider`] (every workload × scheduler × recovery
-//! combination shares it). Both memos are keyed by value in
-//! `BTreeMap`s, are filled lazily — a `--limit`, resumed, or sharded
-//! run builds only the hardware its remaining evaluations touch — and
-//! live for one `run_with`/`run_shard` call. They are deliberately not
-//! process-global: each run pays its own construction, as a user's
-//! `xrbench sweep` does, so repeated in-process runs time the same
-//! work, and no state outlives the document that produced it.
+//! built hardware: each hardware point `(id, pes)` the run's
+//! evaluations touch is built once — the analytical cost model over
+//! every model and sub-accelerator — and every evaluation there, on
+//! any thread, shares the same [`CostProvider`] (every workload ×
+//! scheduler × recovery combination shares it). Both memos are keyed
+//! by value, hold only what the points in range need — a `--limit`,
+//! resumed, or sharded run builds only the hardware its remaining
+//! evaluations touch — and live for one `run_with`/`run_shard` call.
+//! They are deliberately not process-global: each run pays its own
+//! construction, as a user's `xrbench sweep` does, so repeated
+//! in-process runs time the same work, and no state outlives the
+//! document that produced it.
+//!
+//! ## Concurrent evaluation
+//!
+//! A run is plan → evaluate → fill. The plan walks the points in range
+//! in index order, collects the distinct cache keys in
+//! first-occurrence order and counts the [`SweepStats`]. The distinct
+//! evaluations then run on the [`crate::pool`] with
+//! `xrbench_fleet::default_workers()` threads, and each result fills
+//! every point waiting on its key. Fleet evaluations run on one worker
+//! each: the sweep owns the parallelism, and a fleet report does not
+//! depend on its worker count. Reports, stats, shard states and the
+//! final checkpoint are therefore the same at any worker count. With a
+//! checkpoint, the calling thread rewrites the file as each evaluation
+//! completes — to a sibling `.tmp` file renamed into place — so a kill
+//! loses at most the evaluations in flight and never leaves a
+//! truncated checkpoint.
 //!
 //! ## Report
 //!
@@ -85,6 +102,7 @@ use xrbench_workload::{ScenarioCatalog, ScenarioSpace, ScenarioSpec, SessionSpec
 
 use crate::error::XrError;
 use crate::pareto::{pareto_frontier, ParetoPoint};
+use crate::pool::{parallel_map, parallel_map_observed};
 use crate::spec::{RunParams, SchedulerSpec, SystemSpec};
 
 /// Wire-format version tag for sweep checkpoint files.
@@ -166,10 +184,10 @@ pub struct SweepDocument {
 /// Execution options for [`SweepDocument::run_with`].
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
-    /// Checkpoint file: completed points are persisted here after
-    /// every evaluation, and an existing file (for the same document)
-    /// is loaded back before running, so a killed sweep resumes
-    /// where it stopped.
+    /// Checkpoint file: completed points are persisted here as each
+    /// evaluation completes, and an existing file (for the same
+    /// document) is loaded back before running, so a killed sweep
+    /// resumes where it stopped.
     pub checkpoint: Option<PathBuf>,
     /// Stop after completing this many points (from the front of the
     /// point list) without producing a report — a deterministic
@@ -510,7 +528,9 @@ impl SweepDocument {
     }
 
     /// Evaluates one point through the existing engines on its
-    /// already-built hardware point.
+    /// already-built hardware point. Fleets run on one worker: the
+    /// sweep's pool owns the parallelism, and a fleet report does not
+    /// depend on its worker count.
     fn evaluate(&self, point: &SweepPoint, system: &(dyn CostProvider + Sync)) -> PointMetrics {
         let harness = self.params.harness();
         match &self.workloads[point.workload].kind {
@@ -535,7 +555,7 @@ impl SweepDocument {
             SweepWorkloadKind::Fleet(spec) => {
                 let config = FleetRunConfig {
                     sim: harness.sim_config(),
-                    workers: default_workers(),
+                    workers: 1,
                     recovery: point.recovery,
                     ..FleetRunConfig::default()
                 };
@@ -591,11 +611,13 @@ impl SweepDocument {
 
     /// Runs the sweep with resumption/limit options.
     ///
-    /// Points complete in global index order through the memo cache.
-    /// With a checkpoint path, completed points are persisted after
-    /// every evaluation and restored (and re-seeded into the cache)
-    /// on the next call, making a kill-and-resume byte-identical to
-    /// an uninterrupted run.
+    /// The distinct evaluations of the points in range run
+    /// concurrently on [`default_workers`] threads; the report and the
+    /// [`SweepStats`] do not depend on which thread evaluated what.
+    /// With a checkpoint path, completed points are persisted as each
+    /// evaluation completes and restored (and re-seeded into the
+    /// cache) on the next call, making a kill-and-resume
+    /// byte-identical to an uninterrupted run.
     ///
     /// # Errors
     ///
@@ -603,6 +625,11 @@ impl SweepDocument {
     /// files and [`XrError::Spec`] for a corrupt checkpoint or one
     /// written by a different document (fingerprint mismatch).
     pub fn run_with(&self, options: &SweepOptions) -> Result<SweepOutcome, XrError> {
+        self.run_on(options, default_workers())
+    }
+
+    /// [`SweepDocument::run_with`] on `workers` pool threads.
+    fn run_on(&self, options: &SweepOptions, workers: usize) -> Result<SweepOutcome, XrError> {
         let points = self.points();
         let fingerprint = self.fingerprint();
         let mut metrics: Vec<Option<PointMetrics>> = vec![None; points.len()];
@@ -626,7 +653,14 @@ impl SweepDocument {
 
         let limit = options.limit.unwrap_or(points.len()).min(points.len());
         let checkpoint = options.checkpoint.as_deref().zip(Some(fingerprint));
-        self.complete(&points, 0..limit, &mut metrics, &mut stats, checkpoint)?;
+        self.complete(
+            &points,
+            0..limit,
+            &mut metrics,
+            &mut stats,
+            checkpoint,
+            workers,
+        )?;
 
         let report = if metrics.iter().all(Option::is_some) {
             let all: Vec<PointMetrics> = metrics.into_iter().map(|m| m.expect("checked")).collect();
@@ -652,7 +686,8 @@ impl SweepDocument {
         let (start, end) = shard_range(points.len(), shard, num_shards);
         let mut metrics = vec![None; points.len()];
         let mut stats = SweepStats::default();
-        self.complete(&points, start..end, &mut metrics, &mut stats, None)
+        let workers = default_workers();
+        self.complete(&points, start..end, &mut metrics, &mut stats, None, workers)
             .expect("no checkpoint I/O is configured");
         SweepShardState {
             shard,
@@ -666,12 +701,21 @@ impl SweepDocument {
         }
     }
 
-    /// The evaluation loop shared by [`SweepDocument::run_with`] and
+    /// The executor shared by [`SweepDocument::run_with`] and
     /// [`SweepDocument::run_shard`]: fills every empty slot of
-    /// `metrics` in `range`, in index order, through the two memos of
-    /// one run (see "Cache keying" in the module docs). Slots already
-    /// filled — resumed from a checkpoint — seed the result memo.
-    /// With a checkpoint, the file is rewritten after every point.
+    /// `metrics` in `range` through the two memos of one run (see
+    /// "Cache keying" in the module docs), in three steps.
+    ///
+    /// 1. **Plan**, in index order. Slots already filled — resumed
+    ///    from a checkpoint — seed the result memo. Every other point
+    ///    either takes a known result, joins the distinct evaluation
+    ///    its key already opened (both cache hits), or opens one. The
+    ///    counters in `stats` come from this walk alone.
+    /// 2. **Build** each hardware point the evaluations touch, once.
+    /// 3. **Evaluate** the distinct keys on `workers` pool threads.
+    ///    As each result arrives, the calling thread fills every point
+    ///    waiting on its key and, with a checkpoint, rewrites the file;
+    ///    workers never wait on that I/O.
     fn complete(
         &self,
         points: &[SweepPoint],
@@ -679,40 +723,74 @@ impl SweepDocument {
         metrics: &mut [Option<PointMetrics>],
         stats: &mut SweepStats,
         checkpoint: Option<(&Path, u64)>,
+        workers: usize,
     ) -> Result<(), XrError> {
-        let mut results: BTreeMap<String, PointMetrics> = points
+        /// One distinct evaluation: the first point with its key, its
+        /// hardware slot, and every point in range its result fills.
+        struct Evaluation {
+            point: usize,
+            hardware: usize,
+            fills: Vec<usize>,
+        }
+        let results: BTreeMap<String, PointMetrics> = points
             .iter()
             .zip(metrics.iter())
             .filter_map(|(point, m)| m.map(|m| (self.cache_key(point), m)))
             .collect();
-        let mut hardware = BTreeMap::new();
+        let mut opened: BTreeMap<String, usize> = BTreeMap::new();
+        let mut evaluations: Vec<Evaluation> = Vec::new();
+        let mut hardware: Vec<(char, u64)> = Vec::new();
+        let mut reused = false;
         for point in &points[range] {
             if metrics[point.index].is_some() {
                 continue;
             }
             let key = self.cache_key(point);
-            let m = match results.get(&key) {
-                Some(&m) => {
-                    stats.cache_hits += 1;
-                    m
-                }
-                None => {
-                    stats.evaluated += 1;
-                    let (id, pes) = (point.accelerator, point.pes);
-                    let system = hardware.entry((id, pes)).or_insert_with(|| {
-                        stats.hardware_builds += 1;
-                        SystemSpec::Accelerator { id, pes }.build()
-                    });
-                    let m = self.evaluate(point, system.as_ref());
-                    results.insert(key, m);
-                    m
-                }
-            };
-            metrics[point.index] = Some(m);
-            if let Some((path, fingerprint)) = checkpoint {
-                write_checkpoint(path, fingerprint, metrics)?;
+            if let Some(&m) = results.get(&key) {
+                stats.cache_hits += 1;
+                metrics[point.index] = Some(m);
+                reused = true;
+            } else if let Some(&e) = opened.get(&key) {
+                stats.cache_hits += 1;
+                evaluations[e].fills.push(point.index);
+            } else {
+                let hw = (point.accelerator, point.pes);
+                let slot = hardware.iter().position(|&h| h == hw).unwrap_or_else(|| {
+                    hardware.push(hw);
+                    hardware.len() - 1
+                });
+                opened.insert(key, evaluations.len());
+                evaluations.push(Evaluation {
+                    point: point.index,
+                    hardware: slot,
+                    fills: vec![point.index],
+                });
             }
         }
+        stats.evaluated += evaluations.len();
+        stats.hardware_builds += hardware.len();
+
+        let persist = |metrics: &[Option<PointMetrics>]| match checkpoint {
+            Some((path, fingerprint)) => write_checkpoint(path, fingerprint, metrics),
+            None => Ok(()),
+        };
+        if reused {
+            persist(metrics)?;
+        }
+        let systems = parallel_map(&hardware, workers, |&(id, pes)| {
+            SystemSpec::Accelerator { id, pes }.build()
+        });
+        parallel_map_observed(
+            &evaluations,
+            workers,
+            |e| self.evaluate(&points[e.point], systems[e.hardware].as_ref()),
+            |e, &m| {
+                for &i in &evaluations[e].fills {
+                    metrics[i] = Some(m);
+                }
+                persist(metrics)
+            },
+        )?;
         Ok(())
     }
 
@@ -1191,7 +1269,21 @@ fn write_checkpoint(
     ]);
     let mut text = serde_json::to_string(&doc).expect("checkpoint serialization cannot fail");
     text.push('\n');
-    fs::write(path, text).map_err(|e| XrError::io("write", path.display(), e))
+    // Write a sibling and rename it over the checkpoint, so a kill
+    // mid-write leaves the previous checkpoint whole, never truncated.
+    // There is no fsync: the file guards against a killed process, and
+    // a disk flush per completed evaluation would dominate the run.
+    let temp = checkpoint_temp_path(path);
+    fs::write(&temp, text).map_err(|e| XrError::io("write", temp.display(), e))?;
+    fs::rename(&temp, path).map_err(|e| XrError::io("replace", path.display(), e))
+}
+
+/// The sibling file a checkpoint is written to before it is renamed
+/// into place: the checkpoint path with `.tmp` appended.
+fn checkpoint_temp_path(path: &Path) -> PathBuf {
+    let mut temp = path.as_os_str().to_owned();
+    temp.push(".tmp");
+    PathBuf::from(temp)
 }
 
 fn decode_checkpoint(
@@ -1474,6 +1566,95 @@ mod tests {
         assert_eq!(resumed.stats.resumed, 3);
         let report = resumed.report.expect("resumed to completion");
         assert_eq!(report.to_json(), straight.to_json());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A scenario, whose recovery axis collapses, and a fault-injected
+    /// fleet, whose recovery axis stays distinct.
+    const FAULTED_SWEEP: &str = r#"{
+        "kind": "sweep", "name": "unit-faulted", "duration_s": 0.05,
+        "accelerators": ["J"], "base_pes": 8192, "pe_scaling": [1.0, 0.5],
+        "schedulers": ["latency-greedy", "round-robin"],
+        "recovery": ["drop", "requeue"],
+        "workloads": [ { "scenario": "VR Gaming" },
+          { "name": "churn", "fleet": { "name": "churn", "groups": [
+            { "name": "vr", "replicas": 2,
+              "faults": { "failure_rate_per_s": 20.0, "mean_downtime_s": 0.01,
+                          "preemption_rate_per_s": 40.0, "mean_preemption_s": 0.005 },
+              "session": { "name": "party", "uniform":
+                { "scenario": "VR Gaming", "users": 2, "stagger_s": 0.002 } } } ] } } ] }"#;
+
+    #[test]
+    fn worker_count_does_not_change_reports_stats_or_checkpoints() {
+        for (body, distinct) in [(SMALL_SWEEP, 4), (FAULTED_SWEEP, 12)] {
+            let run = sweep(body);
+            let dir = std::env::temp_dir().join(format!(
+                "xrbench-sweep-workers-{}-{}",
+                std::process::id(),
+                run.fingerprint()
+            ));
+            fs::create_dir_all(&dir).unwrap();
+            let one = run.run_on(&SweepOptions::default(), 1).unwrap();
+            assert_eq!(one.stats.evaluated, distinct, "{}", run.name);
+            let report = one.report.expect("no limit configured");
+            for workers in [2, 5] {
+                let many = run.run_on(&SweepOptions::default(), workers).unwrap();
+                assert_eq!(many.stats, one.stats, "{} workers = {workers}", run.name);
+                assert_eq!(
+                    many.report.expect("no limit configured").to_json(),
+                    report.to_json(),
+                    "{} workers = {workers}",
+                    run.name
+                );
+            }
+            for workers in [1, 2, 5] {
+                let checkpoint = dir.join(format!("ckpt-{workers}.json"));
+                let _ = fs::remove_file(&checkpoint);
+                let options = SweepOptions {
+                    checkpoint: Some(checkpoint.clone()),
+                    limit: Some(3),
+                };
+                assert!(run.run_on(&options, workers).unwrap().report.is_none());
+                let text = fs::read_to_string(&checkpoint).unwrap();
+                let rows = decode_checkpoint(&text, run.fingerprint(), report.num_points).unwrap();
+                let indices: Vec<usize> = rows.iter().map(|&(i, _)| i).collect();
+                assert_eq!(indices, [0, 1, 2], "{} workers = {workers}", run.name);
+                for (i, m) in rows {
+                    assert_eq!(m.score.to_bits(), report.points[i].score.to_bits());
+                }
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_failed_checkpoint_write_leaves_the_old_checkpoint_whole() {
+        let run = sweep(SMALL_SWEEP);
+        let dir = std::env::temp_dir().join(format!(
+            "xrbench-sweep-atomic-{}-{}",
+            std::process::id(),
+            run.fingerprint()
+        ));
+        fs::create_dir_all(&dir).unwrap();
+        let checkpoint = dir.join("ckpt.json");
+        let _ = fs::remove_file(&checkpoint);
+        let options = |limit| SweepOptions {
+            checkpoint: Some(checkpoint.clone()),
+            limit,
+        };
+        run.run_with(&options(Some(2))).unwrap();
+        let before = fs::read_to_string(&checkpoint).unwrap();
+
+        // A directory in the temp file's place makes the next write
+        // fail; point 2 opens a new evaluation, so the failure comes
+        // from the pool's observer.
+        fs::create_dir_all(checkpoint_temp_path(&checkpoint)).unwrap();
+        let err = run.run_with(&options(None)).unwrap_err();
+        assert!(matches!(err, XrError::Io { .. }), "{err}");
+        let after = fs::read_to_string(&checkpoint).unwrap();
+        assert_eq!(after, before);
+        let rows = decode_checkpoint(&after, run.fingerprint(), 8).unwrap();
+        assert_eq!(rows.iter().map(|&(i, _)| i).collect::<Vec<_>>(), [0, 1]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

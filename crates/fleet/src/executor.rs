@@ -23,7 +23,6 @@
 //! per-request vector survives a session (see `DESIGN.md`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use xrbench_score::{session_breakdown, AccuracyParams, EnergyParams, RtParams};
 use xrbench_sim::{CostProvider, LatencyGreedy, RecoveryPolicy, Scheduler, SimConfig, Simulator};
@@ -195,48 +194,53 @@ pub(crate) fn run_jobs(
     let scorer = InferenceScorer::new(config.rt, config.energy, config.accuracy);
     let workers = config.workers.min(jobs.len()).max(1);
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Vec<FleetAccumulator>>>> =
-        (0..workers).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for slot in &slots {
-            let (next, scorer) = (&next, &scorer);
-            scope.spawn(move || {
-                let mut local = vec![FleetAccumulator::new(); spec.groups.len()];
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(g, r)) = jobs.get(idx) else {
-                        break;
-                    };
-                    let sim = Simulator::new(SimConfig {
-                        duration_s: config.sim.duration_s,
-                        seed: replica_seed(config.sim.seed, g, r),
-                    });
-                    let mut scheduler = scheduler_factory();
-                    fold_session(
-                        &spec.groups[g as usize],
-                        &sim,
-                        system,
-                        scheduler.as_mut(),
-                        scorer,
-                        config.recovery,
-                        &mut local[g as usize],
-                    );
-                }
-                *slot.lock().expect("worker slot poisoned") = Some(local);
+    // One worker: claim jobs until none remain, folding each session
+    // into this worker's per-group accumulators.
+    let work = || {
+        let mut local = vec![FleetAccumulator::new(); spec.groups.len()];
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&(g, r)) = jobs.get(idx) else {
+                break;
+            };
+            let sim = Simulator::new(SimConfig {
+                duration_s: config.sim.duration_s,
+                seed: replica_seed(config.sim.seed, g, r),
             });
+            let mut scheduler = scheduler_factory();
+            fold_session(
+                &spec.groups[g as usize],
+                &sim,
+                system,
+                scheduler.as_mut(),
+                &scorer,
+                config.recovery,
+                &mut local[g as usize],
+            );
         }
+        local
+    };
+
+    // The calling thread is worker 0, so a one-worker run spawns no
+    // thread at all.
+    let locals: Vec<Vec<FleetAccumulator>> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut locals = vec![work()];
+        for helper in helpers {
+            locals.push(
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        locals
     });
 
     // Reduce per-group accumulators; exact merges, so worker order is
     // immaterial.
     let mut group_accs: Vec<FleetAccumulator> = vec![FleetAccumulator::new(); spec.groups.len()];
-    for slot in slots {
-        let worker = slot
-            .into_inner()
-            .expect("worker slot poisoned")
-            .expect("worker completed");
-        for (g, acc) in worker.iter().enumerate() {
+    for local in &locals {
+        for (g, acc) in local.iter().enumerate() {
             group_accs[g].merge(acc);
         }
     }
