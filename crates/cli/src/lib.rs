@@ -36,6 +36,7 @@ use xrbench_analysis::{
     FeasibleSampling,
 };
 use xrbench_core::{RunDocument, Runner, SweepOptions, SweepShardState};
+use xrbench_workload::spec::SpecError;
 use xrbench_workload::{scenario_to_json, ScenarioCatalog, ScenarioSpace, UsageScenario};
 
 pub mod export;
@@ -64,8 +65,8 @@ USAGE:
                                                  exploration document: the axis cross
                                                  product is evaluated through a memo
                                                  cache and folded into Pareto frontiers
-                      [--checkpoint FILE]        persist completed points to FILE as
-                                                 each evaluation completes (replacing
+                      [--checkpoint FILE]        persist completed points to FILE after
+                                                 each batch of evaluations (replacing
                                                  FILE atomically) and resume from an
                                                  existing FILE, so a killed sweep
                                                  continues where it stopped
@@ -174,8 +175,8 @@ pub enum Command {
         out: Option<PathBuf>,
         /// Refuse to run when the analyzer reports errors.
         strict: bool,
-        /// Persist completed points here as each evaluation completes
-        /// and resume from an existing file.
+        /// Persist completed points here after each batch of
+        /// evaluations and resume from an existing file.
         checkpoint: Option<PathBuf>,
         /// Stop after this many completed points without reporting
         /// (requires `--checkpoint`).
@@ -256,6 +257,105 @@ fn parse_shard(value: &str) -> Result<(u32, u32), CliError> {
     Ok((k, n))
 }
 
+/// Parses the flags of a run subcommand (`run-suite`, `run-session`,
+/// `run-fleet` or `sweep`). Every flag is read by one loop and every
+/// combination is checked once, so `--shard`, `--shards` and
+/// `--max-procs` mean the same for fleets and sweeps.
+fn parse_run(sub: &str, mut it: impl Iterator<Item = String>) -> Result<Command, CliError> {
+    let mut spec = None;
+    let mut out = None;
+    let mut strict = false;
+    let mut compare = false;
+    let mut checkpoint = None;
+    let mut limit = None;
+    let mut shard = None;
+    let mut shards = None;
+    let mut max_procs = None;
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--out" => out = Some(PathBuf::from(parse_value::<String>("--out", it.next())?)),
+            "--strict" => strict = true,
+            "--compare-policies" => compare = true,
+            "--checkpoint" => {
+                checkpoint = Some(PathBuf::from(parse_value::<String>(
+                    "--checkpoint",
+                    it.next(),
+                )?))
+            }
+            "--limit" => limit = Some(parse_value::<usize>("--limit", it.next())?),
+            "--shard" => {
+                let value: String = parse_value("--shard", it.next())?;
+                shard = Some(parse_shard(&value)?);
+            }
+            "--shards" => shards = Some(parse_value::<u32>("--shards", it.next())?),
+            "--max-procs" => max_procs = Some(parse_value::<usize>("--max-procs", it.next())?),
+            _ if arg.starts_with('-') => return Err(usage_error(format!("unknown flag `{arg}`"))),
+            _ if spec.is_none() => spec = Some(PathBuf::from(arg)),
+            _ => return Err(usage_error(format!("unexpected argument `{arg}`"))),
+        }
+    }
+    let sweep = sub == "sweep";
+    let sharded = shard.is_some() || shards.is_some();
+    let refusal = if compare && sub != "run-fleet" {
+        Some("--compare-policies is only valid with run-fleet")
+    } else if (checkpoint.is_some() || limit.is_some()) && !sweep {
+        Some("--checkpoint/--limit are only valid with sweep")
+    } else if sharded && !sweep && sub != "run-fleet" {
+        Some("--shard/--shards are only valid with run-fleet and sweep")
+    } else if shard.is_some() && shards.is_some() {
+        Some("--shard (child mode) and --shards (coordinator mode) are mutually exclusive")
+    } else if shards == Some(0) {
+        Some("--shards needs at least one shard")
+    } else if max_procs.is_some() && shards.is_none() {
+        Some("--max-procs requires --shards")
+    } else if max_procs == Some(0) {
+        Some("--max-procs needs at least one process")
+    } else if compare && sharded {
+        Some("--compare-policies cannot be combined with --shard/--shards")
+    } else if limit.is_some() && checkpoint.is_none() {
+        Some(
+            "--limit requires --checkpoint (the partial progress must land somewhere a later \
+             run can resume from)",
+        )
+    } else if limit == Some(0) {
+        Some("--limit needs at least one point")
+    } else if (checkpoint.is_some() || limit.is_some()) && sharded {
+        Some("--checkpoint/--limit cannot be combined with --shard/--shards")
+    } else {
+        None
+    };
+    if let Some(message) = refusal {
+        return Err(usage_error(message));
+    }
+    let spec = spec.ok_or_else(|| usage_error(format!("{sub} needs a spec file argument")))?;
+    Ok(match sub {
+        "sweep" => Command::Sweep {
+            spec,
+            out,
+            strict,
+            checkpoint,
+            limit,
+            shard,
+            shards,
+            max_procs,
+        },
+        _ => Command::Run {
+            kind: match sub {
+                "run-suite" => "suite",
+                "run-session" => "session",
+                _ => "fleet",
+            },
+            spec,
+            out,
+            strict,
+            compare,
+            shard,
+            shards,
+            max_procs,
+        },
+    })
+}
+
 impl Command {
     /// Parses the arguments after the program name.
     ///
@@ -270,165 +370,7 @@ impl Command {
         };
         match sub.as_str() {
             "--help" | "-h" | "help" => Ok(Command::Help),
-            "run-suite" | "run-session" | "run-fleet" => {
-                let kind = &sub["run-".len()..];
-                let kind = match kind {
-                    "suite" => "suite",
-                    "session" => "session",
-                    _ => "fleet",
-                };
-                let mut spec = None;
-                let mut out = None;
-                let mut strict = false;
-                let mut compare = false;
-                let mut shard = None;
-                let mut shards = None;
-                let mut max_procs = None;
-                while let Some(arg) = it.next() {
-                    match arg.as_str() {
-                        "--out" => {
-                            out = Some(PathBuf::from(parse_value::<String>("--out", it.next())?))
-                        }
-                        "--strict" => strict = true,
-                        "--compare-policies" => compare = true,
-                        "--shard" => {
-                            let value: String = parse_value("--shard", it.next())?;
-                            shard = Some(parse_shard(&value)?);
-                        }
-                        "--shards" => shards = Some(parse_value::<u32>("--shards", it.next())?),
-                        "--max-procs" => {
-                            max_procs = Some(parse_value::<usize>("--max-procs", it.next())?)
-                        }
-                        _ if arg.starts_with('-') => {
-                            return Err(usage_error(format!("unknown flag `{arg}`")))
-                        }
-                        _ if spec.is_none() => spec = Some(PathBuf::from(arg)),
-                        _ => return Err(usage_error(format!("unexpected argument `{arg}`"))),
-                    }
-                }
-                if compare && kind != "fleet" {
-                    return Err(usage_error(
-                        "--compare-policies is only valid with run-fleet",
-                    ));
-                }
-                if (shard.is_some() || shards.is_some()) && kind != "fleet" {
-                    return Err(usage_error(
-                        "--shard/--shards are only valid with run-fleet",
-                    ));
-                }
-                if shard.is_some() && shards.is_some() {
-                    return Err(usage_error(
-                        "--shard (child mode) and --shards (coordinator mode) are mutually \
-                         exclusive",
-                    ));
-                }
-                if compare && (shard.is_some() || shards.is_some()) {
-                    return Err(usage_error(
-                        "--compare-policies cannot be combined with --shard/--shards",
-                    ));
-                }
-                if shards == Some(0) {
-                    return Err(usage_error("--shards needs at least one shard"));
-                }
-                if max_procs.is_some() && shards.is_none() {
-                    return Err(usage_error("--max-procs requires --shards"));
-                }
-                if max_procs == Some(0) {
-                    return Err(usage_error("--max-procs needs at least one process"));
-                }
-                let spec =
-                    spec.ok_or_else(|| usage_error(format!("{sub} needs a spec file argument")))?;
-                Ok(Command::Run {
-                    kind,
-                    spec,
-                    out,
-                    strict,
-                    compare,
-                    shard,
-                    shards,
-                    max_procs,
-                })
-            }
-            "sweep" => {
-                let mut spec = None;
-                let mut out = None;
-                let mut strict = false;
-                let mut checkpoint = None;
-                let mut limit = None;
-                let mut shard = None;
-                let mut shards = None;
-                let mut max_procs = None;
-                while let Some(arg) = it.next() {
-                    match arg.as_str() {
-                        "--out" => {
-                            out = Some(PathBuf::from(parse_value::<String>("--out", it.next())?))
-                        }
-                        "--strict" => strict = true,
-                        "--checkpoint" => {
-                            checkpoint = Some(PathBuf::from(parse_value::<String>(
-                                "--checkpoint",
-                                it.next(),
-                            )?))
-                        }
-                        "--limit" => limit = Some(parse_value::<usize>("--limit", it.next())?),
-                        "--shard" => {
-                            let value: String = parse_value("--shard", it.next())?;
-                            shard = Some(parse_shard(&value)?);
-                        }
-                        "--shards" => shards = Some(parse_value::<u32>("--shards", it.next())?),
-                        "--max-procs" => {
-                            max_procs = Some(parse_value::<usize>("--max-procs", it.next())?)
-                        }
-                        _ if arg.starts_with('-') => {
-                            return Err(usage_error(format!("unknown flag `{arg}`")))
-                        }
-                        _ if spec.is_none() => spec = Some(PathBuf::from(arg)),
-                        _ => return Err(usage_error(format!("unexpected argument `{arg}`"))),
-                    }
-                }
-                if limit.is_some() && checkpoint.is_none() {
-                    return Err(usage_error(
-                        "--limit requires --checkpoint (the partial progress must land \
-                         somewhere a later run can resume from)",
-                    ));
-                }
-                if limit == Some(0) {
-                    return Err(usage_error("--limit needs at least one point"));
-                }
-                if (checkpoint.is_some() || limit.is_some())
-                    && (shard.is_some() || shards.is_some())
-                {
-                    return Err(usage_error(
-                        "--checkpoint/--limit cannot be combined with --shard/--shards",
-                    ));
-                }
-                if shard.is_some() && shards.is_some() {
-                    return Err(usage_error(
-                        "--shard (child mode) and --shards (coordinator mode) are mutually \
-                         exclusive",
-                    ));
-                }
-                if shards == Some(0) {
-                    return Err(usage_error("--shards needs at least one shard"));
-                }
-                if max_procs.is_some() && shards.is_none() {
-                    return Err(usage_error("--max-procs requires --shards"));
-                }
-                if max_procs == Some(0) {
-                    return Err(usage_error("--max-procs needs at least one process"));
-                }
-                let spec = spec.ok_or_else(|| usage_error("sweep needs a spec file argument"))?;
-                Ok(Command::Sweep {
-                    spec,
-                    out,
-                    strict,
-                    checkpoint,
-                    limit,
-                    shard,
-                    shards,
-                    max_procs,
-                })
-            }
+            "run-suite" | "run-session" | "run-fleet" | "sweep" => parse_run(&sub, it),
             "analyze" => {
                 let mut spec = None;
                 let mut json = false;
@@ -741,8 +683,8 @@ fn run_document(
         }
         // Coordinator mode: fork/exec one child per shard and merge
         // their states into the ordinary fleet report.
-        (RunDocument::Fleet(run), false, None, Some((n, max_procs))) => {
-            run_sharded(run, spec, n, max_procs, &mut notes)?
+        (RunDocument::Fleet(_), false, None, Some(shards)) => {
+            run_sharded(&doc, "run-fleet", spec, shards, &mut notes)?
         }
         // Plain runs all dispatch through the unified `Runner` — the
         // same entry point library callers use, so the CLI path stays
@@ -787,8 +729,8 @@ fn run_sweep(params: SweepParams<'_>) -> Result<Output, CliError> {
         return Ok(package(run.run_shard(k, n).to_json() + "\n", out, notes));
     }
     // Coordinator mode: fork/exec one child per shard and merge.
-    if let Some((n, max_procs)) = shards {
-        let report = run_sweep_sharded(run, spec, n, max_procs, &mut notes)?;
+    if let Some(shards) = shards {
+        let report = run_sharded(&doc, "sweep", spec, shards, &mut notes)?;
         return Ok(package(report + "\n", out, notes));
     }
     let options = SweepOptions {
@@ -834,17 +776,17 @@ fn run_sweep(params: SweepParams<'_>) -> Result<Output, CliError> {
     }
 }
 
-/// Coordinator mode for `sweep --shards N`: re-execs this binary once
-/// per shard (`sweep <spec> --shard k/N`), reads each child's
-/// [`xrbench_core::SweepShardState`] from its stdout pipe, and merges
-/// the states into a report byte-identical to the single-process
-/// sweep. At most `max_procs` children are alive at once (see
-/// [`xrbench_fleet::supervise`]).
-fn run_sweep_sharded(
-    run: &xrbench_core::SweepDocument,
+/// Coordinator mode for `run-fleet --shards N` and `sweep --shards N`:
+/// re-execs this binary once per shard (`<subcommand> <spec> --shard
+/// k/N`) with at most `max_procs` children alive at once, retrying a
+/// failing child once before the run aborts with its stderr (see
+/// [`xrbench_fleet::supervise`]), and merges the children's states
+/// into a report byte-identical to the single-process run.
+fn run_sharded(
+    doc: &RunDocument,
+    subcommand: &str,
     spec: &Path,
-    num_shards: u32,
-    max_procs: usize,
+    (num_shards, max_procs): (u32, usize),
     notes: &mut Vec<String>,
 ) -> Result<String, CliError> {
     let exe = std::env::current_exe()
@@ -854,74 +796,77 @@ fn run_sweep_sharded(
     ));
     let outputs = xrbench_fleet::supervise(num_shards, max_procs, &mut |k| {
         let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("sweep")
+        cmd.arg(subcommand)
             .arg(spec)
             .arg("--shard")
             .arg(format!("{k}/{num_shards}"));
         cmd
     })
     .map_err(|e| run_error(e.to_string()))?;
-    let mut states = Vec::with_capacity(outputs.len());
-    for (k, text) in outputs.iter().enumerate() {
-        states.push(
-            SweepShardState::from_json(text.trim())
-                .map_err(|e| run_error(format!("shard {k} returned an unreadable state: {e}")))?,
-        );
-    }
-    let evaluated: usize = states.iter().map(|s| s.evaluated).sum();
-    let cache_hits: usize = states.iter().map(|s| s.cache_hits).sum();
-    notes.push(format!(
-        "shard children: {evaluated} evaluated, {cache_hits} cache hits"
-    ));
-    let report = run
-        .merge_shards(&states)
-        .map_err(|e| run_error(format!("merging sweep shard states: {e}")))?;
-    Ok(report.to_json())
+    merge_shard_outputs(doc, &outputs, notes)
 }
 
-/// Coordinator mode for `run-fleet --shards N`: re-execs this binary
-/// once per shard (`run-fleet <spec> --shard k/N`), reads each
-/// child's [`xrbench_fleet::ShardState`] from its stdout pipe, and
-/// merges the states into a report byte-identical to the
-/// single-process run. At most `max_procs` children are alive at
-/// once; a failing child is retried once before the run aborts with
-/// its stderr (see [`xrbench_fleet::supervise`]).
-fn run_sharded(
-    run: &xrbench_core::FleetRun,
-    spec: &Path,
-    num_shards: u32,
-    max_procs: usize,
+/// The coordinator's decode-and-merge step, apart from spawning: child
+/// `k`'s stdout must hold the state of shard `k` of `outputs.len()`,
+/// and the states must merge for `doc`. Every refusal is a code-1
+/// error naming the shard.
+fn merge_shard_outputs(
+    doc: &RunDocument,
+    outputs: &[String],
     notes: &mut Vec<String>,
 ) -> Result<String, CliError> {
-    let exe = std::env::current_exe()
-        .map_err(|e| run_error(format!("cannot locate the xrbench binary to re-exec: {e}")))?;
-    notes.push(format!(
-        "sharding across {num_shards} child processes (≤ {max_procs} concurrent)"
-    ));
-    let outputs = xrbench_fleet::supervise(num_shards, max_procs, &mut |k| {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("run-fleet")
-            .arg(spec)
-            .arg("--shard")
-            .arg(format!("{k}/{num_shards}"));
-        cmd
-    })
-    .map_err(|e| run_error(e.to_string()))?;
-    let mut states = Vec::with_capacity(outputs.len());
-    for (k, text) in outputs.iter().enumerate() {
-        states.push(
-            xrbench_fleet::ShardState::from_json(text.trim())
-                .map_err(|e| run_error(format!("shard {k} returned an unreadable state: {e}")))?,
-        );
+    let merge_error = |e: &dyn fmt::Display| run_error(format!("merging shard states: {e}"));
+    match doc {
+        RunDocument::Fleet(run) => {
+            let states =
+                decode_shard_outputs(outputs, xrbench_fleet::ShardState::from_json, |s| {
+                    (s.shard, s.num_shards)
+                })?;
+            let child_rss = states.iter().filter_map(|s| s.peak_rss_mib);
+            if let Some(max_rss) = child_rss.reduce(f64::max) {
+                notes.push(format!("max shard-child peak RSS: {max_rss:.1} MiB"));
+            }
+            let report = run.merge_shards(&states).map_err(|e| merge_error(&e))?;
+            Ok(report.to_json())
+        }
+        RunDocument::Sweep(run) => {
+            let states = decode_shard_outputs(outputs, SweepShardState::from_json, |s| {
+                (s.shard, s.num_shards)
+            })?;
+            let evaluated: usize = states.iter().map(|s| s.evaluated).sum();
+            let cache_hits: usize = states.iter().map(|s| s.cache_hits).sum();
+            notes.push(format!(
+                "shard children: {evaluated} evaluated, {cache_hits} cache hits"
+            ));
+            let report = run.merge_shards(&states).map_err(|e| merge_error(&e))?;
+            Ok(report.to_json())
+        }
+        _ => unreachable!("the parser admits --shards only for fleets and sweeps"),
     }
-    let child_rss: Vec<f64> = states.iter().filter_map(|s| s.peak_rss_mib).collect();
-    if let Some(max_rss) = child_rss.iter().copied().reduce(f64::max) {
-        notes.push(format!("max shard-child peak RSS: {max_rss:.1} MiB"));
-    }
-    let report = run
-        .merge_shards(&states)
-        .map_err(|e| run_error(format!("merging shard states: {e}")))?;
-    Ok(report.to_json())
+}
+
+/// Decodes each child's stdout and checks that child `k` returned the
+/// state of shard `k` of `outputs.len()`.
+fn decode_shard_outputs<S>(
+    outputs: &[String],
+    decode: fn(&str) -> Result<S, SpecError>,
+    coordinate: fn(&S) -> (u32, u32),
+) -> Result<Vec<S>, CliError> {
+    let n = outputs.len() as u32;
+    (0..n)
+        .zip(outputs)
+        .map(|(k, text)| {
+            let state = decode(text.trim())
+                .map_err(|e| run_error(format!("shard {k} returned an unreadable state: {e}")))?;
+            let (shard, of) = coordinate(&state);
+            if (shard, of) != (k, n) {
+                return Err(run_error(format!(
+                    "shard {k} returned the state of shard {shard}/{of}, not {k}/{n}"
+                )));
+            }
+            Ok(state)
+        })
+        .collect()
 }
 
 /// This process's peak resident set size in MiB (Linux `VmHWM`), if
@@ -1492,6 +1437,8 @@ mod tests {
             vec!["list", "sandwiches"],
             vec!["gen-scenarios", "--count", "zero"],
             vec!["gen-scenarios", "--count", "0"],
+            vec!["run-fleet", "f.json", "--checkpoint", "c.json"],
+            vec!["run-session", "s.json", "--limit", "2"],
         ] {
             let err = Command::parse(&args(&bad)).unwrap_err();
             assert_eq!(err.code, 2, "{bad:?}");
@@ -1514,6 +1461,75 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.code, 1);
         assert!(err.message.contains("cannot read"), "{err}");
+    }
+
+    /// A two-group fleet and a small sweep on uniform hardware, each
+    /// under a seed.
+    fn sharded_documents(seed: u64) -> [RunDocument; 2] {
+        let fleet = format!(
+            r#"{{ "kind": "fleet", "seed": {seed}, "duration_s": 0.05,
+                 "hardware": {{ "uniform": {{ "engines": 2, "latency_s": 0.001, "energy_j": 0.001 }} }},
+                 "fleet": {{ "name": "arcade", "groups": [
+                   {{ "name": "vr", "replicas": 3, "session": {{ "name": "party",
+                      "uniform": {{ "scenario": "VR Gaming", "users": 2, "stagger_s": 0.002 }} }} }},
+                   {{ "name": "ar", "replicas": 2, "session": {{ "name": "walk",
+                      "uniform": {{ "scenario": "AR Assistant", "users": 1, "stagger_s": 0.0 }} }} }} ] }} }}"#
+        );
+        let sweep = format!(
+            r#"{{ "kind": "sweep", "seed": {seed}, "duration_s": 0.05, "accelerators": ["J"],
+                 "schedulers": ["latency-greedy", "round-robin"], "recovery": ["drop", "requeue"],
+                 "workloads": [ {{ "scenario": "VR Gaming" }} ] }}"#
+        );
+        [fleet, sweep].map(|text| RunDocument::from_json_str(&text).expect("valid document"))
+    }
+
+    /// What child `k` of `n` prints for `doc`.
+    fn child_output(doc: &RunDocument, k: u32, n: u32) -> String {
+        match doc {
+            RunDocument::Fleet(run) => run.run_shard(k, n).to_json(),
+            RunDocument::Sweep(run) => run.run_shard(k, n).to_json(),
+            _ => unreachable!("only fleets and sweeps shard"),
+        }
+    }
+
+    #[test]
+    fn coordinator_merges_child_outputs_into_the_straight_report() {
+        for doc in sharded_documents(3) {
+            let outputs: Vec<String> = (0..3).map(|k| child_output(&doc, k, 3) + "\n").collect();
+            let mut notes = Vec::new();
+            let merged = merge_shard_outputs(&doc, &outputs, &mut notes).unwrap();
+            assert_eq!(merged, Runner::new().run(&doc).unwrap().to_json());
+        }
+    }
+
+    #[test]
+    fn coordinator_refuses_adversarial_child_output_naming_the_shard() {
+        let [fleet, sweep] = sharded_documents(3);
+        let [other_fleet, other_sweep] = sharded_documents(4);
+        for (doc, other, wrong_kind) in [
+            (&fleet, &other_fleet, child_output(&sweep, 1, 3)),
+            (&sweep, &other_sweep, child_output(&fleet, 1, 3)),
+        ] {
+            let valid: Vec<String> = (0..3).map(|k| child_output(doc, k, 3)).collect();
+            let cases = [
+                ("truncated JSON", valid[1][..valid[1].len() / 2].to_string()),
+                ("empty stdout", String::new()),
+                ("another shard's state", valid[0].clone()),
+                ("another document's state", child_output(other, 1, 3)),
+                ("a state of the wrong kind", wrong_kind),
+            ];
+            for (case, bad) in cases {
+                let mut outputs = valid.clone();
+                outputs[1] = bad;
+                let err = merge_shard_outputs(doc, &outputs, &mut Vec::new()).unwrap_err();
+                assert_eq!(err.code, 1, "{} {case}: {err}", doc.kind());
+                assert!(
+                    err.message.contains("shard 1"),
+                    "{} {case}: {err}",
+                    doc.kind()
+                );
+            }
+        }
     }
 
     #[test]

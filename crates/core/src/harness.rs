@@ -311,7 +311,7 @@ impl Harness {
         )
     }
 
-    fn fleet_config(
+    pub(crate) fn fleet_config(
         &self,
         workers: usize,
         recovery: xrbench_sim::RecoveryPolicy,

@@ -9,9 +9,10 @@
 //! property the suite runner, the figure sweeps and the design-space
 //! sweep rely on for bit-for-bit reproducibility. The calling thread
 //! can also observe each result the moment it arrives
-//! (`parallel_map_observed`), which is how a checkpointed sweep
-//! persists completed work without ever blocking a worker. Worker
-//! panics propagate out of the enclosing `std::thread::scope`.
+//! (`parallel_map_observed`), told whether more results are already
+//! queued behind it, which is how a checkpointed sweep persists
+//! completed work once per batch without ever blocking a worker.
+//! Worker panics propagate out of the enclosing `std::thread::scope`.
 
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,7 +30,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    match parallel_map_observed(jobs, workers, f, |_, _| Ok::<(), Infallible>(())) {
+    match parallel_map_observed(jobs, workers, f, |_, _, _| Ok::<(), Infallible>(())) {
         Ok(results) => results,
         Err(never) => match never {},
     }
@@ -38,6 +39,9 @@ where
 /// [`parallel_map`] that also hands every result to `observe` on the
 /// calling thread as soon as a worker finishes it — in completion
 /// order, with its job index — before filing it into its slot.
+/// `observe`'s third argument is `true` when no further result is
+/// queued yet: the last of the batch the calling thread found waiting,
+/// and always the last result of all.
 ///
 /// The channel between the workers and the calling thread is
 /// unbounded, so a slow observer never stalls a worker. When `observe`
@@ -61,7 +65,7 @@ where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
-    O: FnMut(usize, &R) -> Result<(), E>,
+    O: FnMut(usize, &R, bool) -> Result<(), E>,
 {
     assert!(workers > 0, "workers must be at least 1");
     let workers = workers.min(jobs.len());
@@ -86,9 +90,12 @@ where
         drop(done);
         // Ends once every worker has exited and dropped its sender; an
         // early return drops the receiver, which stops the workers.
-        for (idx, result) in results {
-            observe(idx, &result)?;
+        let mut next = results.recv().ok();
+        while let Some((idx, result)) = next {
+            let queued = results.try_recv().ok();
+            observe(idx, &result, queued.is_none())?;
             slots[idx] = Some(result);
+            next = queued.or_else(|| results.recv().ok());
         }
         Ok(())
     })?;
@@ -129,23 +136,78 @@ mod tests {
     fn observer_sees_every_result_once_on_the_calling_thread() {
         let jobs: Vec<u64> = (0..50).collect();
         let caller = std::thread::current().id();
+        let mut last_flags = Vec::new();
         for workers in [1, 3] {
             let mut seen = vec![0_u32; jobs.len()];
             let out = parallel_map_observed(
                 &jobs,
                 workers,
                 |&j| j + 1,
-                |idx, &r| {
+                |idx, &r, last| {
                     assert_eq!(std::thread::current().id(), caller);
                     assert_eq!(r, jobs[idx] + 1);
                     seen[idx] += 1;
+                    last_flags.push(last);
                     Ok::<(), Infallible>(())
                 },
             )
             .unwrap();
             assert_eq!(out, jobs.iter().map(|j| j + 1).collect::<Vec<_>>());
             assert!(seen.iter().all(|&n| n == 1), "workers = {workers}");
+            assert_eq!(last_flags.last(), Some(&true), "workers = {workers}");
+            last_flags.clear();
         }
+    }
+
+    #[test]
+    fn results_queued_behind_one_another_form_one_batch() {
+        // One worker runs jobs in order and sends each result before it
+        // claims the next job. The observer holds on to result 0 until
+        // job 8 has started, so results 1–7 are all queued by then, and
+        // job 8 waits for the observer to reach result 7: the queued
+        // run is one batch, flagged last only at its end.
+        let (started, job_8_started) = mpsc::channel::<()>();
+        let (release, job_8_released) = mpsc::channel::<()>();
+        let (started, job_8_released) = (
+            std::sync::Mutex::new(started),
+            std::sync::Mutex::new(job_8_released),
+        );
+        let jobs: Vec<u64> = (0..9).collect();
+        let mut last = vec![None; jobs.len()];
+        parallel_map_observed(
+            &jobs,
+            1,
+            |&j| {
+                if j == 8 {
+                    started
+                        .lock()
+                        .expect("lock")
+                        .send(())
+                        .expect("observer waits");
+                    job_8_released
+                        .lock()
+                        .expect("lock")
+                        .recv()
+                        .expect("released");
+                }
+                j
+            },
+            |idx, _, is_last| {
+                last[idx] = Some(is_last);
+                match idx {
+                    0 => job_8_started.recv().expect("job 8 starts"),
+                    7 => release.send(()).expect("job 8 waits"),
+                    _ => {}
+                }
+                Ok::<(), Infallible>(())
+            },
+        )
+        .unwrap();
+        let flags: Vec<bool> = last[1..].iter().map(|f| f.expect("observed")).collect();
+        assert_eq!(
+            flags,
+            [false, false, false, false, false, false, true, true]
+        );
     }
 
     #[test]
@@ -167,7 +229,7 @@ mod tests {
                 }
                 j
             },
-            |_, _| {
+            |_, _, _| {
                 drop(failed.take());
                 Err("stop")
             },

@@ -575,18 +575,25 @@ impl FleetRun {
     /// # Errors
     ///
     /// Returns a [`SpecError`] when the states do not form a
-    /// complete, consistent partition of this fleet.
+    /// complete, consistent partition of this fleet, or when a state
+    /// was computed for another run: its fingerprint differs from this
+    /// document's (another seed, duration, system, recovery policy or
+    /// fleet).
     pub fn merge_shards(
         &self,
         states: &[xrbench_fleet::ShardState],
     ) -> Result<xrbench_fleet::FleetReport, SpecError> {
-        let system = self.system.build();
-        xrbench_fleet::merge_fleet_shards(
-            &self.fleet,
-            &system.label(),
-            xrbench_sim::LatencyGreedy::new().name(),
-            states,
-        )
+        let label = self.system.build().label();
+        let scheduler = xrbench_sim::LatencyGreedy::new().name();
+        let config = self.params.harness().fleet_config(1, self.recovery);
+        let fingerprint = xrbench_fleet::fleet_fingerprint(&self.fleet, &label, scheduler, &config);
+        xrbench_fleet::check_partition(
+            states
+                .iter()
+                .map(|s| (s.shard, s.num_shards, s.fingerprint)),
+            Some(fingerprint),
+        )?;
+        xrbench_fleet::merge_fleet_shards(&self.fleet, &label, scheduler, states)
     }
 
     /// Runs the fleet once per recovery policy under identical fault
@@ -934,6 +941,41 @@ mod tests {
             cmp.policy("requeue").unwrap().executed_inferences,
             expected.executed_inferences
         );
+    }
+
+    #[test]
+    fn shard_states_of_another_seed_are_refused() {
+        // Shard 0 of the committed default fleet merged with shard 1
+        // of the same document under another seed covers every
+        // session once, but the report would match neither run.
+        let fleet = |seed: &str| {
+            let text = include_str!("../../../specs/fleet_default.json").replacen(
+                "{",
+                &format!("{{ {seed}"),
+                1,
+            );
+            match RunDocument::from_json_str(&text).expect("the default fleet loads") {
+                RunDocument::Fleet(run) => run,
+                _ => panic!("expected fleet"),
+            }
+        };
+        let (run, other) = (fleet(""), fleet(r#""seed": 7,"#));
+        let mixed = [run.run_shard(0, 2), other.run_shard(1, 2)];
+        let err = run.merge_shards(&mixed).unwrap_err().to_string();
+        assert!(err.contains("shard 1"), "{err}");
+        assert!(err.contains("fingerprint mismatch"), "{err}");
+        let label = run.system.build().label();
+        let err = xrbench_fleet::merge_fleet_shards(&run.fleet, &label, "latency-greedy", &mixed)
+            .unwrap_err();
+        assert!(err.to_string().contains("fingerprint mismatch"), "{err}");
+        // States of the other seed alone are a consistent partition,
+        // but of the other document.
+        let theirs = [other.run_shard(0, 2), other.run_shard(1, 2)];
+        let err = run.merge_shards(&theirs).unwrap_err().to_string();
+        assert!(err.contains("shard 0"), "{err}");
+        assert_eq!(other.merge_shards(&theirs).unwrap(), other.execute());
+        let ours = [run.run_shard(1, 2), run.run_shard(0, 2)];
+        assert_eq!(run.merge_shards(&ours).unwrap(), run.execute());
     }
 
     #[test]

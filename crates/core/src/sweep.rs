@@ -20,11 +20,14 @@
 //! — and the cross-product expands into a deterministic, globally
 //! indexed **point list** (workloads outermost, recovery innermost).
 //! Because the point list has the same flat-slice shape as the fleet
-//! shard plan, process-level sharding (`--shards N` cuts the list at
-//! `[⌊kP/N⌋, ⌊(k+1)P/N⌋)`) and mid-sweep resumption (a versioned
-//! checkpoint file holding completed points as IEEE-754 bit patterns)
-//! compose with the executor for free, and both are proven
-//! byte-identical to a straight-through run.
+//! job list, process-level sharding and mid-sweep resumption compose
+//! with the executor for free, and both are proven byte-identical to a
+//! straight-through run. `--shards N` cuts the list with the fleet's
+//! cut ([`xrbench_fleet::cut`]) at weight 1 per point, so shard `k`
+//! holds about `P/N` contiguous points; shard states and checkpoints
+//! travel in the fleet crate's envelope ([`xrbench_fleet::wire`]),
+//! stamped with the document's [`SweepDocument::fingerprint`], with
+//! completed points as IEEE-754 bit patterns.
 //!
 //! ## Cache keying
 //!
@@ -66,10 +69,10 @@
 //! each: the sweep owns the parallelism, and a fleet report does not
 //! depend on its worker count. Reports, stats, shard states and the
 //! final checkpoint are therefore the same at any worker count. With a
-//! checkpoint, the calling thread rewrites the file as each evaluation
-//! completes — to a sibling `.tmp` file renamed into place — so a kill
-//! loses at most the evaluations in flight and never leaves a
-//! truncated checkpoint.
+//! checkpoint, the calling thread rewrites the file after each batch —
+//! the results already queued when it reaches them — to a sibling
+//! `.tmp` file renamed into place, so a kill loses only the results
+//! not yet written and never leaves a truncated checkpoint.
 //!
 //! ## Report
 //!
@@ -90,13 +93,13 @@ use serde::json::JsonValue;
 use serde::Serialize;
 
 use xrbench_accel::config_by_id;
+use xrbench_fleet::wire::{self, float, int, obj, parse_float, parse_int, Header, Kind};
 use xrbench_fleet::{
-    default_workers, fleet_to_json, merge_fleet_shards, run_fleet_shard_with, FleetRunConfig,
-    FleetSpec,
+    check_partition, cut, default_workers, fleet_to_json, run_fleet_with, FleetRunConfig, FleetSpec,
 };
 use xrbench_sim::{CostProvider, RecoveryPolicy};
 use xrbench_workload::spec::{
-    extend_catalog, parse_json, scenario_to_json, session_from_value, session_to_json, SpecError,
+    extend_catalog, scenario_to_json, session_from_value, session_to_json, SpecError,
 };
 use xrbench_workload::{ScenarioCatalog, ScenarioSpace, ScenarioSpec, SessionSpec};
 
@@ -105,10 +108,22 @@ use crate::pareto::{pareto_frontier, ParetoPoint};
 use crate::pool::{parallel_map, parallel_map_observed};
 use crate::spec::{RunParams, SchedulerSpec, SystemSpec};
 
-/// Wire-format version tag for sweep checkpoint files.
-const SWEEP_CHECKPOINT_VERSION: u64 = 1;
-/// Wire-format version tag for [`SweepShardState`] documents.
-const SWEEP_STATE_VERSION: u64 = 1;
+/// The checkpoint envelope. Version 2 moved the points into the
+/// shared envelope's body.
+const SWEEP_CHECKPOINT: Kind = Kind {
+    tag: "xrbench_sweep_checkpoint",
+    version: 2,
+    sharded: false,
+};
+/// The [`SweepShardState`] envelope. Version 2 cuts the point list
+/// with the fleet's midpoint rule at unit weight, so at some shard
+/// counts "shard k of N" names other points than version 1's
+/// `⌊kP/N⌋` cut.
+const SWEEP_STATE: Kind = Kind {
+    tag: "xrbench_sweep_state",
+    version: 2,
+    sharded: true,
+};
 
 /// One workload a sweep evaluates at every hardware/scheduler point.
 #[derive(Debug, Clone)]
@@ -184,10 +199,10 @@ pub struct SweepDocument {
 /// Execution options for [`SweepDocument::run_with`].
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
-    /// Checkpoint file: completed points are persisted here as each
-    /// evaluation completes, and an existing file (for the same
-    /// document) is loaded back before running, so a killed sweep
-    /// resumes where it stopped.
+    /// Checkpoint file: completed points are persisted here after
+    /// each batch of completed evaluations, and an existing file (for
+    /// the same document) is loaded back before running, so a killed
+    /// sweep resumes where it stopped.
     pub checkpoint: Option<PathBuf>,
     /// Stop after completing this many points (from the front of the
     /// point list) without producing a report — a deterministic
@@ -310,16 +325,6 @@ pub struct SweepShardState {
     pub evaluated: usize,
     /// Points this shard served from its memo cache (informational).
     pub cache_hits: usize,
-}
-
-/// The flat-index range `[⌊kP/N⌋, ⌊(k+1)P/N⌋)` shard `k` owns — an
-/// even cut by point count.
-fn shard_range(total: usize, shard: u32, num_shards: u32) -> (usize, usize) {
-    let p = total as u64;
-    let n = u64::from(num_shards);
-    let start = (u64::from(shard) * p / n) as usize;
-    let end = ((u64::from(shard) + 1) * p / n) as usize;
-    (start, end)
 }
 
 impl SweepDocument {
@@ -524,13 +529,13 @@ impl SweepDocument {
                 SweepWorkloadKind::Fleet(spec) => text.push_str(&fleet_to_json(spec)),
             }
         }
-        fnv1a64(text.as_bytes())
+        wire::fnv1a64(text.as_bytes())
     }
 
     /// Evaluates one point through the existing engines on its
-    /// already-built hardware point. Fleets run on one worker: the
-    /// sweep's pool owns the parallelism, and a fleet report does not
-    /// depend on its worker count.
+    /// already-built hardware point. Fleets run whole, on one worker:
+    /// the sweep's pool owns the parallelism, and a fleet report does
+    /// not depend on its worker count.
     fn evaluate(&self, point: &SweepPoint, system: &(dyn CostProvider + Sync)) -> PointMetrics {
         let harness = self.params.harness();
         match &self.workloads[point.workload].kind {
@@ -559,11 +564,7 @@ impl SweepDocument {
                     recovery: point.recovery,
                     ..FleetRunConfig::default()
                 };
-                let state =
-                    run_fleet_shard_with(spec, system, &config, &|| point.scheduler.build(), 0, 1);
-                let report =
-                    merge_fleet_shards(spec, &system.label(), point.scheduler.name(), &[state])
-                        .expect("a single shard is a complete partition");
+                let report = run_fleet_with(spec, system, &config, &|| point.scheduler.build());
                 PointMetrics {
                     score: report.fleet_score,
                     total_energy_mj: report.total_energy_mj,
@@ -614,9 +615,9 @@ impl SweepDocument {
     /// The distinct evaluations of the points in range run
     /// concurrently on [`default_workers`] threads; the report and the
     /// [`SweepStats`] do not depend on which thread evaluated what.
-    /// With a checkpoint path, completed points are persisted as each
-    /// evaluation completes and restored (and re-seeded into the
-    /// cache) on the next call, making a kill-and-resume
+    /// With a checkpoint path, completed points are persisted after
+    /// each batch of completed evaluations and restored (and re-seeded
+    /// into the cache) on the next call, making a kill-and-resume
     /// byte-identical to an uninterrupted run.
     ///
     /// # Errors
@@ -671,8 +672,9 @@ impl SweepDocument {
         Ok(SweepOutcome { report, stats })
     }
 
-    /// Runs shard `shard` of `num_shards`: the points with global
-    /// index in `[⌊kP/N⌋, ⌊(k+1)P/N⌋)`, memo-cached within the shard.
+    /// Runs shard `shard` of `num_shards`: the contiguous slice of the
+    /// point list [`cut`] gives it at weight 1 per point, memo-cached
+    /// within the shard.
     ///
     /// # Panics
     ///
@@ -683,7 +685,8 @@ impl SweepDocument {
             "shard {shard} out of range (num_shards: {num_shards})"
         );
         let points = self.points();
-        let (start, end) = shard_range(points.len(), shard, num_shards);
+        let Range { start, end } =
+            cut(&vec![1; points.len()], num_shards).swap_remove(shard as usize);
         let mut metrics = vec![None; points.len()];
         let mut stats = SweepStats::default();
         let workers = default_workers();
@@ -714,8 +717,9 @@ impl SweepDocument {
     /// 2. **Build** each hardware point the evaluations touch, once.
     /// 3. **Evaluate** the distinct keys on `workers` pool threads.
     ///    As each result arrives, the calling thread fills every point
-    ///    waiting on its key and, with a checkpoint, rewrites the file;
-    ///    workers never wait on that I/O.
+    ///    waiting on its key and, with a checkpoint, rewrites the file
+    ///    once the results already queued are filled too; workers never
+    ///    wait on that I/O.
     fn complete(
         &self,
         points: &[SweepPoint],
@@ -784,11 +788,15 @@ impl SweepDocument {
             &evaluations,
             workers,
             |e| self.evaluate(&points[e.point], systems[e.hardware].as_ref()),
-            |e, &m| {
+            |e, &m, last| {
                 for &i in &evaluations[e].fills {
                     metrics[i] = Some(m);
                 }
-                persist(metrics)
+                if last {
+                    persist(metrics)
+                } else {
+                    Ok(())
+                }
             },
         )?;
         Ok(())
@@ -804,67 +812,27 @@ impl SweepDocument {
     /// complete, consistent partition of this sweep's point list, or
     /// were produced by a different document.
     pub fn merge_shards(&self, states: &[SweepShardState]) -> Result<SweepReport, XrError> {
-        let invalid = |message: String| {
-            XrError::Spec(SpecError::Invalid {
-                path: "sweep-state".to_string(),
-                message,
-            })
-        };
+        check_partition(
+            states
+                .iter()
+                .map(|s| (s.shard, s.num_shards, s.fingerprint)),
+            Some(self.fingerprint()),
+        )?;
         let points = self.points();
-        let fingerprint = self.fingerprint();
-        let Some(first) = states.first() else {
-            return Err(invalid("no shard states to merge".to_string()));
-        };
-        let num_shards = first.num_shards;
-        if states.len() as u64 != u64::from(num_shards) {
-            return Err(invalid(format!(
-                "expected {num_shards} shard states, got {}",
-                states.len()
-            )));
-        }
-        let mut seen = vec![false; num_shards as usize];
+        let ranges = cut(&vec![1; points.len()], states[0].num_shards);
         let mut metrics: Vec<Option<PointMetrics>> = vec![None; points.len()];
         for state in states {
-            if state.num_shards != num_shards {
-                return Err(invalid(format!(
-                    "inconsistent shard counts: {} vs {num_shards}",
-                    state.num_shards
-                )));
-            }
-            if state.shard >= num_shards {
-                return Err(invalid(format!(
-                    "shard {} out of range (num_shards: {num_shards})",
-                    state.shard
-                )));
-            }
-            if seen[state.shard as usize] {
-                return Err(invalid(format!("duplicate shard {}", state.shard)));
-            }
-            seen[state.shard as usize] = true;
-            if state.fingerprint != fingerprint {
-                return Err(invalid(format!(
-                    "shard {} was produced by a different sweep document \
-                     (fingerprint mismatch)",
-                    state.shard
-                )));
-            }
-            let (start, end) = shard_range(points.len(), state.shard, num_shards);
-            if state.rows.len() != end - start {
-                return Err(invalid(format!(
-                    "shard {} carries {} points, expected {}",
-                    state.shard,
-                    state.rows.len(),
-                    end - start
-                )));
+            let range = &ranges[state.shard as usize];
+            if !state.rows.iter().map(|&(i, _)| i).eq(range.clone()) {
+                return Err(XrError::Spec(SpecError::Invalid {
+                    path: "shard-states".to_string(),
+                    message: format!(
+                        "shard {} does not carry exactly the points [{}, {}) in order",
+                        state.shard, range.start, range.end
+                    ),
+                }));
             }
             for &(index, m) in &state.rows {
-                if index < start || index >= end {
-                    return Err(invalid(format!(
-                        "shard {} carries point {index}, outside its range \
-                         [{start}, {end})",
-                        state.shard
-                    )));
-                }
                 metrics[index] = Some(m);
             }
         }
@@ -1185,71 +1153,67 @@ fn decode_workloads(
 }
 
 // ---------------------------------------------------------------------------
-// Wire formats (checkpoint + shard state)
+// Envelope bodies (checkpoint + shard state)
 // ---------------------------------------------------------------------------
 //
-// Same exactness rules as the fleet shard wire format: integers as
-// decimal strings (the vendored JSON value is f64-backed), f64
-// metrics as their IEEE-754 bit patterns, so a round-trip through a
-// file or a pipe is bit-lossless and merged/resumed reports stay
-// byte-identical to straight-through runs.
+// Both bodies hold completed points as `[index, score, energy, drop
+// rate]` rows of exact numbers, so a round trip through a file or a
+// pipe is bit-lossless and merged/resumed reports stay byte-identical
+// to straight-through runs.
 
-fn s(v: impl ToString) -> JsonValue {
-    JsonValue::Str(v.to_string())
-}
-
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
+fn rows_to_value<'a>(rows: impl Iterator<Item = (usize, &'a PointMetrics)>) -> JsonValue {
+    JsonValue::Array(
+        rows.map(|(index, m)| {
+            JsonValue::Array(vec![
+                int(index),
+                float(m.score),
+                float(m.total_energy_mj),
+                float(m.drop_rate),
+            ])
+        })
+        .collect(),
     )
 }
 
-fn parse_int<T: std::str::FromStr>(cursor: &Cursor<'_>) -> Result<T, SpecError> {
-    let text = cursor.as_str()?;
-    text.parse().map_err(|_| SpecError::Invalid {
-        path: cursor.path().to_string(),
-        message: format!("expected a decimal integer string, got `{text}`"),
-    })
-}
-
-fn row_value(index: usize, m: &PointMetrics) -> JsonValue {
-    JsonValue::Array(vec![
-        s(index),
-        s(m.score.to_bits()),
-        s(m.total_energy_mj.to_bits()),
-        s(m.drop_rate.to_bits()),
-    ])
-}
-
-fn row_from_value(
+/// Decodes point rows, refusing indices at or past `num_points`.
+fn rows_from_value(
     cursor: &Cursor<'_>,
     num_points: usize,
-) -> Result<(usize, PointMetrics), SpecError> {
-    let cells = cursor.items()?;
-    if cells.len() != 4 {
-        return Err(SpecError::Invalid {
-            path: cursor.path().to_string(),
-            message: format!("expected a 4-cell point row, got {} cells", cells.len()),
-        });
+) -> Result<Vec<(usize, PointMetrics)>, SpecError> {
+    let mut rows = Vec::new();
+    for row in cursor.items()? {
+        let [index, score, energy, drop_rate] = &row.items()?[..] else {
+            return Err(SpecError::Invalid {
+                path: row.path().to_string(),
+                message: "expected a 4-cell point row".to_string(),
+            });
+        };
+        let i: usize = parse_int(index)?;
+        if i >= num_points {
+            return Err(SpecError::Invalid {
+                path: index.path().to_string(),
+                message: format!("point index {i} out of range (points: {num_points})"),
+            });
+        }
+        let metrics = PointMetrics {
+            score: parse_float(score)?,
+            total_energy_mj: parse_float(energy)?,
+            drop_rate: parse_float(drop_rate)?,
+        };
+        // Every evaluation yields finite metrics, and the Pareto fold
+        // refuses any other.
+        if ![metrics.score, metrics.total_energy_mj, metrics.drop_rate]
+            .iter()
+            .all(|v| v.is_finite())
+        {
+            return Err(SpecError::Invalid {
+                path: row.path().to_string(),
+                message: "point metrics must be finite".to_string(),
+            });
+        }
+        rows.push((i, metrics));
     }
-    let index: usize = parse_int(&cells[0])?;
-    if index >= num_points {
-        return Err(SpecError::Invalid {
-            path: cells[0].path().to_string(),
-            message: format!("point index {index} out of range (points: {num_points})"),
-        });
-    }
-    Ok((
-        index,
-        PointMetrics {
-            score: f64::from_bits(parse_int(&cells[1])?),
-            total_energy_mj: f64::from_bits(parse_int(&cells[2])?),
-            drop_rate: f64::from_bits(parse_int(&cells[3])?),
-        },
-    ))
+    Ok(rows)
 }
 
 fn write_checkpoint(
@@ -1257,22 +1221,20 @@ fn write_checkpoint(
     fingerprint: u64,
     metrics: &[Option<PointMetrics>],
 ) -> Result<(), XrError> {
-    let rows: Vec<JsonValue> = metrics
+    let rows = metrics
         .iter()
         .enumerate()
-        .filter_map(|(i, m)| m.as_ref().map(|m| row_value(i, m)))
-        .collect();
-    let doc = obj(vec![
-        ("xrbench_sweep_checkpoint", s(SWEEP_CHECKPOINT_VERSION)),
-        ("fingerprint", s(fingerprint)),
-        ("points", JsonValue::Array(rows)),
-    ]);
-    let mut text = serde_json::to_string(&doc).expect("checkpoint serialization cannot fail");
-    text.push('\n');
+        .filter_map(|(i, m)| m.as_ref().map(|m| (i, m)));
+    let header = Header {
+        fingerprint,
+        shard: None,
+    };
+    let body = obj(vec![("points", rows_to_value(rows))]);
+    let text = wire::encode(&SWEEP_CHECKPOINT, &header, body) + "\n";
     // Write a sibling and rename it over the checkpoint, so a kill
     // mid-write leaves the previous checkpoint whole, never truncated.
     // There is no fsync: the file guards against a killed process, and
-    // a disk flush per completed evaluation would dominate the run.
+    // a disk flush per batch of evaluations would dominate the run.
     let temp = checkpoint_temp_path(path);
     fs::write(&temp, text).map_err(|e| XrError::io("write", temp.display(), e))?;
     fs::rename(&temp, path).map_err(|e| XrError::io("replace", path.display(), e))
@@ -1291,8 +1253,11 @@ fn decode_checkpoint(
     expected_fingerprint: u64,
     num_points: usize,
 ) -> Result<Vec<(usize, PointMetrics)>, XrError> {
-    let (fingerprint, rows) = decode_checkpoint_inner(text, num_points)?;
-    if fingerprint != expected_fingerprint {
+    let (header, rows) = wire::decode(&SWEEP_CHECKPOINT, text, |body| {
+        body.deny_unknown_fields(&["points"])?;
+        rows_from_value(&body.field("points")?, num_points)
+    })?;
+    if header.fingerprint != expected_fingerprint {
         return Err(XrError::Spec(SpecError::Invalid {
             path: "$.fingerprint".to_string(),
             message: "checkpoint was written for a different sweep document \
@@ -1303,100 +1268,50 @@ fn decode_checkpoint(
     Ok(rows)
 }
 
-#[allow(clippy::type_complexity)]
-fn decode_checkpoint_inner(
-    text: &str,
-    num_points: usize,
-) -> Result<(u64, Vec<(usize, PointMetrics)>), SpecError> {
-    let value = parse_json(text)?;
-    let cursor = Cursor::root(&value);
-    cursor.deny_unknown_fields(&["xrbench_sweep_checkpoint", "fingerprint", "points"])?;
-    let version: u64 = parse_int(&cursor.field("xrbench_sweep_checkpoint")?)?;
-    if version != SWEEP_CHECKPOINT_VERSION {
-        return Err(SpecError::Invalid {
-            path: "$.xrbench_sweep_checkpoint".to_string(),
-            message: format!(
-                "unsupported checkpoint version {version} (supported: \
-                 {SWEEP_CHECKPOINT_VERSION})"
-            ),
-        });
-    }
-    let fingerprint: u64 = parse_int(&cursor.field("fingerprint")?)?;
-    let mut rows = Vec::new();
-    for item in cursor.field("points")?.items()? {
-        rows.push(row_from_value(&item, num_points)?);
-    }
-    Ok((fingerprint, rows))
-}
-
 impl SweepShardState {
-    /// Serializes the state for transport over a pipe.
+    /// Serializes the state as a single-line JSON envelope for
+    /// transport over a pipe.
     pub fn to_json(&self) -> String {
-        let doc = obj(vec![
-            ("xrbench_sweep_state", s(SWEEP_STATE_VERSION)),
-            ("shard", s(self.shard)),
-            ("num_shards", s(self.num_shards)),
-            ("fingerprint", s(self.fingerprint)),
+        let header = Header {
+            fingerprint: self.fingerprint,
+            shard: Some((self.shard, self.num_shards)),
+        };
+        let body = obj(vec![
             (
                 "points",
-                JsonValue::Array(self.rows.iter().map(|(i, m)| row_value(*i, m)).collect()),
+                rows_to_value(self.rows.iter().map(|(i, m)| (*i, m))),
             ),
-            ("evaluated", s(self.evaluated)),
-            ("cache_hits", s(self.cache_hits)),
+            ("evaluated", int(self.evaluated)),
+            ("cache_hits", int(self.cache_hits)),
         ]);
-        serde_json::to_string(&doc).expect("state serialization cannot fail")
+        wire::encode(&SWEEP_STATE, &header, body)
     }
 
     /// Parses a state serialized by [`SweepShardState::to_json`].
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] for malformed JSON, an unsupported
-    /// version tag, or shape problems.
+    /// Returns a [`SpecError`] for malformed JSON, an envelope of
+    /// another kind or version, or shape problems.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        let value = parse_json(text)?;
-        let cursor = Cursor::root(&value);
-        cursor.deny_unknown_fields(&[
-            "xrbench_sweep_state",
-            "shard",
-            "num_shards",
-            "fingerprint",
-            "points",
-            "evaluated",
-            "cache_hits",
-        ])?;
-        let version: u64 = parse_int(&cursor.field("xrbench_sweep_state")?)?;
-        if version != SWEEP_STATE_VERSION {
-            return Err(SpecError::Invalid {
-                path: "$.xrbench_sweep_state".to_string(),
-                message: format!(
-                    "unsupported sweep-state version {version} (supported: \
-                     {SWEEP_STATE_VERSION})"
-                ),
-            });
-        }
-        let mut rows = Vec::new();
-        for item in cursor.field("points")?.items()? {
-            rows.push(row_from_value(&item, usize::MAX)?);
-        }
+        let (header, (rows, evaluated, cache_hits)) = wire::decode(&SWEEP_STATE, text, |body| {
+            body.deny_unknown_fields(&["points", "evaluated", "cache_hits"])?;
+            Ok((
+                rows_from_value(&body.field("points")?, usize::MAX)?,
+                parse_int(&body.field("evaluated")?)?,
+                parse_int(&body.field("cache_hits")?)?,
+            ))
+        })?;
+        let (shard, num_shards) = header.shard.expect("sweep states are sharded");
         Ok(Self {
-            shard: parse_int(&cursor.field("shard")?)?,
-            num_shards: parse_int(&cursor.field("num_shards")?)?,
-            fingerprint: parse_int(&cursor.field("fingerprint")?)?,
+            shard,
+            num_shards,
+            fingerprint: header.fingerprint,
             rows,
-            evaluated: parse_int(&cursor.field("evaluated")?)?,
-            cache_hits: parse_int(&cursor.field("cache_hits")?)?,
+            evaluated,
+            cache_hits,
         })
     }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -1685,6 +1600,104 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("fingerprint mismatch"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn envelopes_of_another_kind_or_version_are_refused() {
+        let run = sweep(SMALL_SWEEP);
+        let fingerprint = run.fingerprint();
+        let state = run.run_shard(0, 2).to_json();
+        let header = Header {
+            fingerprint,
+            shard: None,
+        };
+        let body = obj(vec![("points", JsonValue::Array(Vec::new()))]);
+        let checkpoint = wire::encode(&SWEEP_CHECKPOINT, &header, body);
+        let fleet_state = xrbench_fleet::ShardState {
+            shard: 0,
+            num_shards: 1,
+            fingerprint,
+            groups: Vec::new(),
+            peak_rss_mib: None,
+        }
+        .to_json();
+        let named = |err: String, tag: &str| {
+            assert!(
+                err.contains(&format!("expected an `{tag}` envelope")),
+                "{err}"
+            );
+        };
+        for other in [&fleet_state, &checkpoint] {
+            let err = SweepShardState::from_json(other).unwrap_err();
+            named(err.to_string(), "xrbench_sweep_state");
+        }
+        for other in [&fleet_state, &state] {
+            let err = decode_checkpoint(other, fingerprint, 8).unwrap_err();
+            named(err.to_string(), "xrbench_sweep_checkpoint");
+        }
+        for other in [&state, &checkpoint] {
+            let err = xrbench_fleet::ShardState::from_json(other).unwrap_err();
+            named(err.to_string(), "xrbench_shard_state");
+        }
+        // Version 1 of both sweep kinds, in its own layout: the
+        // fields sat at the top level, and the state was cut at
+        // ⌊kP/N⌋.
+        let v1_state = format!(
+            "{{\"xrbench_sweep_state\":\"1\",\"shard\":\"0\",\"num_shards\":\"1\",\
+             \"fingerprint\":\"{fingerprint}\",\"points\":[],\"evaluated\":\"0\",\
+             \"cache_hits\":\"0\"}}"
+        );
+        let err = SweepShardState::from_json(&v1_state)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("version 1") && err.contains("version 2"),
+            "{err}"
+        );
+        let v1_checkpoint = format!(
+            "{{\"xrbench_sweep_checkpoint\":\"1\",\"fingerprint\":\"{fingerprint}\",\
+             \"points\":[]}}"
+        );
+        let err = decode_checkpoint(&v1_checkpoint, fingerprint, 8)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("version 1") && err.contains("version 2"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn merge_refuses_states_that_do_not_partition_the_points() {
+        let run = sweep(SMALL_SWEEP);
+        let states = |n: u32| (0..n).map(|k| run.run_shard(k, n)).collect::<Vec<_>>();
+        let two = states(2);
+        let other = sweep(&SMALL_SWEEP.replace("0.05", "0.04"));
+        let cases: [(Vec<SweepShardState>, &str); 5] = [
+            (Vec::new(), "no shard states"),
+            (vec![two[0].clone(), two[0].clone()], "duplicated"),
+            (vec![two[0].clone()], "expected 2 shard states"),
+            (
+                vec![two[0].clone(), other.run_shard(1, 2)],
+                "fingerprint mismatch",
+            ),
+            (
+                {
+                    let mut bad = two.clone();
+                    bad[1].rows[0].0 = bad[1].rows[1].0;
+                    bad
+                },
+                "exactly the points",
+            ),
+        ];
+        for (states, needle) in cases {
+            let err = run.merge_shards(&states).unwrap_err().to_string();
+            assert!(err.contains(needle), "{needle}: {err}");
+        }
+        let mut non_finite = two[0].clone();
+        non_finite.rows[0].1.score = f64::NAN;
+        let err = SweepShardState::from_json(&non_finite.to_json()).unwrap_err();
+        assert!(err.to_string().contains("finite"), "{err}");
     }
 
     #[test]

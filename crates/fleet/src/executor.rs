@@ -148,15 +148,7 @@ pub fn run_fleet_with(
 ) -> FleetReport {
     spec.validate();
     let scheduler_name = scheduler_factory().name();
-
-    // The flat job list: (group, replica), in group order.
-    let jobs: Vec<(u32, u32)> = spec
-        .groups
-        .iter()
-        .enumerate()
-        .flat_map(|(g, grp)| (0..grp.replicas).map(move |r| (g as u32, r)))
-        .collect();
-    let group_accs = run_jobs(spec, system, config, scheduler_factory, &jobs);
+    let group_accs = run_jobs(spec, system, config, scheduler_factory, &flat_jobs(spec));
     let mut fleet_acc = FleetAccumulator::new();
     for g in &group_accs {
         fleet_acc.merge(g);
@@ -168,6 +160,16 @@ pub fn run_fleet_with(
         &group_accs,
         &fleet_acc,
     )
+}
+
+/// The flat `(group, replica)` job list of a fleet, in group order —
+/// the order a whole-fleet run walks and a shard cut slices.
+pub(crate) fn flat_jobs(spec: &FleetSpec) -> Vec<(u32, u32)> {
+    spec.groups
+        .iter()
+        .enumerate()
+        .flat_map(|(g, grp)| (0..grp.replicas).map(move |r| (g as u32, r)))
+        .collect()
 }
 
 /// Runs an explicit `(group, replica)` job list through the worker

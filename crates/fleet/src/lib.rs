@@ -39,7 +39,11 @@
 //! as [`ShardState`] JSON, and merges byte-exactly back into the
 //! single-process report ([`merge_fleet_shards`]) — replica seeding
 //! is a pure function of the global `(group, replica)` coordinate,
-//! so the shard cut cannot change any device's behavior.
+//! so the shard cut cannot change any device's behavior. The pieces
+//! design-space sweeps shard with live here too: the weighted [`cut`],
+//! the [`check_partition`] every merge runs, and the [`wire`] envelope
+//! codec that carries fleet states, sweep states and sweep
+//! checkpoints.
 //!
 //! ## Example
 //!
@@ -72,6 +76,7 @@ mod shard;
 mod spec;
 pub mod specfile;
 mod supervisor;
+pub mod wire;
 
 pub use accumulator::{
     DropCounts, FleetAccumulator, ModelAccumulator, ScenarioAccumulator, StatAgg, ENERGY_SCALE,
@@ -88,8 +93,8 @@ pub use report::{
 };
 pub use scoring::InferenceScorer;
 pub use shard::{
-    merge_fleet_shards, plan_shards, run_fleet_shard, run_fleet_shard_with, ShardPiece, ShardPlan,
-    ShardState,
+    check_partition, cut, fleet_fingerprint, merge_fleet_shards, plan_shards, run_fleet_shard,
+    run_fleet_shard_with, ShardPiece, ShardPlan, ShardState,
 };
 pub use spec::{replica_seed, DeviceGroup, FleetSpec};
 pub use specfile::{fleet_from_str, fleet_to_json};

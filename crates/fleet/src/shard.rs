@@ -22,17 +22,20 @@
 //! `max_j w_j` of `W/N`. A request count rather than a rate keeps
 //! per-session fixed cost in the weight, which dominates short runs.
 //!
+//! The cut itself is [`cut`], a function over a list of weights that
+//! sweeps share at weight 1 per point.
+//!
 //! A shard's result is a [`ShardState`]: one [`FleetAccumulator`] per
 //! device group. Because the accumulator is built from integer
 //! counters, fixed-point sums, histogram buckets, and min/max — all
 //! exactly mergeable — shard states merge associatively and
 //! commutatively into *bit-identical* fleet state for any shard count
-//! ([`merge_fleet_shards`]). The wire format
-//! ([`ShardState::to_json`] / [`ShardState::from_json`]) preserves
-//! that exactness across a process boundary by serializing every
-//! counter and fixed-point sum as a decimal-string integer (the
-//! vendored JSON value is `f64`-backed, which would corrupt counters
-//! past 2^53) and every `f64` min/max as its IEEE-754 bit pattern.
+//! ([`merge_fleet_shards`]). A state travels as a [`crate::wire`]
+//! envelope ([`ShardState::to_json`] / [`ShardState::from_json`]),
+//! which keeps that exactness across a process boundary and stamps the
+//! state with the [`fleet_fingerprint`] of its run, so a merge refuses
+//! states of another seed, duration, system or fleet; every merge runs
+//! the one [`check_partition`].
 //!
 //! The intended topology is one coordinator process fork/exec-ing one
 //! child per shard (`xrbench run-fleet … --shard k/N`), collecting
@@ -47,17 +50,25 @@ use serde::json::JsonValue;
 use xrbench_models::ModelId;
 use xrbench_score::FixedHistogram;
 use xrbench_sim::{CostProvider, Scheduler};
-use xrbench_workload::spec::{parse_json, SpecError};
+use xrbench_workload::spec::SpecError;
 
-use crate::accumulator::{FleetAccumulator, ModelAccumulator, ScenarioAccumulator, StatAgg};
-use crate::executor::{run_jobs, FleetRunConfig};
+use crate::accumulator::{
+    DropCounts, FleetAccumulator, ModelAccumulator, ScenarioAccumulator, StatAgg,
+};
+use crate::executor::{flat_jobs, run_jobs, FleetRunConfig};
 use crate::report::{build_report, FleetReport};
 use crate::spec::FleetSpec;
+use crate::wire::{self, float, int, obj, parse_float, parse_int, Header, Kind};
 
-/// Wire-format version tag for [`ShardState`] documents. Version 2
-/// names the request-weighted cut: "shard k of N" covers different
-/// sessions than under version 1's session-count cut.
-const SHARD_STATE_VERSION: u64 = 2;
+/// The [`ShardState`] envelope. Version 3 adds the document
+/// fingerprint; version 2 named the request-weighted cut, under which
+/// "shard k of N" covers other sessions than under version 1's
+/// session-count cut.
+const FLEET_STATE: Kind = Kind {
+    tag: "xrbench_shard_state",
+    version: 3,
+    sharded: true,
+};
 
 /// One contiguous run of replicas of one device group, as assigned to
 /// a shard by [`plan_shards`].
@@ -97,39 +108,28 @@ impl ShardPlan {
     }
 }
 
-/// The flat `(group, replica)` job list of a fleet, in group order —
-/// the same enumeration the unsharded executor walks.
-fn flat_jobs(spec: &FleetSpec) -> Vec<(u32, u32)> {
-    spec.groups
-        .iter()
-        .enumerate()
-        .flat_map(|(g, grp)| (0..grp.replicas).map(move |r| (g as u32, r)))
-        .collect()
-}
-
-/// The flat-index range of every shard's jobs under the
-/// request-weighted cut (see the module docs), indexed by shard.
-fn shard_ranges(spec: &FleetSpec, duration_s: f64, num_shards: u32) -> Vec<Range<usize>> {
+/// Cuts a list of weighted items into `num_shards` contiguous index
+/// ranges of balanced weight, indexed by shard: item `j` of weight
+/// `w_j`, with `P_j` the weight before it and `W` the total, goes to
+/// shard `min(N−1, ⌊N·(2P_j + w_j) / 2W⌋)`, the shard whose share of
+/// `[0, W)` holds the item's midpoint. The rule is monotone in `j`, so
+/// the ranges are contiguous, in order, and partition the list; every
+/// shard's weight lies within `max_j w_j` of `W/N`. With unit weights
+/// shard `k` holds about `P/N` items.
+///
+/// # Panics
+///
+/// Panics if `num_shards == 0`.
+pub fn cut(weights: &[u128], num_shards: u32) -> Vec<Range<usize>> {
+    assert!(num_shards > 0, "a cut needs at least one shard");
     let n = u128::from(num_shards);
-    let weights: Vec<u128> = spec
-        .groups
-        .iter()
-        .map(|g| u128::from(g.session.request_count(duration_s)))
-        .collect();
-    let total: u128 = spec
-        .groups
-        .iter()
-        .zip(&weights)
-        .map(|(g, &w)| w * u128::from(g.replicas))
-        .sum();
+    let total: u128 = weights.iter().sum();
     let mut sizes = vec![0usize; num_shards as usize];
     let mut prefix = 0u128;
-    for (g, &w) in spec.groups.iter().zip(&weights) {
-        for _ in 0..g.replicas {
-            let shard = (n * (2 * prefix + w) / (2 * total).max(1)).min(n - 1);
-            sizes[shard as usize] += 1;
-            prefix += w;
-        }
+    for &w in weights {
+        let shard = (n * (2 * prefix + w) / (2 * total).max(1)).min(n - 1);
+        sizes[shard as usize] += 1;
+        prefix += w;
     }
     let mut start = 0;
     sizes
@@ -139,6 +139,93 @@ fn shard_ranges(spec: &FleetSpec, duration_s: f64, num_shards: u32) -> Vec<Range
             start - size..start
         })
         .collect()
+}
+
+/// The flat-index range of every shard's jobs, each job weighed by its
+/// session's request count (see the module docs), indexed by shard.
+fn shard_ranges(spec: &FleetSpec, duration_s: f64, num_shards: u32) -> Vec<Range<usize>> {
+    let weights: Vec<u128> = spec
+        .groups
+        .iter()
+        .flat_map(|g| {
+            let w = u128::from(g.session.request_count(duration_s));
+            (0..g.replicas).map(move |_| w)
+        })
+        .collect();
+    cut(&weights, num_shards)
+}
+
+/// The partition check every shard merge runs, on each state's
+/// `(shard, num_shards, fingerprint)`: exactly `N` states, each shard
+/// index once, one shard count and one fingerprint — `expected` when
+/// the caller knows its document's, else the first state's.
+///
+/// # Errors
+///
+/// Returns a [`SpecError`] naming the first offending shard.
+pub fn check_partition(
+    states: impl IntoIterator<Item = (u32, u32, u64)>,
+    expected: Option<u64>,
+) -> Result<(), SpecError> {
+    let states: Vec<(u32, u32, u64)> = states.into_iter().collect();
+    let invalid = |message: String| SpecError::Invalid {
+        path: "shard-states".to_string(),
+        message,
+    };
+    let Some(&(first, n, first_fingerprint)) = states.first() else {
+        return Err(invalid("no shard states to merge".to_string()));
+    };
+    if states.len() as u64 != u64::from(n) {
+        return Err(invalid(format!(
+            "expected {n} shard states, got {}",
+            states.len()
+        )));
+    }
+    let fingerprint = expected.unwrap_or(first_fingerprint);
+    let mut seen = vec![false; states.len()];
+    for &(shard, num_shards, state_fingerprint) in &states {
+        if num_shards != n {
+            return Err(invalid(format!(
+                "shard {shard} was cut into {num_shards} shards, shard {first} into {n}"
+            )));
+        }
+        if shard >= n || std::mem::replace(&mut seen[shard as usize], true) {
+            return Err(invalid(format!(
+                "shard {shard}/{n} is duplicated or out of range"
+            )));
+        }
+        if state_fingerprint != fingerprint {
+            return Err(invalid(format!(
+                "shard {shard} was computed for a different document (fingerprint mismatch)"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The fingerprint of everything a fleet report depends on: the fleet
+/// spec, the system, the scheduler, the seed, the duration, the
+/// recovery policy and the score parameters. The worker count is left
+/// out: it never changes a report.
+pub fn fleet_fingerprint(
+    spec: &FleetSpec,
+    system_label: &str,
+    scheduler_name: &str,
+    config: &FleetRunConfig,
+) -> u64 {
+    let text = [
+        crate::fleet_to_json(spec),
+        system_label.to_string(),
+        scheduler_name.to_string(),
+        config.sim.seed.to_string(),
+        config.sim.duration_s.to_bits().to_string(),
+        config.recovery.as_str().to_string(),
+        config.rt.k_per_ms.to_bits().to_string(),
+        config.energy.emax_j.to_bits().to_string(),
+        config.accuracy.epsilon.to_bits().to_string(),
+    ]
+    .join("\x1f");
+    wire::fnv1a64(text.as_bytes())
 }
 
 /// Splits a fleet into `num_shards` shards of balanced work along
@@ -157,7 +244,6 @@ fn shard_ranges(spec: &FleetSpec, duration_s: f64, num_shards: u32) -> Vec<Range
 /// Panics if the fleet is invalid or `num_shards == 0`.
 pub fn plan_shards(spec: &FleetSpec, duration_s: f64, num_shards: u32) -> ShardPlan {
     spec.validate();
-    assert!(num_shards > 0, "shard plan needs at least one shard");
     let jobs = flat_jobs(spec);
     let mut shards = Vec::with_capacity(num_shards as usize);
     for range in shard_ranges(spec, duration_s, num_shards) {
@@ -181,13 +267,16 @@ pub fn plan_shards(spec: &FleetSpec, duration_s: f64, num_shards: u32) -> ShardP
 
 /// One shard's partial fleet state: a merged [`FleetAccumulator`] per
 /// device group (empty for groups the shard never touched), plus the
-/// shard coordinate it was computed for.
+/// shard coordinate and the fingerprint of the run it was computed
+/// for.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardState {
     /// Which shard this is (`0 ≤ shard < num_shards`).
     pub shard: u32,
     /// The shard count the cut was made with.
     pub num_shards: u32,
+    /// [`fleet_fingerprint`] of the run that produced this state.
+    pub fingerprint: u64,
     /// Per-group accumulators, indexed like [`FleetSpec::groups`].
     pub groups: Vec<FleetAccumulator>,
     /// The producing process's peak RSS in MiB, when it measured one
@@ -197,7 +286,8 @@ pub struct ShardState {
 
 /// Runs one shard of a fleet under an explicit scheduler and returns
 /// its partial state: the sessions [`plan_shards`] assigns to `shard`
-/// for the run's `config.sim.duration_s`.
+/// for the run's `config.sim.duration_s`, stamped with the run's
+/// [`fleet_fingerprint`].
 /// `run_fleet_shard(spec, …, 0, 1)` computes the full fleet's
 /// accumulator state.
 ///
@@ -224,6 +314,7 @@ pub fn run_fleet_shard_with(
     ShardState {
         shard,
         num_shards,
+        fingerprint: fleet_fingerprint(spec, &system.label(), scheduler_factory().name(), config),
         groups,
         peak_rss_mib: None,
     }
@@ -254,44 +345,28 @@ pub fn run_fleet_shard(
 /// # Errors
 ///
 /// Returns a [`SpecError`] when the states do not form a complete,
-/// consistent partition: wrong shard count, a missing or duplicated
-/// shard index, a group list that does not match the spec, or a group
-/// whose merged session count differs from its replica count (states
-/// cut for another fleet or duration).
+/// consistent partition ([`check_partition`]: wrong shard count, a
+/// missing or duplicated shard index, states of different runs), a
+/// group list that does not match the spec, or a group whose merged
+/// session count differs from its replica count.
 pub fn merge_fleet_shards(
     spec: &FleetSpec,
     system_label: &str,
     scheduler_name: &str,
     states: &[ShardState],
 ) -> Result<FleetReport, SpecError> {
+    check_partition(
+        states
+            .iter()
+            .map(|s| (s.shard, s.num_shards, s.fingerprint)),
+        None,
+    )?;
     let invalid = |message: String| SpecError::Invalid {
-        path: "shard-state".to_string(),
+        path: "shard-states".to_string(),
         message,
     };
-    if states.is_empty() {
-        return Err(invalid("no shard states to merge".to_string()));
-    }
-    let n = states[0].num_shards;
-    if n as usize != states.len() {
-        return Err(invalid(format!(
-            "expected {n} shard states, got {}",
-            states.len()
-        )));
-    }
-    let mut seen = vec![false; states.len()];
+    let mut group_accs: Vec<FleetAccumulator> = vec![FleetAccumulator::new(); spec.groups.len()];
     for st in states {
-        if st.num_shards != n {
-            return Err(invalid(format!(
-                "inconsistent shard counts: {} vs {n}",
-                st.num_shards
-            )));
-        }
-        if st.shard >= n || std::mem::replace(&mut seen[st.shard as usize], true) {
-            return Err(invalid(format!(
-                "shard {}/{n} missing, duplicated, or out of range",
-                st.shard
-            )));
-        }
         if st.groups.len() != spec.groups.len() {
             return Err(invalid(format!(
                 "shard {} carries {} groups, spec has {}",
@@ -300,9 +375,6 @@ pub fn merge_fleet_shards(
                 spec.groups.len()
             )));
         }
-    }
-    let mut group_accs: Vec<FleetAccumulator> = vec![FleetAccumulator::new(); spec.groups.len()];
-    for st in states {
         for (g, acc) in st.groups.iter().enumerate() {
             group_accs[g].merge(acc);
         }
@@ -328,59 +400,40 @@ pub fn merge_fleet_shards(
     ))
 }
 
-// ---------------------------------------------------------------------------
-// Wire format.
-//
-// Every integer (u64 counter, i128 fixed-point sum) is serialized as
-// a decimal string — the vendored JSON tree stores numbers as f64,
-// which is exact only up to 2^53 and the score sums routinely exceed
-// that. The f64 min/max fields are serialized as the decimal form of
-// their IEEE-754 bit pattern (`f64::to_bits`), which round-trips
-// every value — including the ±inf sentinels of an empty StatAgg —
-// without any decimal-formatting question marks.
-// ---------------------------------------------------------------------------
-
-fn s(v: impl ToString) -> JsonValue {
-    JsonValue::Str(v.to_string())
-}
-
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
+// The body of a fleet state envelope: `{"groups": [...]}`, plus the
+// producer's `peak_rss_mib` as a plain JSON number when measured —
+// informational, never merged, and left as a number so tools can scan
+// the compact child output for it.
 
 fn stat_to_value(a: &StatAgg) -> JsonValue {
     obj(vec![
-        ("count", s(a.count)),
-        ("anomalies", s(a.anomalies)),
-        ("sum_fp", s(a.sum_fp)),
-        ("min_bits", s(a.min.to_bits())),
-        ("max_bits", s(a.max.to_bits())),
+        ("count", int(a.count)),
+        ("anomalies", int(a.anomalies)),
+        ("sum_fp", int(a.sum_fp)),
+        ("min_bits", float(a.min)),
+        ("max_bits", float(a.max)),
     ])
 }
 
-fn hist_to_value(h: &FixedHistogram) -> JsonValue {
-    JsonValue::Array(h.buckets().iter().map(|&c| s(c)).collect())
+fn ints_to_value(values: &[u64]) -> JsonValue {
+    JsonValue::Array(values.iter().map(|&v| int(v)).collect())
 }
 
 fn model_to_value(m: &ModelAccumulator) -> JsonValue {
+    let d = &m.drops;
     obj(vec![
-        ("total_frames", s(m.total_frames)),
-        ("executed_frames", s(m.executed_frames)),
-        ("untriggered_frames", s(m.untriggered_frames)),
-        ("missed_deadlines", s(m.missed_deadlines)),
+        ("total_frames", int(m.total_frames)),
+        ("executed_frames", int(m.executed_frames)),
+        ("untriggered_frames", int(m.untriggered_frames)),
+        ("missed_deadlines", int(m.missed_deadlines)),
         (
             "drops",
-            JsonValue::Array(vec![
-                s(m.drops.superseded),
-                s(m.drops.upstream_dropped),
-                s(m.drops.starved),
-                s(m.drops.preempted),
-                s(m.drops.device_lost),
+            ints_to_value(&[
+                d.superseded,
+                d.upstream_dropped,
+                d.starved,
+                d.preempted,
+                d.device_lost,
             ]),
         ),
         ("latency", stat_to_value(&m.latency)),
@@ -390,23 +443,23 @@ fn model_to_value(m: &ModelAccumulator) -> JsonValue {
 
 fn scenario_to_value(sc: &ScenarioAccumulator) -> JsonValue {
     obj(vec![
-        ("users", s(sc.users)),
+        ("users", int(sc.users)),
         ("overall", stat_to_value(&sc.overall)),
-        ("realtime_fp", s(sc.realtime_fp)),
-        ("energy_fp", s(sc.energy_fp)),
-        ("accuracy_fp", s(sc.accuracy_fp)),
-        ("qoe_fp", s(sc.qoe_fp)),
+        ("realtime_fp", int(sc.realtime_fp)),
+        ("energy_fp", int(sc.energy_fp)),
+        ("accuracy_fp", int(sc.accuracy_fp)),
+        ("qoe_fp", int(sc.qoe_fp)),
     ])
 }
 
 fn acc_to_value(acc: &FleetAccumulator) -> JsonValue {
     obj(vec![
-        ("sessions", s(acc.sessions)),
-        ("users", s(acc.users)),
+        ("sessions", int(acc.sessions)),
+        ("users", int(acc.users)),
         ("session_score", stat_to_value(&acc.session_score)),
-        ("latency_hist", hist_to_value(&acc.latency)),
-        ("overrun_hist", hist_to_value(&acc.overrun)),
-        ("score_hist", hist_to_value(&acc.score)),
+        ("latency_hist", ints_to_value(acc.latency.buckets())),
+        ("overrun_hist", ints_to_value(acc.overrun.buckets())),
+        ("score_hist", ints_to_value(acc.score.buckets())),
         (
             "per_model",
             JsonValue::Array(acc.per_model.iter().map(model_to_value).collect()),
@@ -425,48 +478,50 @@ fn acc_to_value(acc: &FleetAccumulator) -> JsonValue {
     ])
 }
 
-/// Parses a decimal-string integer field.
-fn parse_int<T: std::str::FromStr>(cursor: &Cursor<'_>, name: &str) -> Result<T, SpecError> {
-    let field = cursor.field(name)?;
-    let text = field.as_str()?;
-    text.parse::<T>().map_err(|_| SpecError::Invalid {
-        path: field.path().to_string(),
-        message: format!("not a decimal integer: `{text}`"),
-    })
-}
-
-fn stat_from_value(cursor: &Cursor<'_>) -> Result<StatAgg, SpecError> {
-    cursor.deny_unknown_fields(&["count", "anomalies", "sum_fp", "min_bits", "max_bits"])?;
-    Ok(StatAgg {
-        count: parse_int(cursor, "count")?,
-        anomalies: parse_int(cursor, "anomalies")?,
-        sum_fp: parse_int(cursor, "sum_fp")?,
-        min: f64::from_bits(parse_int::<u64>(cursor, "min_bits")?),
-        max: f64::from_bits(parse_int::<u64>(cursor, "max_bits")?),
-    })
-}
-
-fn hist_from_value(cursor: &Cursor<'_>) -> Result<FixedHistogram, SpecError> {
-    let mut buckets = Vec::new();
-    for item in cursor.items()? {
-        let text = item.as_str()?;
-        buckets.push(text.parse::<u64>().map_err(|_| SpecError::Invalid {
-            path: item.path().to_string(),
-            message: format!("not a decimal integer: `{text}`"),
-        })?);
+/// The items of an array, which must hold exactly `len` of them.
+fn exact_items<'a>(cursor: &Cursor<'a>, len: usize) -> Result<Vec<Cursor<'a>>, SpecError> {
+    let items = cursor.items()?;
+    if items.len() != len {
+        return Err(SpecError::Invalid {
+            path: cursor.path().to_string(),
+            message: format!("expected {len} entries, got {}", items.len()),
+        });
     }
-    FixedHistogram::from_buckets(&buckets).ok_or_else(|| SpecError::Invalid {
-        path: cursor.path().to_string(),
-        message: format!(
-            "histogram needs exactly {} buckets, got {}",
-            xrbench_score::NUM_BUCKETS,
-            buckets.len()
-        ),
+    Ok(items)
+}
+
+fn ints_from_value(cursor: &Cursor<'_>, len: usize) -> Result<Vec<u64>, SpecError> {
+    exact_items(cursor, len)?.iter().map(parse_int).collect()
+}
+
+fn stat_from_value(c: &Cursor<'_>) -> Result<StatAgg, SpecError> {
+    c.deny_unknown_fields(&["count", "anomalies", "sum_fp", "min_bits", "max_bits"])?;
+    Ok(StatAgg {
+        count: parse_int(&c.field("count")?)?,
+        anomalies: parse_int(&c.field("anomalies")?)?,
+        sum_fp: parse_int(&c.field("sum_fp")?)?,
+        min: parse_float(&c.field("min_bits")?)?,
+        max: parse_float(&c.field("max_bits")?)?,
     })
 }
 
-fn model_from_value(cursor: &Cursor<'_>) -> Result<ModelAccumulator, SpecError> {
-    cursor.deny_unknown_fields(&[
+fn hist_from_value(c: &Cursor<'_>) -> Result<FixedHistogram, SpecError> {
+    let buckets = ints_from_value(c, xrbench_score::NUM_BUCKETS)?;
+    if buckets
+        .iter()
+        .try_fold(0u64, |sum, &b| sum.checked_add(b))
+        .is_none()
+    {
+        return Err(SpecError::Invalid {
+            path: c.path().to_string(),
+            message: "histogram total overflows a u64".to_string(),
+        });
+    }
+    Ok(FixedHistogram::from_buckets(&buckets).expect("the bucket count was checked"))
+}
+
+fn model_from_value(c: &Cursor<'_>) -> Result<ModelAccumulator, SpecError> {
+    c.deny_unknown_fields(&[
         "total_frames",
         "executed_frames",
         "untriggered_frames",
@@ -475,41 +530,30 @@ fn model_from_value(cursor: &Cursor<'_>) -> Result<ModelAccumulator, SpecError> 
         "latency",
         "energy",
     ])?;
-    let drops_cursor = cursor.field("drops")?;
-    let drops = drops_cursor.items()?;
-    if drops.len() != 5 {
-        return Err(SpecError::Invalid {
-            path: drops_cursor.path().to_string(),
-            message: format!("drop breakdown needs 5 counters, got {}", drops.len()),
-        });
-    }
-    let count = |i: usize| -> Result<u64, SpecError> {
-        let item: &Cursor<'_> = &drops[i];
-        let text = item.as_str()?;
-        text.parse::<u64>().map_err(|_| SpecError::Invalid {
-            path: item.path().to_string(),
-            message: format!("not a decimal integer: `{text}`"),
-        })
+    let [superseded, upstream_dropped, starved, preempted, device_lost] =
+        ints_from_value(&c.field("drops")?, 5)?[..]
+    else {
+        unreachable!("exactly 5 drop counters were read")
     };
     Ok(ModelAccumulator {
-        total_frames: parse_int(cursor, "total_frames")?,
-        executed_frames: parse_int(cursor, "executed_frames")?,
-        untriggered_frames: parse_int(cursor, "untriggered_frames")?,
-        missed_deadlines: parse_int(cursor, "missed_deadlines")?,
-        drops: crate::accumulator::DropCounts {
-            superseded: count(0)?,
-            upstream_dropped: count(1)?,
-            starved: count(2)?,
-            preempted: count(3)?,
-            device_lost: count(4)?,
+        total_frames: parse_int(&c.field("total_frames")?)?,
+        executed_frames: parse_int(&c.field("executed_frames")?)?,
+        untriggered_frames: parse_int(&c.field("untriggered_frames")?)?,
+        missed_deadlines: parse_int(&c.field("missed_deadlines")?)?,
+        drops: DropCounts {
+            superseded,
+            upstream_dropped,
+            starved,
+            preempted,
+            device_lost,
         },
-        latency: stat_from_value(&cursor.field("latency")?)?,
-        energy: stat_from_value(&cursor.field("energy")?)?,
+        latency: stat_from_value(&c.field("latency")?)?,
+        energy: stat_from_value(&c.field("energy")?)?,
     })
 }
 
-fn scenario_from_value(cursor: &Cursor<'_>) -> Result<ScenarioAccumulator, SpecError> {
-    cursor.deny_unknown_fields(&[
+fn scenario_from_value(c: &Cursor<'_>) -> Result<ScenarioAccumulator, SpecError> {
+    c.deny_unknown_fields(&[
         "users",
         "overall",
         "realtime_fp",
@@ -518,17 +562,17 @@ fn scenario_from_value(cursor: &Cursor<'_>) -> Result<ScenarioAccumulator, SpecE
         "qoe_fp",
     ])?;
     Ok(ScenarioAccumulator {
-        users: parse_int(cursor, "users")?,
-        overall: stat_from_value(&cursor.field("overall")?)?,
-        realtime_fp: parse_int(cursor, "realtime_fp")?,
-        energy_fp: parse_int(cursor, "energy_fp")?,
-        accuracy_fp: parse_int(cursor, "accuracy_fp")?,
-        qoe_fp: parse_int(cursor, "qoe_fp")?,
+        users: parse_int(&c.field("users")?)?,
+        overall: stat_from_value(&c.field("overall")?)?,
+        realtime_fp: parse_int(&c.field("realtime_fp")?)?,
+        energy_fp: parse_int(&c.field("energy_fp")?)?,
+        accuracy_fp: parse_int(&c.field("accuracy_fp")?)?,
+        qoe_fp: parse_int(&c.field("qoe_fp")?)?,
     })
 }
 
-fn acc_from_value(cursor: &Cursor<'_>) -> Result<FleetAccumulator, SpecError> {
-    cursor.deny_unknown_fields(&[
+fn acc_from_value(c: &Cursor<'_>) -> Result<FleetAccumulator, SpecError> {
+    c.deny_unknown_fields(&[
         "sessions",
         "users",
         "session_score",
@@ -539,62 +583,42 @@ fn acc_from_value(cursor: &Cursor<'_>) -> Result<FleetAccumulator, SpecError> {
         "per_scenario",
     ])?;
     let mut acc = FleetAccumulator::new();
-    acc.sessions = parse_int(cursor, "sessions")?;
-    acc.users = parse_int(cursor, "users")?;
-    acc.session_score = stat_from_value(&cursor.field("session_score")?)?;
-    acc.latency = hist_from_value(&cursor.field("latency_hist")?)?;
-    acc.overrun = hist_from_value(&cursor.field("overrun_hist")?)?;
-    acc.score = hist_from_value(&cursor.field("score_hist")?)?;
-    let models_cursor = cursor.field("per_model")?;
-    let models = models_cursor.items()?;
-    if models.len() != ModelId::ALL.len() {
-        return Err(SpecError::Invalid {
-            path: models_cursor.path().to_string(),
-            message: format!(
-                "per_model needs {} entries, got {}",
-                ModelId::ALL.len(),
-                models.len()
-            ),
-        });
-    }
+    acc.sessions = parse_int(&c.field("sessions")?)?;
+    acc.users = parse_int(&c.field("users")?)?;
+    acc.session_score = stat_from_value(&c.field("session_score")?)?;
+    acc.latency = hist_from_value(&c.field("latency_hist")?)?;
+    acc.overrun = hist_from_value(&c.field("overrun_hist")?)?;
+    acc.score = hist_from_value(&c.field("score_hist")?)?;
+    let models = exact_items(&c.field("per_model")?, ModelId::ALL.len())?;
     for (slot, item) in acc.per_model.iter_mut().zip(&models) {
         *slot = model_from_value(item)?;
     }
-    for pair_cursor in cursor.field("per_scenario")?.items()? {
-        let pair = pair_cursor.items()?;
-        if pair.len() != 2 {
-            return Err(SpecError::Invalid {
-                path: pair_cursor.path().to_string(),
-                message: format!(
-                    "scenario entry needs [name, state], got {} items",
-                    pair.len()
-                ),
-            });
-        }
-        let name = pair[0].as_str()?;
+    for pair in c.field("per_scenario")?.items()? {
+        let [name, state] = &exact_items(&pair, 2)?[..] else {
+            unreachable!("exactly 2 entries were read")
+        };
         acc.per_scenario
-            .insert(name.to_string(), scenario_from_value(&pair[1])?);
+            .insert(name.as_str()?.to_string(), scenario_from_value(state)?);
     }
     Ok(acc)
 }
 
 impl ShardState {
-    /// Serializes this shard state as a single-line JSON document —
+    /// Serializes this shard state as a single-line JSON envelope —
     /// the payload a shard child writes to its stdout pipe.
     pub fn to_json(&self) -> String {
-        let mut fields = vec![
-            ("xrbench_shard_state", s(SHARD_STATE_VERSION)),
-            ("shard", s(self.shard)),
-            ("num_shards", s(self.num_shards)),
-            (
-                "groups",
-                JsonValue::Array(self.groups.iter().map(acc_to_value).collect()),
-            ),
-        ];
+        let mut body = vec![(
+            "groups",
+            JsonValue::Array(self.groups.iter().map(acc_to_value).collect()),
+        )];
         if let Some(rss) = self.peak_rss_mib {
-            fields.push(("peak_rss_mib", JsonValue::Num(rss)));
+            body.push(("peak_rss_mib", JsonValue::Num(rss)));
         }
-        serde_json::to_string(&obj(fields)).expect("shard state serializes")
+        let header = Header {
+            fingerprint: self.fingerprint,
+            shard: Some((self.shard, self.num_shards)),
+        };
+        wire::encode(&FLEET_STATE, &header, obj(body))
     }
 
     /// Parses a shard state back from [`ShardState::to_json`]'s
@@ -603,46 +627,24 @@ impl ShardState {
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] for malformed JSON, an unknown wire
-    /// version, or any shape/integer problem.
+    /// Returns a [`SpecError`] for malformed JSON, an envelope of
+    /// another kind or version, or any shape/integer problem.
     pub fn from_json(text: &str) -> Result<ShardState, SpecError> {
-        let value = parse_json(text)?;
-        let cursor = Cursor::root(&value);
-        cursor.deny_unknown_fields(&[
-            "xrbench_shard_state",
-            "shard",
-            "num_shards",
-            "groups",
-            "peak_rss_mib",
-        ])?;
-        let version: u64 = parse_int(&cursor, "xrbench_shard_state")?;
-        if version != SHARD_STATE_VERSION {
-            return Err(SpecError::Invalid {
-                path: cursor.path().to_string(),
-                message: format!(
-                    "unsupported shard-state version {version} (this build speaks {SHARD_STATE_VERSION})"
-                ),
-            });
-        }
-        let shard: u32 = parse_int(&cursor, "shard")?;
-        let num_shards: u32 = parse_int(&cursor, "num_shards")?;
-        if num_shards == 0 || shard >= num_shards {
-            return Err(SpecError::Invalid {
-                path: cursor.path().to_string(),
-                message: format!("shard coordinate {shard}/{num_shards} out of range"),
-            });
-        }
-        let mut groups = Vec::new();
-        for item in cursor.field("groups")?.items()? {
-            groups.push(acc_from_value(&item)?);
-        }
-        let peak_rss_mib = match cursor.opt_field("peak_rss_mib")? {
-            Some(f) => Some(f.as_f64()?),
-            None => None,
-        };
+        let (header, (groups, peak_rss_mib)) = wire::decode(&FLEET_STATE, text, |body| {
+            body.deny_unknown_fields(&["groups", "peak_rss_mib"])?;
+            let groups = body.field("groups")?.items()?;
+            let groups = groups
+                .iter()
+                .map(acc_from_value)
+                .collect::<Result<_, _>>()?;
+            let rss = body.opt_field("peak_rss_mib")?;
+            Ok((groups, rss.map(|c| c.as_f64()).transpose()?))
+        })?;
+        let (shard, num_shards) = header.shard.expect("fleet states are sharded");
         Ok(ShardState {
             shard,
             num_shards,
+            fingerprint: header.fingerprint,
             groups,
             peak_rss_mib,
         })
@@ -880,32 +882,114 @@ mod tests {
         assert!(ShardState::from_json("not json").is_err());
         assert!(ShardState::from_json("{}").is_err());
         assert!(ShardState::from_json(
-            "{\"xrbench_shard_state\":\"9\",\"shard\":\"0\",\"num_shards\":\"1\",\"groups\":[]}"
+            "{\"xrbench_shard_state\":\"9\",\"fingerprint\":\"0\",\"shard\":\"0\",\
+             \"num_shards\":\"1\",\"body\":{\"groups\":[]}}"
         )
         .is_err());
         assert!(ShardState::from_json(
-            "{\"xrbench_shard_state\":\"2\",\"shard\":\"3\",\"num_shards\":\"2\",\"groups\":[]}"
+            "{\"xrbench_shard_state\":\"3\",\"fingerprint\":\"0\",\"shard\":\"3\",\
+             \"num_shards\":\"2\",\"body\":{\"groups\":[]}}"
         )
         .is_err());
+        // Bucket counts whose total overflows are refused, not summed.
+        let config = FleetRunConfig {
+            workers: 1,
+            ..FleetRunConfig::default()
+        };
+        let wire = run_fleet_shard(&fleet(), &provider(), &config, 0, 1).to_json();
+        let at = wire.find("\"latency_hist\":[").unwrap() + "\"latency_hist\":[".len();
+        let second_comma = wire[at..].match_indices(',').nth(1).unwrap().0;
+        let forged = format!(
+            "{}\"{}\",\"1\"{}",
+            &wire[..at],
+            u64::MAX,
+            &wire[at + second_comma..]
+        );
+        let err = ShardState::from_json(&forged).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]
     fn version_1_states_are_refused() {
         // Version 1 cut fleets by session count, so its "shard k of N"
-        // names other sessions than this build's.
+        // names other sessions than this build's; version 2 carried no
+        // fingerprint, so it could not say which run it came from.
         let config = FleetRunConfig {
             workers: 1,
             ..FleetRunConfig::default()
         };
         let wire = run_fleet_shard(&fleet(), &provider(), &config, 0, 2).to_json();
-        let v1 = wire.replacen(
-            "\"xrbench_shard_state\":\"2\"",
-            "\"xrbench_shard_state\":\"1\"",
-            1,
+        for old in ["1", "2"] {
+            let stale = wire.replacen(
+                "\"xrbench_shard_state\":\"3\"",
+                &format!("\"xrbench_shard_state\":\"{old}\""),
+                1,
+            );
+            assert_ne!(stale, wire);
+            let err = ShardState::from_json(&stale).unwrap_err().to_string();
+            assert!(err.contains(&format!("version {old}")), "{err}");
+            assert!(err.contains("speaks version 3"), "{err}");
+        }
+    }
+
+    #[test]
+    fn unit_weight_cut_puts_the_long_shard_mid_list() {
+        let sizes = |p: usize, n: u32| -> Vec<usize> {
+            cut(&vec![1; p], n).iter().map(|r| r.len()).collect()
+        };
+        assert_eq!(sizes(96, 5), [19, 19, 20, 19, 19]);
+        assert_eq!(sizes(96, 4), [24; 4]);
+        assert_eq!(sizes(3, 5), [1, 0, 1, 0, 1]);
+        assert_eq!(sizes(0, 2), [0, 0]);
+    }
+
+    #[test]
+    fn merge_refuses_states_of_different_runs() {
+        // Shard 0 under one seed and shard 1 under another form a
+        // complete partition of the sessions, but not of one run.
+        let spec = fleet();
+        let p = provider();
+        let config = |seed| FleetRunConfig {
+            workers: 1,
+            sim: xrbench_sim::SimConfig {
+                seed,
+                ..FleetRunConfig::default().sim
+            },
+            ..FleetRunConfig::default()
+        };
+        let states = [
+            run_fleet_shard(&spec, &p, &config(1), 0, 2),
+            run_fleet_shard(&spec, &p, &config(2), 1, 2),
+        ];
+        let err = merge_fleet_shards(&spec, "u", "latency-greedy", &states).unwrap_err();
+        assert!(err.to_string().contains("shard 1"), "{err}");
+        assert!(err.to_string().contains("fingerprint mismatch"), "{err}");
+        // Every input the report depends on moves the fingerprint; the
+        // worker count does not.
+        let base = config(1);
+        let fp = |c: &FleetRunConfig| fleet_fingerprint(&spec, "u", "latency-greedy", c);
+        assert_eq!(fp(&FleetRunConfig { workers: 7, ..base }), fp(&base));
+        for other in [
+            config(2),
+            FleetRunConfig {
+                recovery: RecoveryPolicy::Migrate,
+                ..base
+            },
+            FleetRunConfig {
+                rt: xrbench_score::RtParams { k_per_ms: 1.0 },
+                ..base
+            },
+        ] {
+            assert_ne!(fp(&other), fp(&base));
+        }
+        assert_ne!(
+            fleet_fingerprint(&spec, "u", "round-robin", &base),
+            fp(&base)
         );
-        assert_ne!(v1, wire);
-        let err = ShardState::from_json(&v1).unwrap_err();
-        assert!(err.to_string().contains("version 1"), "{err}");
+        assert_ne!(
+            fleet_fingerprint(&spec, "v", "latency-greedy", &base),
+            fp(&base)
+        );
     }
 
     #[test]
@@ -924,11 +1008,17 @@ mod tests {
         };
         let (short, long) = (plan_shards(&spec, 1e-6, 3), plan_shards(&spec, 1.0, 3));
         assert_ne!(short.shards[2], long.shards[2], "the two cuts must differ");
-        let states = [
+        let mut states = [
             run_fleet_shard(&spec, &p, &config(1e-6), 0, 3),
             run_fleet_shard(&spec, &p, &config(1e-6), 1, 3),
             run_fleet_shard(&spec, &p, &config(1.0), 2, 3),
         ];
+        // The duration is part of the fingerprint, so the merge refuses
+        // the mix outright; with the fingerprint forged to match, the
+        // per-group session count still catches the bad partition.
+        let err = merge_fleet_shards(&spec, "u", "latency-greedy", &states).unwrap_err();
+        assert!(err.to_string().contains("fingerprint mismatch"), "{err}");
+        states[2].fingerprint = states[0].fingerprint;
         let err = merge_fleet_shards(&spec, "u", "latency-greedy", &states).unwrap_err();
         assert!(err.to_string().contains("sessions"), "{err}");
     }

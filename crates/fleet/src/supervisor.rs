@@ -265,6 +265,31 @@ mod tests {
     }
 
     #[test]
+    fn a_child_killed_by_sigkill_is_retried_once_then_fails_the_run() {
+        let dir = std::env::temp_dir().join(format!("xrbench-sigkill-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let attempts = dir.join("attempts");
+        let _ = std::fs::remove_file(&attempts);
+        let err = supervise(2, 2, &mut |k| {
+            if k == 0 {
+                sh(format!(
+                    "echo attempt >> {}; echo partial >&2; kill -9 $$",
+                    attempts.display()
+                ))
+            } else {
+                sh("echo fine".to_string())
+            }
+        })
+        .expect_err("shard 0 is killed on both attempts");
+        assert_eq!(err.shard, 0);
+        assert!(err.message.contains("signal"), "{}", err.message);
+        assert!(err.stderr.contains("partial"), "{}", err.stderr);
+        let count = std::fs::read_to_string(&attempts).unwrap().lines().count();
+        assert_eq!(count, 2, "one attempt and exactly one retry");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn unspawnable_command_errors_after_retry() {
         let err = supervise(1, 1, &mut |_| {
             Command::new("/nonexistent/xrbench-no-such-bin")
