@@ -327,6 +327,39 @@ mod tests {
     }
 
     #[test]
+    fn no_retry_once_the_run_has_already_failed() {
+        // Shard 0 fails at once on both attempts; its second attempt
+        // first creates a marker. Shard 1 waits (up to ~5 s) for that
+        // marker, then gives the coordinator ~0.3 s to record shard 0's
+        // error before failing too. Its first failure thus arrives
+        // after the run has failed: it is not retried, and shard 2,
+        // queued behind the two busy slots, never launches.
+        let dir = std::env::temp_dir().join(format!("xrbench-no-retry-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let marker = dir.join("shard-0-retried");
+        let _ = std::fs::remove_file(&marker);
+        let mut launches = [0u32; 3];
+        let err = supervise(3, 2, &mut |k| {
+            launches[k as usize] += 1;
+            sh(match (k, launches[k as usize]) {
+                (0, 1) => "exit 1".to_string(),
+                (0, _) => format!("touch {m}; exit 1", m = marker.display()),
+                (1, _) => format!(
+                    "i=0; while [ ! -f {m} ] && [ $i -lt 500 ]; do sleep 0.01; i=$((i+1)); done; \
+                     sleep 0.3; exit 1",
+                    m = marker.display()
+                ),
+                _ => "echo launched".to_string(),
+            })
+        })
+        .expect_err("shard 0 fails twice");
+        assert_eq!(err.shard, 0);
+        assert!(err.to_string().contains("shard 0"), "{err}");
+        assert_eq!(launches, [2, 1, 0], "launches per shard");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one slot")]
     fn zero_concurrency_rejected() {
         let _ = supervise(1, 0, &mut |_| sh("true".to_string()));

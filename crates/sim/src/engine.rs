@@ -22,12 +22,14 @@
 //!   are tombstones compacted once before dispatch, amortizing the
 //!   buffer memmoves over the cohort instead of paying them per event.
 //!   On top of that, schedulers that declare a closed-form
-//!   [`DispatchKernel`] are driven through an indexed fast path — a
-//!   segment-tree argmin over the scheduler's own total request order
-//!   plus a bitmask free-engine set — that reproduces their `select`
-//!   picks exactly while skipping the per-pick linear scans entirely.
-//!   A tree update climbs only until a node comes out unchanged, and a
-//!   supersession overwrites its key's leaf in one climb.
+//!   [`DispatchKernel`] are driven through an indexed fast path — an
+//!   indexed binary min-heap of the queued requests under the
+//!   scheduler's own total request order, plus a bitmask free-engine
+//!   set — that reproduces their `select` picks exactly while skipping
+//!   the per-pick linear scans entirely. The heap holds only queued
+//!   entries, so an insert, a dispatch or a supersession (which re-keys
+//!   its key's entry in place) sifts over O(log queued) levels, not
+//!   over the whole `users × models` key space.
 //! * **Precomputed dispatch tables** — per-*scenario* dependency and
 //!   reverse-dependency lists are deduplicated and flattened into CSR
 //!   tables once per run ([`Tables`]), so the per-user setup cost and
@@ -69,13 +71,8 @@ enum PickOrder {
     Fifo,
 }
 
-/// A pick-tree key: three `u64` words compared lexicographically.
+/// A pick key: three `u64` words compared lexicographically.
 type PickKey = [u64; 3];
-
-/// The "no entry" key. No real key can collide: the third word of an
-/// EDF key (and second of a FIFO key) packs `(model, user)` below
-/// `2^63`, and a FIFO key's third word is zero.
-const EMPTY_PICK: PickKey = [u64::MAX; 3];
 
 /// Encodes a ready entry under `order` so that unsigned lexicographic
 /// comparison of the words reproduces the scheduler's request order.
@@ -90,60 +87,126 @@ fn pick_key(order: PickOrder, model: usize, user: u32, t_req: f64, t_deadline: f
     }
 }
 
-/// An iterative segment tree over the dense key space computing the
-/// argmin of [`PickKey`]s — the kernel path's replacement for the
-/// per-pick linear `min_by` scan. `set`/`clear` climb one root path
-/// (O(log keys)); the minimum is read at the root in O(1). Because
-/// keys are unique, the tie direction of `<=` is never exercised and
-/// the argmin equals the first minimal element a linear scan returns.
-struct PickTree {
-    size: usize,
-    key: Vec<PickKey>,
-    arg: Vec<u32>,
+/// [`PickHeap`]'s position of a slot that is not queued.
+const NO_POS: u32 = u32::MAX;
+
+/// One queued request in a [`PickHeap`]: its key and its dense slot.
+#[derive(Clone, Copy)]
+struct PickEntry {
+    key: PickKey,
+    slot: u32,
 }
 
-impl PickTree {
+/// An indexed binary min-heap of the queued requests' [`PickKey`]s —
+/// the kernel path's replacement for the per-pick linear `min_by`
+/// scan. It holds only queued slots, so `set`/`clear` sift over
+/// O(log queued) levels, and the minimum is read at the root in O(1).
+/// `pos[slot]` locates a queued slot's entry for re-keying and
+/// removal. Both arrays are sized to the key count at setup, so no
+/// operation allocates. Because keys are unique among queued entries,
+/// the root is the first minimal element a linear scan returns.
+struct PickHeap {
+    heap: Vec<PickEntry>,
+    pos: Vec<u32>,
+}
+
+impl PickHeap {
     fn new(num_keys: usize) -> Self {
-        let size = num_keys.next_power_of_two().max(2);
         Self {
-            size,
-            key: vec![EMPTY_PICK; 2 * size],
-            arg: vec![0; 2 * size],
+            heap: Vec::with_capacity(num_keys),
+            pos: vec![NO_POS; num_keys],
         }
     }
 
-    /// Writes `slot`'s leaf and recomputes its root path, stopping at
-    /// the first ancestor whose `(key, arg)` comes out unchanged: a node
-    /// is a pure function of its two children, so no node above it can
-    /// change either.
+    /// Queues `slot` under key `k`, or, if it is already queued,
+    /// re-keys its entry in place and sifts it the way its key moved.
     fn set(&mut self, slot: usize, k: PickKey) {
-        let mut i = self.size + slot;
-        self.key[i] = k;
-        self.arg[i] = slot as u32;
-        while i > 1 {
-            i >>= 1;
-            let (l, r) = (2 * i, 2 * i + 1);
-            let c = if self.key[l] <= self.key[r] { l } else { r };
-            if self.key[i] == self.key[c] && self.arg[i] == self.arg[c] {
-                break;
+        let e = PickEntry {
+            key: k,
+            slot: slot as u32,
+        };
+        match self.pos[slot] {
+            NO_POS => {
+                self.heap.push(e);
+                self.sift_up(self.heap.len() - 1, e);
             }
-            self.key[i] = self.key[c];
-            self.arg[i] = self.arg[c];
+            i => self.refill(i as usize, e),
         }
     }
 
+    /// Removes `slot`'s entry if it is queued: the last entry fills the
+    /// hole and sifts toward its place. Removing the root, as a kernel
+    /// dispatch does, always sifts down.
     fn clear(&mut self, slot: usize) {
-        self.set(slot, EMPTY_PICK);
+        let i = std::mem::replace(&mut self.pos[slot], NO_POS);
+        if i == NO_POS {
+            return;
+        }
+        let i = i as usize;
+        let last = self.heap.pop().expect("a queued slot has an entry");
+        if i < self.heap.len() {
+            self.refill(i, last);
+        }
     }
 
     /// The dense key holding the minimal pick key, if any entry is
     /// queued.
     fn min_slot(&self) -> Option<usize> {
-        if self.key[1] == EMPTY_PICK {
-            None
+        self.heap.first().map(|e| e.slot as usize)
+    }
+
+    /// Places `e` over the entry at `i` and sifts it the way its key
+    /// moved from that entry's key.
+    fn refill(&mut self, i: usize, e: PickEntry) {
+        if e.key < self.heap[i].key {
+            self.sift_up(i, e);
         } else {
-            Some(self.arg[1] as usize)
+            self.sift_down(i, e);
         }
+    }
+
+    /// Places `e` at or above the hole at `i`, moving the larger
+    /// ancestors down into the hole as it climbs.
+    fn sift_up(&mut self, mut i: usize, e: PickEntry) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent].key < e.key {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, e);
+    }
+
+    /// Places `e` at or below the hole at `i`, moving the smaller child
+    /// up into the hole as it descends.
+    fn sift_down(&mut self, mut i: usize, e: PickEntry) {
+        let n = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let c = if right < n && self.heap[right].key < self.heap[left].key {
+                right
+            } else {
+                left
+            };
+            if e.key < self.heap[c].key {
+                break;
+            }
+            self.place(i, self.heap[c]);
+            i = c;
+        }
+        self.place(i, e);
+    }
+
+    #[inline]
+    fn place(&mut self, i: usize, e: PickEntry) {
+        self.heap[i] = e;
+        self.pos[e.slot as usize] = i as u32;
     }
 }
 
@@ -168,9 +231,10 @@ enum ReadyIndex {
         meta: Vec<BufMeta>,
         dead: usize,
     },
-    /// The kernel path: a [`PickTree`] argmin over the scheduler's
-    /// declared request order. No view buffer is maintained at all.
-    Tree { tree: PickTree, order: PickOrder },
+    /// The kernel path: a [`PickHeap`] of the queued requests under the
+    /// scheduler's declared request order. No view buffer is
+    /// maintained at all.
+    Heap { heap: PickHeap, order: PickOrder },
 }
 
 /// The dispatchable-request queue in struct-of-arrays layout: one slot
@@ -192,8 +256,8 @@ struct Ready {
 impl Ready {
     fn new(num_keys: usize, kernel_order: Option<PickOrder>) -> Self {
         let index = match kernel_order {
-            Some(order) => ReadyIndex::Tree {
-                tree: PickTree::new(num_keys),
+            Some(order) => ReadyIndex::Heap {
+                heap: PickHeap::new(num_keys),
                 order,
             },
             None => ReadyIndex::Buffer {
@@ -224,9 +288,9 @@ impl Ready {
     }
 
     /// Tombstones `key`'s queued buffer entry ahead of a supersession.
-    /// Tree mode has nothing to detach: the `attach` that follows
-    /// overwrites the key's one leaf, which leaves the same tree a clear
-    /// and then a set would.
+    /// Heap mode has nothing to detach: the `attach` that follows
+    /// re-keys the key's queued entry in place, which leaves the heap
+    /// ordered just as a removal and a fresh insert would.
     fn detach(&mut self, key: usize) {
         if let ReadyIndex::Buffer { meta, dead, .. } = &mut self.index {
             let pos = meta
@@ -237,7 +301,8 @@ impl Ready {
         }
     }
 
-    /// Attaches `key`'s (freshly written) slot to the dispatch index.
+    /// Attaches `key`'s (freshly written) slot to the dispatch index:
+    /// a new buffer entry, or a heap insert or in-place re-key.
     fn attach(&mut self, key: usize, user: u32, model: ModelId) {
         match &mut self.index {
             ReadyIndex::Buffer { views, meta, .. } => {
@@ -254,8 +319,8 @@ impl Ready {
                     dead: false,
                 });
             }
-            ReadyIndex::Tree { tree, order } => {
-                tree.set(
+            ReadyIndex::Heap { heap, order } => {
+                heap.set(
                     key,
                     pick_key(
                         *order,
@@ -361,7 +426,7 @@ impl Ready {
     fn views(&self) -> &[PendingView] {
         match &self.index {
             ReadyIndex::Buffer { views, .. } => views,
-            ReadyIndex::Tree { .. } => unreachable!("kernel path never calls select"),
+            ReadyIndex::Heap { .. } => unreachable!("kernel path never calls select"),
         }
     }
 
@@ -379,21 +444,22 @@ impl Ready {
         (key, view, self.sensor_frame[key], self.frac[key])
     }
 
-    /// The dense key the kernel should dispatch next (tree mode only).
+    /// The dense key the kernel should dispatch next (heap mode only).
     fn min_key(&self) -> Option<usize> {
         match &self.index {
-            ReadyIndex::Tree { tree, .. } => tree.min_slot(),
+            ReadyIndex::Heap { heap, .. } => heap.min_slot(),
             ReadyIndex::Buffer { .. } => unreachable!("generic path dispatches via select"),
         }
     }
 
-    /// Removes `key`'s entry for kernel dispatch, returning
+    /// Removes `key`'s entry, the heap's root as [`Self::min_key`]
+    /// returned it, for kernel dispatch, returning
     /// `(frame_id, sensor_frame, t_req, t_deadline, frac)`.
     fn take_key(&mut self, key: usize) -> (u64, u64, f64, f64, f64) {
-        let ReadyIndex::Tree { tree, .. } = &mut self.index else {
+        let ReadyIndex::Heap { heap, .. } = &mut self.index else {
             unreachable!("generic path dispatches via select")
         };
-        tree.clear(key);
+        heap.clear(key);
         self.seq[key] = EMPTY_SEQ;
         self.count -= 1;
         (
@@ -1456,9 +1522,9 @@ pub(crate) fn run_tagged(
                 }
             }
             Some(kstate) => {
-                // Kernel path (always fault-free): indexed argmin over
-                // the declared request order, engine rule replayed
-                // exactly.
+                // Kernel path (always fault-free): the pick heap's root
+                // under the declared request order, engine rule
+                // replayed exactly.
                 while !free.is_empty() {
                     let Some(key) = ready.min_key() else { break };
                     let mi = key % nm;
@@ -1674,34 +1740,46 @@ mod tests {
 
     use super::*;
 
-    /// Every internal node must equal the `(key, arg)` its two children
-    /// select; the leaves must hold exactly the live keys.
-    fn assert_consistent(tree: &PickTree, live: &[Option<PickKey>], ctx: &str) {
-        for (slot, k) in live.iter().enumerate() {
+    /// The heap must be min-ordered and agree with the position
+    /// array; every queued slot must hold its live key, and unqueued
+    /// slots must have no position.
+    fn assert_consistent(heap: &PickHeap, live: &[Option<PickKey>], ctx: &str) {
+        for (i, e) in heap.heap.iter().enumerate() {
+            if i > 0 {
+                assert!(
+                    heap.heap[(i - 1) / 2].key < e.key,
+                    "{ctx}: entry {i} is not above its parent"
+                );
+            }
             assert_eq!(
-                tree.key[tree.size + slot],
-                k.unwrap_or(EMPTY_PICK),
-                "{ctx}: leaf {slot}"
+                heap.pos[e.slot as usize], i as u32,
+                "{ctx}: position of slot {}",
+                e.slot
             );
         }
-        for i in 1..tree.size {
-            let (l, r) = (2 * i, 2 * i + 1);
-            let c = if tree.key[l] <= tree.key[r] { l } else { r };
-            assert!(
-                tree.key[i] == tree.key[c] && tree.arg[i] == tree.arg[c],
-                "{ctx}: node {i} is not the minimum of its children"
-            );
+        for (slot, k) in live.iter().enumerate() {
+            match k {
+                Some(k) => {
+                    let i = heap.pos[slot];
+                    assert_ne!(i, NO_POS, "{ctx}: queued slot {slot} has no position");
+                    assert_eq!(heap.heap[i as usize].key, *k, "{ctx}: key of slot {slot}");
+                }
+                None => assert_eq!(heap.pos[slot], NO_POS, "{ctx}: unqueued slot {slot}"),
+            }
         }
     }
 
     #[test]
     fn pick_tree_matches_brute_force_argmin_after_every_operation() {
         // 11,264 = 1024 users x NUM_MODELS, the 1024-user session's key
-        // space (a 14-level tree).
+        // space. Sets re-key queued slots to larger and smaller keys
+        // alike, and clears hit non-minimum and never-set slots, though
+        // the engine only raises queued keys and only removes the
+        // minimum: this test is the one guard on those heap branches.
         for num_keys in [1usize, 2, 3, 66, 1_000, 1024 * NUM_MODELS] {
             for order in [PickOrder::Edf, PickOrder::Fifo] {
                 let mut rng = StdRng::seed_from_u64(num_keys as u64 * 31 + order as u64);
-                let mut tree = PickTree::new(num_keys);
+                let mut heap = PickHeap::new(num_keys);
                 let mut live: Vec<Option<PickKey>> = vec![None; num_keys];
                 let mut occupied: Vec<usize> = Vec::new();
                 // Coarse millisecond times make time-word ties common,
@@ -1722,35 +1800,34 @@ mod tests {
                                 occupied.push(slot);
                             }
                             let k = draw_key(&mut rng, slot);
-                            tree.set(slot, k);
+                            heap.set(slot, k);
                             live[slot] = Some(k);
                         }
                         // Overwrite a queued key (a supersession).
                         3 | 4 if !occupied.is_empty() => {
                             let slot = occupied[rng.gen_range(0..occupied.len())];
                             let k = draw_key(&mut rng, slot);
-                            tree.set(slot, k);
+                            heap.set(slot, k);
                             live[slot] = Some(k);
                         }
                         // Clear a queued key.
                         5 if !occupied.is_empty() => {
                             let i = rng.gen_range(0..occupied.len());
                             let slot = occupied.swap_remove(i);
-                            tree.clear(slot);
+                            heap.clear(slot);
                             live[slot] = None;
                         }
                         // Clear any key, queued or not (clearing a key
-                        // that was never set changes only the `arg` of
-                        // empty nodes), or take the minimum, as a kernel
-                        // dispatch does.
+                        // that was never set is a no-op), or take the
+                        // minimum, as a kernel dispatch does.
                         op => {
                             let slot = if op == 6 {
                                 Some(rng.gen_range(0..num_keys))
                             } else {
-                                tree.min_slot()
+                                heap.min_slot()
                             };
                             if let Some(slot) = slot {
-                                tree.clear(slot);
+                                heap.clear(slot);
                                 if live[slot].take().is_some() {
                                     let i = occupied
                                         .iter()
@@ -1762,8 +1839,8 @@ mod tests {
                         }
                     }
                     let brute = occupied.iter().map(|&s| (live[s], s)).min().map(|(_, s)| s);
-                    assert_eq!(tree.min_slot(), brute, "{ctx}: min_slot");
-                    assert_consistent(&tree, &live, &ctx);
+                    assert_eq!(heap.min_slot(), brute, "{ctx}: min_slot");
+                    assert_consistent(&heap, &live, &ctx);
                 }
             }
         }

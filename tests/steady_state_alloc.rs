@@ -2,12 +2,14 @@
 //! (PR 8 acceptance): a counting global allocator wraps the system
 //! allocator, and a folded session run asserts that **zero** heap
 //! allocations happen between a post-warm-up checkpoint and a
-//! pre-teardown checkpoint taken inside the record sink.
+//! pre-teardown checkpoint taken inside the record sink. The check
+//! runs once per kernel-declaring scheduler, so both request orders
+//! (EDF and FIFO) and every engine rule are on the measured path.
 //!
 //! The engine pre-sizes its state from spec-derived bounds (the
 //! completion heap, the stash of due completions and the free set
-//! from the engine count, queues and dispatch tables from the dense
-//! `users × models` key space) and `Vec` growth
+//! from the engine count, queues, the pick heap and dispatch tables
+//! from the dense `users × models` key space) and `Vec` growth
 //! retains capacity, so any transient growth happens in the warm-up
 //! prefix; after that every event is served from pre-sized storage.
 //!
@@ -17,7 +19,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use xrbench::sim::{LatencyGreedy, SimConfig, Simulator, UniformProvider};
+use xrbench::sim::{
+    FailoverAware, LatencyGreedy, LeastLoaded, RoundRobin, Scheduler, SimConfig, Simulator,
+    UniformProvider,
+};
 use xrbench::workload::{ScenarioCatalog, ScenarioSpec, SessionSpec};
 
 /// Counts every allocation routed through the global allocator.
@@ -59,30 +64,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
-fn steady_state_loop_does_not_allocate() {
-    // A mixed multi-user session over every built-in scenario:
-    // dependencies, cascades, supersession, and the kernel dispatch
-    // fast path (LatencyGreedy) are all on the measured path.
-    let users = 64u32;
-    let provider = UniformProvider::new(8, 0.001, 0.001);
-    let specs: Vec<ScenarioSpec> = ScenarioCatalog::builtin().iter().cloned().collect();
-    let session = SessionSpec::mixed("alloc-probe", &specs, users, 0.002);
-    let config = SimConfig::default();
-    let sim = Simulator::new(config);
+/// Builds a fresh scheduler for each pass.
+type SchedulerFactory = fn() -> Box<dyn Scheduler>;
 
+/// Runs one sizing pass and one measured pass of `session` under
+/// fresh schedulers from `make`, and asserts that the measured pass
+/// allocates nothing between its warm-up and teardown checkpoints.
+fn assert_steady_state_allocation_free(
+    name: &str,
+    sim: &Simulator,
+    session: &SessionSpec,
+    provider: &UniformProvider,
+    make: SchedulerFactory,
+) {
     // Sizing pass: learn the record count so the checkpoints can sit
     // at fixed fractions of the run.
     let mut total = 0u64;
-    sim.run_session_folded(
-        &session,
-        &provider,
-        &mut LatencyGreedy::new(),
-        &mut |_, _| total += 1,
-    );
+    sim.run_session_folded(session, provider, make().as_mut(), &mut |_, _| total += 1);
     assert!(
         total > 1000,
-        "alloc probe needs a substantial run, got {total} records"
+        "{name}: alloc probe needs a substantial run, got {total} records"
     );
 
     // Measured pass: warm-up ends at half the run (transient Vec
@@ -93,35 +94,56 @@ fn steady_state_loop_does_not_allocate() {
     let mut seen = 0u64;
     let mut at_warmup = 0u64;
     let mut at_end = 0u64;
-    sim.run_session_folded(
-        &session,
-        &provider,
-        &mut LatencyGreedy::new(),
-        &mut |_, _| {
-            seen += 1;
-            if seen == warmup_end {
-                at_warmup = ALLOCATIONS.load(Ordering::Relaxed);
-                TRACE.store(1, Ordering::Relaxed);
-            } else if seen == window_end {
-                at_end = ALLOCATIONS.load(Ordering::Relaxed);
-                TRACE.store(0, Ordering::Relaxed);
-            }
-        },
-    );
-    assert!(seen == total, "replay diverged: {seen} != {total}");
+    sim.run_session_folded(session, provider, make().as_mut(), &mut |_, _| {
+        seen += 1;
+        if seen == warmup_end {
+            at_warmup = ALLOCATIONS.load(Ordering::Relaxed);
+            TRACE.store(1, Ordering::Relaxed);
+        } else if seen == window_end {
+            at_end = ALLOCATIONS.load(Ordering::Relaxed);
+            TRACE.store(0, Ordering::Relaxed);
+        }
+    });
+    assert!(seen == total, "{name}: replay diverged: {seen} != {total}");
     let sizes: Vec<u64> = TRACE_SIZES
         .iter()
         .map(|s| s.load(Ordering::Relaxed))
         .filter(|&s| s != 0)
         .collect();
-    eprintln!("window alloc sizes (realloc = 1e6 + size): {sizes:?}");
-    assert!(at_warmup > 0 && at_end > 0, "checkpoints never fired");
+    eprintln!("{name}: window alloc sizes (realloc = 1e6 + size): {sizes:?}");
+    assert!(
+        at_warmup > 0 && at_end > 0,
+        "{name}: checkpoints never fired"
+    );
     assert_eq!(
         at_end - at_warmup,
         0,
-        "steady-state loop allocated {} times between {}% and {}% of the run",
+        "{name}: steady-state loop allocated {} times between {}% and {}% of the run",
         at_end - at_warmup,
         100 * warmup_end / total,
         100 * window_end / total,
     );
+}
+
+#[test]
+fn steady_state_loop_does_not_allocate() {
+    // A mixed multi-user session over every built-in scenario:
+    // dependencies, cascades, supersession, and the kernel dispatch
+    // fast path are all on the measured path, under every scheduler
+    // that declares a kernel. Both request orders push into the same
+    // pick heap.
+    let users = 64u32;
+    let provider = UniformProvider::new(8, 0.001, 0.001);
+    let specs: Vec<ScenarioSpec> = ScenarioCatalog::builtin().iter().cloned().collect();
+    let session = SessionSpec::mixed("alloc-probe", &specs, users, 0.002);
+    let sim = Simulator::new(SimConfig::default());
+    let schedulers: [(&str, SchedulerFactory); 4] = [
+        ("latency-greedy", || Box::new(LatencyGreedy::new())),
+        ("round-robin", || Box::new(RoundRobin::new())),
+        ("least-loaded", || Box::new(LeastLoaded::new())),
+        ("failover-aware", || Box::new(FailoverAware::new())),
+    ];
+    for (name, make) in schedulers {
+        assert_steady_state_allocation_free(name, &sim, &session, &provider, make);
+    }
 }
