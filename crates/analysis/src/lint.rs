@@ -14,6 +14,7 @@
 //! | `system-time` / `instant` | wall-clock reads | timing must come from the simulated clock |
 //! | `thread-rng` | OS-entropy RNGs | randomness must flow from the run seed |
 //! | `unordered-par-fold` | rayon-style parallel iteration | reduction order must be the committed merge order |
+//! | `libm` | calls of transcendental `f64` methods (`exp`, `ln`, `log*`, trig, `powf`, …) | the platform libm's last bit is unspecified across hosts |
 //!
 //! Escapes: an inline `lint:allow(rule-name)` comment on the same or
 //! the previous line, or an entry (with a justification) in the
@@ -24,8 +25,11 @@
 //! The scan is intentionally lexical (token with non-identifier
 //! neighbors, comment lines skipped): it cannot be fooled by
 //! renaming-by-`use`, and the few legitimate uses are cheap to
-//! allowlist explicitly. The `bench` crate is out of scope — its
-//! whole job is wall-clock measurement.
+//! allowlist explicitly. The `libm` rule's tokens are function names
+//! matched only where called (`.exp(` or `f64::exp(`), so a binding
+//! named `exp` does not fire; `sqrt`, `powi` and basic arithmetic are
+//! exact under IEEE 754 and stay allowed. The `bench` crate is out of
+//! scope — its whole job is wall-clock measurement.
 
 use std::fmt;
 use std::fs;
@@ -41,31 +45,39 @@ pub struct Rule {
     pub tokens: &'static [&'static str],
     /// Why the construct is banned.
     pub rationale: &'static str,
+    /// Whether the tokens are function names that fire only where
+    /// called, as `.name(` or `::name(`.
+    pub calls: bool,
 }
 
 // Token literals are assembled with `concat!` so this file does not
-// itself contain the contiguous banned spellings it scans for.
+// itself contain the contiguous banned spellings it scans for. The
+// `libm` names need no assembling: they fire only as calls.
 /// The committed ban list.
 pub const RULES: &[Rule] = &[
     Rule {
         name: "hash-map",
         tokens: &[concat!("Hash", "Map")],
         rationale: "iteration order is unspecified; use a dense Vec, BTreeMap, or sorted keys",
+        calls: false,
     },
     Rule {
         name: "hash-set",
         tokens: &[concat!("Hash", "Set")],
         rationale: "iteration order is unspecified; use a dense bitmap, BTreeSet, or sorted Vec",
+        calls: false,
     },
     Rule {
         name: "system-time",
         tokens: &[concat!("System", "Time")],
         rationale: "wall-clock reads make results non-reproducible; use the simulated clock",
+        calls: false,
     },
     Rule {
         name: "instant",
         tokens: &[concat!("Ins", "tant")],
         rationale: "monotonic-clock reads make results non-reproducible; use the simulated clock",
+        calls: false,
     },
     Rule {
         name: "thread-rng",
@@ -76,6 +88,7 @@ pub const RULES: &[Rule] = &[
         ],
         rationale:
             "OS-entropy randomness breaks seed reproducibility; derive RNGs from the run seed",
+        calls: false,
     },
     Rule {
         name: "unordered-par-fold",
@@ -87,6 +100,17 @@ pub const RULES: &[Rule] = &[
         ],
         rationale:
             "parallel folds reduce in nondeterministic order; merge shard results in index order",
+        calls: false,
+    },
+    Rule {
+        name: "libm",
+        tokens: &[
+            "exp", "exp2", "exp_m1", "ln", "ln_1p", "log", "log2", "log10", "powf", "cbrt",
+            "hypot", "sin", "cos", "tan", "sin_cos", "asin", "acos", "atan", "atan2", "sinh",
+            "cosh", "tanh", "asinh", "acosh", "atanh",
+        ],
+        rationale: "the platform libm's last bit differs across hosts, so report bytes would too",
+        calls: true,
     },
 ];
 
@@ -232,6 +256,24 @@ fn contains_token(hay: &str, needle: &str) -> bool {
     false
 }
 
+/// Finds a call of the function `name` in `hay`: `.name(` or
+/// `::name(`. Both delimiters are non-identifier characters, so no
+/// further boundary check is needed.
+fn contains_call(hay: &str, name: &str) -> bool {
+    let mut from = 0;
+    while let Some(pos) = hay[from..].find(name) {
+        let start = from + pos;
+        let before = &hay[..start];
+        if (before.ends_with('.') || before.ends_with("::"))
+            && hay[start + name.len()..].starts_with('(')
+        {
+            return true;
+        }
+        from = start + name.len();
+    }
+    false
+}
+
 /// Whether `line` carries an inline escape for `rule`.
 fn has_inline_allow(line: &str, rule: &str) -> bool {
     line.contains(&format!("lint:allow({rule})"))
@@ -257,7 +299,12 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
         };
         for rule in RULES {
             for token in rule.tokens {
-                if !contains_token(code, token) {
+                let hit = if rule.calls {
+                    contains_call(code, token)
+                } else {
+                    contains_token(code, token)
+                };
+                if !hit {
                     continue;
                 }
                 let prev = if i > 0 { lines[i - 1] } else { "" };
@@ -407,6 +454,27 @@ mod tests {
         assert!(scan_source("f.rs", &prev).is_empty());
         let wrong_rule = format!("let m = {tok}::new(); // lint:allow(instant)\n");
         assert_eq!(scan_source("f.rs", &wrong_rule).len(), 1);
+    }
+
+    #[test]
+    fn libm_rule_fires_on_transcendental_calls_only() {
+        // Calls are assembled so this file stays clean under its own scan.
+        let call = |name: &str| format!("x.{name}(2.0)");
+        let rules = |src: String| -> Vec<&str> {
+            scan_source("f.rs", &src).iter().map(|f| f.rule).collect()
+        };
+        assert_eq!(rules(format!("let y = {};\n", call("exp"))), ["libm"]);
+        assert_eq!(rules(format!("let y = f64::{}(x);\n", "ln")), ["libm"]);
+        assert_eq!(
+            rules(format!("let z = {} + {};\n", call("cos"), call("powf"))),
+            ["libm", "libm"]
+        );
+        // Exact operations, other methods and bindings do not fire.
+        let exact = format!("let y = {} + {};\n", call("sqrt"), call("powi"));
+        assert!(rules(exact).is_empty());
+        assert!(rules("let exp = r.expect(\"why\"); let log = exp;\n".to_string()).is_empty());
+        let escaped = format!("let y = {}; // lint:allow(libm): pinned\n", call("exp"));
+        assert!(rules(escaped).is_empty());
     }
 
     #[test]

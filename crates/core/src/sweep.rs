@@ -940,115 +940,111 @@ impl SweepDocument {
 // Decoding helpers
 // ---------------------------------------------------------------------------
 
-fn decode_accelerators(cursor: &Cursor<'_>) -> Result<Vec<char>, SpecError> {
+/// Decodes a sweep axis: a non-empty list of distinct values, each read
+/// by `decode`. `duplicate` words the error for a repeated value and
+/// `empty` is the error for an empty list.
+fn decode_axis<T: PartialEq>(
+    cursor: &Cursor<'_>,
+    empty: &str,
+    duplicate: impl Fn(&T) -> String,
+    decode: impl Fn(&Cursor<'_>) -> Result<T, SpecError>,
+) -> Result<Vec<T>, SpecError> {
     let mut out = Vec::new();
     for item in cursor.items()? {
-        let text = item.as_str()?;
-        let id = match text.chars().next() {
-            Some(c) if text.chars().count() == 1 => c.to_ascii_uppercase(),
-            _ => {
-                return Err(SpecError::Invalid {
-                    path: item.path().to_string(),
-                    message: format!("accelerator id must be a single letter A-M, got `{text}`"),
-                })
-            }
-        };
-        if config_by_id(id).is_none() {
+        let value = decode(&item)?;
+        if out.contains(&value) {
             return Err(SpecError::Invalid {
                 path: item.path().to_string(),
-                message: format!("unknown accelerator `{id}` (Table 5 defines A-M)"),
+                message: duplicate(&value),
             });
         }
-        if out.contains(&id) {
-            return Err(SpecError::Invalid {
-                path: item.path().to_string(),
-                message: format!("duplicate accelerator `{id}`"),
-            });
-        }
-        out.push(id);
+        out.push(value);
     }
     if out.is_empty() {
         return Err(SpecError::Invalid {
             path: cursor.path().to_string(),
-            message: "accelerators must name at least one Table 5 id".to_string(),
+            message: empty.to_string(),
         });
     }
     Ok(out)
+}
+
+fn decode_accelerators(cursor: &Cursor<'_>) -> Result<Vec<char>, SpecError> {
+    decode_axis(
+        cursor,
+        "accelerators must name at least one Table 5 id",
+        |id| format!("duplicate accelerator `{id}`"),
+        |item| {
+            let text = item.as_str()?;
+            let id = match text.chars().next() {
+                Some(c) if text.chars().count() == 1 => c.to_ascii_uppercase(),
+                _ => {
+                    return Err(SpecError::Invalid {
+                        path: item.path().to_string(),
+                        message: format!(
+                            "accelerator id must be a single letter A-M, got `{text}`"
+                        ),
+                    })
+                }
+            };
+            if config_by_id(id).is_none() {
+                return Err(SpecError::Invalid {
+                    path: item.path().to_string(),
+                    message: format!("unknown accelerator `{id}` (Table 5 defines A-M)"),
+                });
+            }
+            Ok(id)
+        },
+    )
 }
 
 fn decode_pe_scaling(cursor: &Cursor<'_>) -> Result<Vec<f64>, SpecError> {
-    let mut out: Vec<f64> = Vec::new();
-    for item in cursor.items()? {
-        let factor: f64 = item.get()?;
-        if !(factor.is_finite() && factor > 0.0) {
-            return Err(SpecError::Invalid {
-                path: item.path().to_string(),
-                message: format!("pe_scaling factors must be positive and finite, got {factor}"),
-            });
-        }
-        if out.iter().any(|&f| f.to_bits() == factor.to_bits()) {
-            return Err(SpecError::Invalid {
-                path: item.path().to_string(),
-                message: format!("duplicate pe_scaling factor {factor}"),
-            });
-        }
-        out.push(factor);
-    }
-    if out.is_empty() {
-        return Err(SpecError::Invalid {
-            path: cursor.path().to_string(),
-            message: "pe_scaling must list at least one factor".to_string(),
-        });
-    }
-    Ok(out)
+    // Factors are positive and finite, so `==` is bit equality.
+    decode_axis(
+        cursor,
+        "pe_scaling must list at least one factor",
+        |factor| format!("duplicate pe_scaling factor {factor}"),
+        |item| {
+            let factor: f64 = item.get()?;
+            if !(factor.is_finite() && factor > 0.0) {
+                return Err(SpecError::Invalid {
+                    path: item.path().to_string(),
+                    message: format!(
+                        "pe_scaling factors must be positive and finite, got {factor}"
+                    ),
+                });
+            }
+            Ok(factor)
+        },
+    )
 }
 
 fn decode_schedulers(cursor: &Cursor<'_>) -> Result<Vec<SchedulerSpec>, SpecError> {
-    let mut out = Vec::new();
-    for item in cursor.items()? {
-        let scheduler = SchedulerSpec::from_value(&item)?;
-        if out.contains(&scheduler) {
-            return Err(SpecError::Invalid {
-                path: item.path().to_string(),
-                message: format!("duplicate scheduler `{}`", scheduler.name()),
-            });
-        }
-        out.push(scheduler);
-    }
-    if out.is_empty() {
-        return Err(SpecError::Invalid {
-            path: cursor.path().to_string(),
-            message: "schedulers must list at least one scheduler".to_string(),
-        });
-    }
-    Ok(out)
+    decode_axis(
+        cursor,
+        "schedulers must list at least one scheduler",
+        |scheduler| format!("duplicate scheduler `{}`", scheduler.name()),
+        SchedulerSpec::from_value,
+    )
 }
 
 fn decode_recovery(cursor: &Cursor<'_>) -> Result<Vec<RecoveryPolicy>, SpecError> {
-    let mut out = Vec::new();
-    for item in cursor.items()? {
-        let name = item.as_str()?;
-        let policy = RecoveryPolicy::parse(name).ok_or_else(|| SpecError::Invalid {
-            path: item.path().to_string(),
-            message: format!(
-                "unknown recovery policy `{name}` (expected drop, requeue, or migrate)"
-            ),
-        })?;
-        if out.contains(&policy) {
-            return Err(SpecError::Invalid {
+    // `parse` accepts only the canonical names, so a policy displays
+    // exactly as it was written.
+    decode_axis(
+        cursor,
+        "recovery must list at least one policy",
+        |policy| format!("duplicate recovery policy `{policy}`"),
+        |item| {
+            let name = item.as_str()?;
+            RecoveryPolicy::parse(name).ok_or_else(|| SpecError::Invalid {
                 path: item.path().to_string(),
-                message: format!("duplicate recovery policy `{name}`"),
-            });
-        }
-        out.push(policy);
-    }
-    if out.is_empty() {
-        return Err(SpecError::Invalid {
-            path: cursor.path().to_string(),
-            message: "recovery must list at least one policy".to_string(),
-        });
-    }
-    Ok(out)
+                message: format!(
+                    "unknown recovery policy `{name}` (expected drop, requeue, or migrate)"
+                ),
+            })
+        },
+    )
 }
 
 fn decode_workloads(
@@ -1772,12 +1768,32 @@ mod tests {
                 "positive and finite",
             ),
             (
+                r#"{ "kind": "sweep", "accelerators": ["J"], "pe_scaling": [], "workloads": [ { "scenario": "VR Gaming" } ] }"#,
+                "pe_scaling must list at least one factor",
+            ),
+            (
+                r#"{ "kind": "sweep", "accelerators": ["J"], "pe_scaling": [0.5, 1.0, 0.5], "workloads": [ { "scenario": "VR Gaming" } ] }"#,
+                "duplicate pe_scaling factor 0.5",
+            ),
+            (
+                r#"{ "kind": "sweep", "accelerators": ["J"], "schedulers": [], "workloads": [ { "scenario": "VR Gaming" } ] }"#,
+                "schedulers must list at least one scheduler",
+            ),
+            (
                 r#"{ "kind": "sweep", "accelerators": ["J"], "schedulers": ["latency-greedy", "latency-greedy"], "workloads": [ { "scenario": "VR Gaming" } ] }"#,
                 "duplicate scheduler",
             ),
             (
                 r#"{ "kind": "sweep", "accelerators": ["J"], "recovery": ["vanish"], "workloads": [ { "scenario": "VR Gaming" } ] }"#,
                 "unknown recovery policy",
+            ),
+            (
+                r#"{ "kind": "sweep", "accelerators": ["J"], "recovery": [], "workloads": [ { "scenario": "VR Gaming" } ] }"#,
+                "recovery must list at least one policy",
+            ),
+            (
+                r#"{ "kind": "sweep", "accelerators": ["J"], "recovery": ["migrate", "drop", "migrate"], "workloads": [ { "scenario": "VR Gaming" } ] }"#,
+                "duplicate recovery policy `migrate`",
             ),
             (
                 r#"{ "kind": "sweep", "accelerators": ["J"], "workloads": [] }"#,

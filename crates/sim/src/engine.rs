@@ -17,19 +17,20 @@
 //!   `user * NUM_MODELS + model` key, pre-sized at setup, so
 //!   supersession, requeue, and dependency resolution touch cache
 //!   lines instead of allocating or chasing options.
-//! * **Batched cohort scheduling** — removals from the scheduler's
-//!   [`PendingView`] buffer during a same-timestamp cohort (steps 1–3)
-//!   are tombstones compacted once before dispatch, amortizing the
-//!   buffer memmoves over the cohort instead of paying them per event.
-//!   On top of that, schedulers that declare a closed-form
-//!   [`DispatchKernel`] are driven through an indexed fast path — an
-//!   indexed binary min-heap of the queued requests under the
-//!   scheduler's own total request order, plus a bitmask free-engine
-//!   set — that reproduces their `select` picks exactly while skipping
-//!   the per-pick linear scans entirely. The heap holds only queued
-//!   entries, so an insert, a dispatch or a supersession (which re-keys
-//!   its key's entry in place) sifts over O(log queued) levels, not
-//!   over the whole `users × models` key space.
+//! * **Batched cohort scheduling** — the dispatch path is picked by
+//!   one thing only: whether the scheduler lends a [`DispatchKernel`]
+//!   ([`Scheduler::kernel`]). A kernel is driven through an indexed
+//!   form of its own policy — an indexed binary min-heap of the queued
+//!   requests under its request order, a bitmask free-engine set, and
+//!   per-model engine preference rows — that reproduces its `select`
+//!   picks exactly, on fault-free and faulted runs alike, and updates
+//!   the kernel's carried state in place. The heap holds only queued
+//!   entries, so an insert, a dispatch or a supersession (which
+//!   re-keys its key's entry in place) sifts over O(log queued)
+//!   levels. Every other scheduler gets a [`PendingView`] buffer
+//!   whose removals during a same-timestamp cohort (steps 1–3) are
+//!   tombstones compacted once before dispatch, amortizing the buffer
+//!   memmoves over the cohort. Both paths share one dispatch step.
 //! * **Precomputed dispatch tables** — per-*scenario* dependency and
 //!   reverse-dependency lists are deduplicated and flattened into CSR
 //!   tables once per run ([`Tables`]), so the per-user setup cost and
@@ -38,12 +39,12 @@
 //!
 //! Output is **bit-identical** to [`crate::naive`]; the differential
 //! property tests in `tests/runtime_properties.rs` and the golden
-//! fixtures enforce it across all schedulers, record modes, and fault
-//! policies. The fault-injection semantics (revocation, recovery
-//! policies, deferred emission) are unchanged since PR 7 — faulted
-//! runs always take the generic `select` path, since kernels cannot
-//! observe mid-run outages.
+//! fixtures enforce it across all schedulers, both dispatch paths,
+//! record modes, and fault policies. The fault-injection semantics
+//! (revocation, recovery policies, deferred emission) are unchanged
+//! since PR 7.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use xrbench_models::ModelId;
@@ -54,22 +55,12 @@ use crate::calendar::{drain_due, Calendar, CompletionEv};
 use crate::fault::{FaultAction, FaultKind, FaultTimeline, RecoveryPolicy};
 use crate::provider::{CostProvider, DenseCostCache, NUM_MODELS};
 use crate::result::{DropReason, ExecRecord, ModelStats, SimResult};
-use crate::scheduler::{DispatchKernel, PendingView, Scheduler};
+use crate::scheduler::{DispatchKernel, PendingView, RequestOrder, Scheduler};
 use crate::simulator::{trigger_draw, Resolution, SimConfig, EPS};
 
 /// Sentinel for "slot empty" in the SoA queues (a real sequence number
 /// never reaches it: sequence numbers count queue insertions).
 const EMPTY_SEQ: u64 = u64::MAX;
-
-/// The two total request orders every kernel-declaring scheduler uses
-/// (see [`DispatchKernel`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum PickOrder {
-    /// `(t_deadline, t_req, model, user)` under `total_cmp`.
-    Edf,
-    /// `(t_req, model, user)` under `total_cmp`.
-    Fifo,
-}
 
 /// A pick key: three `u64` words compared lexicographically.
 type PickKey = [u64; 3];
@@ -79,11 +70,11 @@ type PickKey = [u64; 3];
 /// Keys are unique: the ready queue holds at most one entry per
 /// `(user, model)` and the `(model, user)` word totalizes the order.
 #[inline]
-fn pick_key(order: PickOrder, model: usize, user: u32, t_req: f64, t_deadline: f64) -> PickKey {
+fn pick_key(order: RequestOrder, model: usize, user: u32, t_req: f64, t_deadline: f64) -> PickKey {
     let mu = ((model as u64) << 32) | u64::from(user);
     match order {
-        PickOrder::Edf => [time_bits(t_deadline), time_bits(t_req), mu],
-        PickOrder::Fifo => [time_bits(t_req), mu, 0],
+        RequestOrder::Edf => [time_bits(t_deadline), time_bits(t_req), mu],
+        RequestOrder::Fifo => [time_bits(t_req), mu, 0],
     }
 }
 
@@ -234,7 +225,7 @@ enum ReadyIndex {
     /// The kernel path: a [`PickHeap`] of the queued requests under the
     /// scheduler's declared request order. No view buffer is
     /// maintained at all.
-    Heap { heap: PickHeap, order: PickOrder },
+    Heap { heap: PickHeap, order: RequestOrder },
 }
 
 /// The dispatchable-request queue in struct-of-arrays layout: one slot
@@ -254,7 +245,7 @@ struct Ready {
 }
 
 impl Ready {
-    fn new(num_keys: usize, kernel_order: Option<PickOrder>) -> Self {
+    fn new(num_keys: usize, kernel_order: Option<RequestOrder>) -> Self {
         let index = match kernel_order {
             Some(order) => ReadyIndex::Heap {
                 heap: PickHeap::new(num_keys),
@@ -372,28 +363,17 @@ impl Ready {
     /// carrying its remaining-work fraction. The key's slot must be
     /// empty — if a newer frame is queued, freshness drops the revoked
     /// one instead of calling this.
-    #[allow(clippy::too_many_arguments)]
-    fn requeue_push(
-        &mut self,
-        key: usize,
-        user: u32,
-        model: ModelId,
-        frame_id: u64,
-        sensor_frame: u64,
-        t_req: f64,
-        t_deadline: f64,
-        seq: u64,
-        frac: f64,
-    ) {
+    fn requeue_push(&mut self, job: Queued, seq: u64) {
+        let key = job.key as usize;
         assert!(!self.occupied(key), "requeue into an occupied slot");
         self.seq[key] = seq;
-        self.frame_id[key] = frame_id;
-        self.sensor_frame[key] = sensor_frame;
-        self.t_req[key] = t_req;
-        self.t_deadline[key] = t_deadline;
-        self.frac[key] = frac;
+        self.frame_id[key] = job.view.frame_id;
+        self.sensor_frame[key] = job.sensor_frame;
+        self.t_req[key] = job.view.t_req;
+        self.t_deadline[key] = job.view.t_deadline;
+        self.frac[key] = job.frac;
         self.count += 1;
-        self.attach(key, user, model);
+        self.attach(key, job.view.user, job.view.model);
     }
 
     /// Compacts tombstoned buffer entries (order-preserving, so the
@@ -430,18 +410,15 @@ impl Ready {
         }
     }
 
-    /// Removes the (live) buffer entry at position `pos` for dispatch,
-    /// clearing its slot. Buffer mode only.
-    fn remove_pos(&mut self, pos: usize) -> (usize, PendingView, u64, f64) {
+    /// Removes the (live) buffer entry at position `pos` for dispatch.
+    /// Buffer mode only.
+    fn remove_pos(&mut self, pos: usize) -> Queued {
         let ReadyIndex::Buffer { views, meta, .. } = &mut self.index else {
             unreachable!("kernel path dispatches by key")
         };
-        let view = views.remove(pos);
-        let m = meta.remove(pos);
-        let key = m.key as usize;
-        self.seq[key] = EMPTY_SEQ;
-        self.count -= 1;
-        (key, view, self.sensor_frame[key], self.frac[key])
+        let user = views.remove(pos).user;
+        let key = meta.remove(pos).key as usize;
+        self.take(key, user)
     }
 
     /// The dense key the kernel should dispatch next (heap mode only).
@@ -453,22 +430,33 @@ impl Ready {
     }
 
     /// Removes `key`'s entry, the heap's root as [`Self::min_key`]
-    /// returned it, for kernel dispatch, returning
-    /// `(frame_id, sensor_frame, t_req, t_deadline, frac)`.
-    fn take_key(&mut self, key: usize) -> (u64, u64, f64, f64, f64) {
+    /// returned it, for kernel dispatch. Heap mode only.
+    fn take_key(&mut self, key: usize, user: u32) -> Queued {
         let ReadyIndex::Heap { heap, .. } = &mut self.index else {
             unreachable!("generic path dispatches via select")
         };
         heap.clear(key);
+        self.take(key, user)
+    }
+
+    /// Clears `key`'s slot and returns its frame. A live buffer entry
+    /// always views its key's current slot, so both paths read the
+    /// frame from the slot.
+    fn take(&mut self, key: usize, user: u32) -> Queued {
         self.seq[key] = EMPTY_SEQ;
         self.count -= 1;
-        (
-            self.frame_id[key],
-            self.sensor_frame[key],
-            self.t_req[key],
-            self.t_deadline[key],
-            self.frac[key],
-        )
+        Queued {
+            key: key as u32,
+            view: PendingView {
+                user,
+                model: ModelId::ALL[key % NUM_MODELS],
+                frame_id: self.frame_id[key],
+                t_req: self.t_req[key],
+                t_deadline: self.t_deadline[key],
+            },
+            sensor_frame: self.sensor_frame[key],
+            frac: self.frac[key],
+        }
     }
 }
 
@@ -572,11 +560,12 @@ impl FreeSet {
 }
 
 /// Lazily-filled per-model engine preference rows for the EDF kernels:
-/// `rows[model]` lists every engine id sorted by the kernel's engine
+/// a model's row lists every engine id sorted by the kernel's engine
 /// rule, so a dispatch walks the row and takes the first free one —
 /// the same engine `min_by` over the free slice returns. Rows are
 /// pre-allocated flat at setup and *filled* on a model's first
-/// dispatch (an in-place `sort_unstable`, so no mid-loop allocation).
+/// dispatch after setup or after [`PrefTable::invalidate`] (an
+/// in-place `sort_unstable`, so no mid-loop allocation).
 struct PrefTable {
     rows: Vec<u32>,
     built: Vec<bool>,
@@ -592,19 +581,77 @@ impl PrefTable {
         }
     }
 
-    /// The preference row for model index `mi`, building it with
-    /// `fill` on first use.
-    fn row(&mut self, mi: usize, fill: impl FnOnce(&mut [u32])) -> &[u32] {
-        let start = mi * self.num_engines;
-        let row = &mut self.rows[start..start + self.num_engines];
+    /// The first free engine in model index `mi`'s row, filling the row
+    /// by `rule`, then engine id, if it is not built.
+    fn first_free(
+        &mut self,
+        mi: usize,
+        free: &FreeSet,
+        rule: impl Fn(u32, u32) -> Ordering,
+    ) -> usize {
+        let row = &mut self.rows[mi * self.num_engines..(mi + 1) * self.num_engines];
         if !self.built[mi] {
             for (i, r) in row.iter_mut().enumerate() {
                 *r = i as u32;
             }
-            fill(row);
+            row.sort_unstable_by(|&a, &b| rule(a, b).then(a.cmp(&b)));
             self.built[mi] = true;
         }
-        &self.rows[start..start + self.num_engines]
+        *row.iter()
+            .find(|&&e| free.contains(e as usize))
+            .expect("free set is non-empty, so some preferred engine is free") as usize
+    }
+
+    /// Drops every row: an outage may have reordered a rule's engines.
+    fn invalidate(&mut self) {
+        self.built.fill(false);
+    }
+}
+
+/// The engine `kernel`'s rule picks for model index `mi` among the free
+/// engines — the engine [`DispatchKernel::select`] returns over the
+/// sorted free slice — updating the rule's carried state in place.
+fn kernel_engine(
+    kernel: &mut DispatchKernel,
+    mi: usize,
+    free: &FreeSet,
+    cache: &DenseCostCache<'_>,
+    prefs: &mut PrefTable,
+) -> usize {
+    let model = ModelId::ALL[mi];
+    let latency = |e: u32| cache.cost(model, e as usize).latency_s;
+    match kernel {
+        DispatchKernel::EdfFastestEngine => {
+            prefs.first_free(mi, free, |a, b| latency(a).total_cmp(&latency(b)))
+        }
+        DispatchKernel::EdfFewestOutagesEngine { outages } => prefs.first_free(mi, free, |a, b| {
+            outages[a as usize]
+                .cmp(&outages[b as usize])
+                .then(latency(a).total_cmp(&latency(b)))
+        }),
+        DispatchKernel::FifoRotatingEngine { next_engine } => {
+            let e = free
+                .first_at_or_above(*next_engine)
+                .unwrap_or_else(|| free.lowest());
+            // The free count is read before the dispatch occupies `e`,
+            // as `select` reads its free slice.
+            *next_engine = (e + 1) % usize::max(1, e + 1).max(free.count);
+            e
+        }
+        DispatchKernel::FifoLeastLoadedEngine { loads } => {
+            let mut best = usize::MAX;
+            let mut best_load = f64::INFINITY;
+            free.for_each(|e| {
+                // Strictly-less keeps the lowest id on ties, matching
+                // `min_by`'s first minimum.
+                if loads[e].total_cmp(&best_load).is_lt() {
+                    best_load = loads[e];
+                    best = e;
+                }
+            });
+            loads[best] += cache.cost(model, best).latency_s;
+            best
+        }
     }
 }
 
@@ -929,16 +976,40 @@ pub(crate) struct FaultCtx<'a> {
     pub policy: RecoveryPolicy,
 }
 
-/// One dispatched inference that may still be revoked by a fault.
+/// A frame taken off the ready queue for dispatch.
 #[derive(Debug, Clone, Copy)]
-struct InFlight {
+struct Queued {
     key: u32,
     view: PendingView,
     sensor_frame: u64,
+    /// Remaining-work fraction: 1.0 for fresh frames, smaller for
+    /// checkpointed work migrating off a lost engine.
+    frac: f64,
+}
+
+impl Queued {
+    /// The execution record of this frame run on `engine`.
+    fn record(&self, engine: usize, t_start: f64, t_end: f64, energy_j: f64) -> ExecRecord {
+        ExecRecord {
+            model: self.view.model,
+            frame_id: self.view.frame_id,
+            sensor_frame: self.sensor_frame,
+            engine,
+            t_req: self.view.t_req,
+            t_deadline: self.view.t_deadline,
+            t_start,
+            t_end,
+            energy_j,
+        }
+    }
+}
+
+/// One dispatched inference that may still be revoked by a fault.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    job: Queued,
     t_start: f64,
     t_end: f64,
-    /// Remaining-work fraction this dispatch carried.
-    frac: f64,
     energy_j: f64,
 }
 
@@ -960,40 +1031,6 @@ struct FaultState<'a> {
     revoked: BTreeSet<u64>,
 }
 
-/// Emits the deferred stats and execution record for a completion that
-/// survived to its scheduled end (faulted mode only; the fault-free
-/// path emits at dispatch).
-fn emit_completion(
-    inf: &InFlight,
-    ev: &CompletionEv,
-    nm: usize,
-    users_raw: &[u32],
-    stats: &mut [ModelStats],
-    records: &mut [Vec<ExecRecord>],
-    mode: &mut RecordMode<'_>,
-) {
-    let key = ev.key as usize;
-    stats[key].executed_frames += 1;
-    if ev.t > inf.view.t_deadline {
-        stats[key].missed_deadlines += 1;
-    }
-    let record = ExecRecord {
-        model: inf.view.model,
-        frame_id: inf.view.frame_id,
-        sensor_frame: ev.sensor_frame,
-        engine: ev.engine as usize,
-        t_req: inf.view.t_req,
-        t_deadline: inf.view.t_deadline,
-        t_start: inf.t_start,
-        t_end: ev.t,
-        energy_j: inf.energy_j,
-    };
-    match mode {
-        RecordMode::Collect => records[key / nm].push(record),
-        RecordMode::Fold(sink) => sink(users_raw[key / nm], &record),
-    }
-}
-
 /// Where completed inferences go: materialized per-user vectors (the
 /// classic path), or streamed into a fold callback so the run's memory
 /// stays proportional to the in-flight window instead of the request
@@ -1012,50 +1049,99 @@ pub(crate) enum RecordMode<'a> {
     Fold(&'a mut dyn FnMut(u32, &ExecRecord)),
 }
 
-/// The evolving state of a kernel-driven dispatch run (see
-/// [`DispatchKernel`]): exported back to the scheduler through
-/// [`Scheduler::absorb_kernel`] at run end.
-enum KernelState {
-    EdfFastest,
-    FifoRotate { next_engine: usize },
-    FifoLeastLoaded { loads: Vec<f64> },
-    EdfOutages { outages: Vec<u64> },
+/// A run's per-key stats and where its records go.
+struct Output<'m> {
+    stats: Vec<ModelStats>,
+    /// Per-user records, filled in `Collect` mode only.
+    records: Vec<Vec<ExecRecord>>,
+    mode: RecordMode<'m>,
 }
 
-/// Splits a declared kernel into the request order and the engine-rule
-/// state, pre-sizing carried vectors to the engine count so the hot
-/// loop never resizes them (reads beyond the declared length are 0 by
-/// the kernel contract, so this is semantics-preserving).
-fn kernel_setup(kernel: DispatchKernel, num_engines: usize) -> (PickOrder, KernelState) {
-    match kernel {
-        DispatchKernel::EdfFastestEngine => (PickOrder::Edf, KernelState::EdfFastest),
-        DispatchKernel::FifoRotatingEngine { next_engine } => {
-            (PickOrder::Fifo, KernelState::FifoRotate { next_engine })
+impl Output<'_> {
+    /// Counts one execution of `key` and emits its record as `user`'s.
+    fn emit(&mut self, key: usize, user: u32, record: ExecRecord) {
+        let st = &mut self.stats[key];
+        st.executed_frames += 1;
+        if record.t_end > record.t_deadline {
+            st.missed_deadlines += 1;
         }
-        DispatchKernel::FifoLeastLoadedEngine { mut loads } => {
-            if loads.len() < num_engines {
-                loads.resize(num_engines, 0.0);
-            }
-            (PickOrder::Fifo, KernelState::FifoLeastLoaded { loads })
-        }
-        DispatchKernel::EdfFewestOutagesEngine { mut outages } => {
-            if outages.len() < num_engines {
-                outages.resize(num_engines, 0);
-            }
-            (PickOrder::Edf, KernelState::EdfOutages { outages })
+        match &mut self.mode {
+            RecordMode::Collect => self.records[key / NUM_MODELS].push(record),
+            RecordMode::Fold(sink) => sink(user, &record),
         }
     }
 }
 
-/// Packages the evolved kernel state for [`Scheduler::absorb_kernel`].
-fn kernel_export(state: KernelState) -> DispatchKernel {
-    match state {
-        KernelState::EdfFastest => DispatchKernel::EdfFastestEngine,
-        KernelState::FifoRotate { next_engine } => {
-            DispatchKernel::FifoRotatingEngine { next_engine }
+/// Emits the deferred stats and record of a faulted dispatch that
+/// survived to its scheduled end.
+fn emit_completion(inf: &InFlight, ev: &CompletionEv, out: &mut Output<'_>) {
+    let record = inf
+        .job
+        .record(ev.engine as usize, inf.t_start, ev.t, inf.energy_j);
+    out.emit(ev.key as usize, inf.job.view.user, record);
+}
+
+/// The engines' side of a run: which are free, the token of the
+/// dispatch each busy engine runs, and the completion calendar.
+struct Engines {
+    free: FreeSet,
+    token: Vec<Option<u64>>,
+    next_token: u64,
+    calendar: Calendar,
+}
+
+impl Engines {
+    /// Starts `job` on `engine` at `now`: the step both dispatch paths
+    /// share. A fault-free dispatch runs the full latency and emits its
+    /// stats and record at once, in dispatch order. A faulted one runs
+    /// only its remaining-work fraction, stretched by the engine's
+    /// current capacity, and waits in `open` to emit at completion,
+    /// because a fault may yet revoke it.
+    fn dispatch(
+        &mut self,
+        job: Queued,
+        engine: usize,
+        now: f64,
+        cache: &DenseCostCache<'_>,
+        fstate: Option<&mut FaultState<'_>>,
+        out: &mut Output<'_>,
+    ) {
+        let cost = cache.cost(job.view.model, engine);
+        let token = self.next_token;
+        self.next_token += 1;
+        let t_end = match fstate {
+            Some(f) => {
+                let t_end = now + cost.latency_s * job.frac / f.capacity[engine];
+                let inf = InFlight {
+                    job,
+                    t_start: now,
+                    t_end,
+                    energy_j: cost.energy_j * job.frac,
+                };
+                f.open.insert(token, inf);
+                t_end
+            }
+            None => {
+                let t_end = now + cost.latency_s;
+                let record = job.record(engine, now, t_end, cost.energy_j);
+                out.emit(job.key as usize, job.view.user, record);
+                t_end
+            }
+        };
+        // Degenerate sub-epsilon latencies leave the engine free,
+        // matching the reference loop's fresh free-set rescan; the stale
+        // token then never matches at completion time.
+        if t_end > now + EPS {
+            self.token[engine] = Some(token);
+            self.free.remove(engine);
         }
-        KernelState::FifoLeastLoaded { loads } => DispatchKernel::FifoLeastLoadedEngine { loads },
-        KernelState::EdfOutages { outages } => DispatchKernel::EdfFewestOutagesEngine { outages },
+        self.calendar.push(std::cmp::Reverse(CompletionEv {
+            t: t_end,
+            key: job.key,
+            sensor_frame: job.sensor_frame,
+            engine: engine as u32,
+            token,
+        }));
     }
 }
 
@@ -1076,7 +1162,7 @@ pub(crate) fn run_tagged(
     provider: &dyn CostProvider,
     scheduler: &mut dyn Scheduler,
     duration_s: f64,
-    mut mode: RecordMode<'_>,
+    mode: RecordMode<'_>,
     faults: Option<FaultCtx<'_>>,
 ) -> BTreeMap<u32, SimResult> {
     assert!(provider.num_engines() > 0, "provider must expose engines");
@@ -1098,35 +1184,30 @@ pub(crate) fn run_tagged(
         }
     }
 
-    // The kernel fast path runs only fault-free (kernels cannot
-    // observe mid-run outages) and only for schedulers that declare
-    // one; everything else takes the generic `select` path.
+    // A scheduler that lends a kernel is dispatched through the
+    // indexed path for the whole run, faulted or not: its request
+    // order keys the pick heap. Everything else takes `select`.
     let num_engines = provider.num_engines();
-    let kernel = if faults.is_none() {
-        scheduler
-            .dispatch_kernel()
-            .map(|k| kernel_setup(k, num_engines))
-    } else {
-        None
-    };
-    let (kernel_order, mut kstate) = match kernel {
-        Some((o, s)) => (Some(o), Some(s)),
-        None => (None, None),
-    };
+    let kernel_order = scheduler.kernel().map(|k| {
+        k.reserve_engines(num_engines);
+        k.order()
+    });
     let mut prefs = PrefTable::new(num_engines);
 
     // Runtime state, pre-sized from spec-derived bounds: the calendar
     // and free set from the engine count, the queues and tables from
     // the dense key count.
     let cache = DenseCostCache::new(provider);
-    let mut free = FreeSet::all(num_engines, kernel_order.is_none());
-    let mut engine_token: Vec<Option<u64>> = vec![None; num_engines];
-    let mut next_token = 0u64;
+    let mut engines = Engines {
+        free: FreeSet::all(num_engines, kernel_order.is_none()),
+        token: vec![None; num_engines],
+        next_token: 0,
+        // Revoked completions stay queued in faulted runs while their
+        // engine takes new work, so the calendar can outgrow the
+        // engine count.
+        calendar: Calendar::with_capacity(num_engines * 2 + 8),
+    };
     let mut next_seq = 0u64;
-    // Revoked completions stay queued in faulted runs while their
-    // engine takes new work, so the calendar can outgrow the engine
-    // count.
-    let mut calendar = Calendar::with_capacity(num_engines * 2 + 8);
     // Due-but-stashed events: calendar entries discovered at or before
     // `now + EPS` while looking for the next event time (possible only
     // for degenerate sub-epsilon latencies); the reference loop
@@ -1139,9 +1220,12 @@ pub(crate) fn run_tagged(
     let mut deferred: Vec<(u64, u32)> = Vec::with_capacity(32);
     let mut resolved = ResolutionStore::new(num_keys);
     let mut floor = vec![0u64; num_keys];
-    let mut stats: Vec<ModelStats> = vec![ModelStats::default(); num_keys];
+    let mut out = Output {
+        stats: vec![ModelStats::default(); num_keys],
+        records: vec![Vec::new(); num_users],
+        mode,
+    };
     let mut last_frame: Vec<Option<(u64, u64)>> = vec![None; num_keys];
-    let mut records: Vec<Vec<ExecRecord>> = vec![Vec::new(); num_users];
 
     let mut fstate = faults.map(|f| FaultState {
         events: f.timeline.events(),
@@ -1161,7 +1245,7 @@ pub(crate) fn run_tagged(
         //    calendar drain, which pops each cohort in the total
         //    `(t, key, sensor_frame, token)` order) and re-queue
         //    cascade candidates deferred from the previous pass.
-        drain_due(&mut calendar, now + EPS, &mut due);
+        drain_due(&mut engines.calendar, now + EPS, &mut due);
         for ev in due.drain(..) {
             if let Some(f) = fstate.as_mut() {
                 if f.revoked.remove(&ev.token) {
@@ -1170,15 +1254,7 @@ pub(crate) fn run_tagged(
                     continue;
                 }
                 if let Some(inf) = f.open.remove(&ev.token) {
-                    emit_completion(
-                        &inf,
-                        &ev,
-                        nm,
-                        &users_raw,
-                        &mut stats,
-                        &mut records,
-                        &mut mode,
-                    );
+                    emit_completion(&inf, &ev, &mut out);
                 }
             }
             process_completion(
@@ -1189,8 +1265,8 @@ pub(crate) fn run_tagged(
                 &mut resolved,
                 &waiting,
                 &mut pass,
-                &mut engine_token,
-                &mut free,
+                &mut engines.token,
+                &mut engines.free,
             );
         }
         for c in deferred.drain(..) {
@@ -1214,35 +1290,37 @@ pub(crate) fn run_tagged(
                             continue;
                         }
                         f.engine_up[engine] = false;
-                        free.remove(engine);
+                        engines.free.remove(engine);
                         scheduler.on_engine_down(engine, now);
-                        let Some(token) = engine_token[engine].take() else {
+                        // The outage may reorder a kernel's engine
+                        // preferences (`FailoverAware`'s do).
+                        prefs.invalidate();
+                        let Some(token) = engines.token[engine].take() else {
                             continue;
                         };
                         f.revoked.insert(token);
                         let inf = f.open.remove(&token).expect("busy engine has open entry");
-                        let key = inf.key as usize;
+                        let key = inf.job.key as usize;
+                        let sensor_frame = inf.job.sensor_frame;
                         match f.policy {
                             RecoveryPolicy::Drop => {
                                 let reason = match kind {
                                     FaultKind::Failure => DropReason::DeviceLost,
                                     FaultKind::Preemption => DropReason::Preempted,
                                 };
-                                stats[key].record_drop(reason);
+                                out.stats[key].record_drop(reason);
                                 if !tables.downstream(key).is_empty() {
                                     // Dependents see the same Dropped
                                     // resolution an untriggered frame
                                     // would leave behind.
-                                    if inf.sensor_frame
-                                        >= retire_threshold(key, nm, &tables, &floor)
-                                    {
-                                        resolved.insert(key, inf.sensor_frame, Resolution::Dropped);
+                                    if sensor_frame >= retire_threshold(key, nm, &tables, &floor) {
+                                        resolved.insert(key, sensor_frame, Resolution::Dropped);
                                     }
                                     let user_base = key - key % nm;
                                     for &d in tables.downstream(key) {
                                         let dkey = user_base + d as usize;
                                         if waiting.occupied(dkey)
-                                            && waiting.sensor_frame[dkey] == inf.sensor_frame
+                                            && waiting.sensor_frame[dkey] == sensor_frame
                                         {
                                             pass.push(std::cmp::Reverse((
                                                 waiting.seq[dkey],
@@ -1256,7 +1334,7 @@ pub(crate) fn run_tagged(
                                 if ready.occupied(key) {
                                     // A newer frame is already queued:
                                     // freshness drops the revoked one.
-                                    stats[key].record_drop(DropReason::Superseded);
+                                    out.stats[key].record_drop(DropReason::Superseded);
                                 } else {
                                     // In-flight implies a super-epsilon
                                     // span, so the fraction is well
@@ -1264,23 +1342,13 @@ pub(crate) fn run_tagged(
                                     let frac = if f.policy == RecoveryPolicy::Migrate {
                                         ((inf.t_end - now) / (inf.t_end - inf.t_start))
                                             .clamp(0.0, 1.0)
-                                            * inf.frac
+                                            * inf.job.frac
                                     } else {
                                         1.0
                                     };
                                     let seq = next_seq;
                                     next_seq += 1;
-                                    ready.requeue_push(
-                                        key,
-                                        inf.view.user,
-                                        inf.view.model,
-                                        inf.view.frame_id,
-                                        inf.sensor_frame,
-                                        inf.view.t_req,
-                                        inf.view.t_deadline,
-                                        seq,
-                                        frac,
-                                    );
+                                    ready.requeue_push(Queued { frac, ..inf.job }, seq);
                                 }
                             }
                         }
@@ -1290,7 +1358,7 @@ pub(crate) fn run_tagged(
                             continue;
                         }
                         f.engine_up[engine] = true;
-                        free.insert(engine);
+                        engines.free.insert(engine);
                     }
                     FaultAction::Capacity(c) => {
                         f.capacity[engine] = c;
@@ -1315,12 +1383,12 @@ pub(crate) fn run_tagged(
             }
             last_frame[key] = Some((p.req.frame_id, p.req.sensor_frame));
             touched[key] = true;
-            stats[key].total_frames += 1;
+            out.stats[key].total_frames += 1;
             if tables.has_deps(key) {
                 // Freshness: a newer dependent frame supersedes an
                 // older one still waiting for its upstream.
                 if waiting.occupied(key) {
-                    stats[key].record_drop(DropReason::Superseded);
+                    out.stats[key].record_drop(DropReason::Superseded);
                 }
                 let seq = next_seq;
                 next_seq += 1;
@@ -1347,7 +1415,7 @@ pub(crate) fn run_tagged(
                     p.req.t_req,
                     p.req.t_deadline,
                     seq,
-                    &mut stats,
+                    &mut out.stats,
                 );
             }
         }
@@ -1387,7 +1455,7 @@ pub(crate) fn run_tagged(
             let model = ModelId::ALL[key % nm];
             let user = users_raw[key / nm];
             if any_dropped {
-                stats[key].record_drop(DropReason::UpstreamDropped);
+                out.stats[key].record_drop(DropReason::UpstreamDropped);
             } else if ups.iter().zip(probs).all(|(&up, &prob)| {
                 // Exactly one seeded draw per (user, model, upstream,
                 // frame) decision: the waiting slot holds one frame
@@ -1406,13 +1474,21 @@ pub(crate) fn run_tagged(
                 let seq = next_seq;
                 next_seq += 1;
                 ready.supersede_push(
-                    key, user, model, w_frame, w_sf, w_t_req, w_deadline, seq, &mut stats,
+                    key,
+                    user,
+                    model,
+                    w_frame,
+                    w_sf,
+                    w_t_req,
+                    w_deadline,
+                    seq,
+                    &mut out.stats,
                 );
             } else {
                 // Legitimately deactivated: not streamed work for QoE
                 // purposes.
-                stats[key].untriggered_frames += 1;
-                stats[key].total_frames -= 1;
+                out.stats[key].untriggered_frames += 1;
+                out.stats[key].total_frames -= 1;
                 if !tables.downstream(key).is_empty() {
                     if w_sf >= retire_threshold(key, nm, &tables, &floor) {
                         resolved.insert(key, w_sf, Resolution::Dropped);
@@ -1436,193 +1512,36 @@ pub(crate) fn run_tagged(
             }
         }
 
-        // 4. Dispatch ready requests onto free engines.
-        match &mut kstate {
-            None => {
-                // Generic path: compact the cohort's tombstones once,
-                // then drive the scheduler's own `select`.
-                ready.compact();
-                while !free.is_empty() && !ready.is_empty() {
-                    let Some((ri, engine)) =
-                        scheduler.select(ready.views(), &free.list, &cache, now)
-                    else {
-                        break;
-                    };
-                    assert!(
-                        ri < ready.views().len(),
-                        "scheduler returned bad request index"
-                    );
-                    assert!(
-                        free.contains(engine),
-                        "scheduler returned busy engine {engine}"
-                    );
-                    let (key, view, sensor_frame, frac) = ready.remove_pos(ri);
-                    let cost = cache.cost(view.model, engine);
-                    let t_end;
-                    if let Some(f) = fstate.as_ref() {
-                        // Faulted dispatches pay only the remaining-work
-                        // fraction, stretched by the engine's current
-                        // thermal capacity; stats and records wait for
-                        // completion because the dispatch may yet be
-                        // revoked.
-                        t_end = now + cost.latency_s * frac / f.capacity[engine];
-                    } else {
-                        t_end = now + cost.latency_s;
-                        stats[key].executed_frames += 1;
-                        if t_end > view.t_deadline {
-                            stats[key].missed_deadlines += 1;
-                        }
-                        let record = ExecRecord {
-                            model: view.model,
-                            frame_id: view.frame_id,
-                            sensor_frame,
-                            engine,
-                            t_req: view.t_req,
-                            t_deadline: view.t_deadline,
-                            t_start: now,
-                            t_end,
-                            energy_j: cost.energy_j,
-                        };
-                        match &mut mode {
-                            RecordMode::Collect => records[key / nm].push(record),
-                            RecordMode::Fold(sink) => sink(users_raw[key / nm], &record),
-                        }
-                    }
-                    let token = next_token;
-                    next_token += 1;
-                    if let Some(f) = fstate.as_mut() {
-                        f.open.insert(
-                            token,
-                            InFlight {
-                                key: key as u32,
-                                view,
-                                sensor_frame,
-                                t_start: now,
-                                t_end,
-                                frac,
-                                energy_j: cost.energy_j * frac,
-                            },
-                        );
-                    }
-                    if t_end > now + EPS {
-                        engine_token[engine] = Some(token);
-                        free.remove(engine);
-                    }
-                    // Degenerate sub-epsilon latencies leave the engine
-                    // free, matching the reference loop's fresh free-set
-                    // rescan; the stale token then never matches at
-                    // completion time.
-                    calendar.push(std::cmp::Reverse(CompletionEv {
-                        t: t_end,
-                        key: key as u32,
-                        sensor_frame,
-                        engine: engine as u32,
-                        token,
-                    }));
-                }
+        // 4. Dispatch ready requests onto free engines: through the
+        //    indexed kernel when the scheduler lends one (the pick
+        //    heap's root under its request order, its engine rule
+        //    replayed exactly), else through its `select` over the
+        //    view buffer, compacted once per cohort.
+        if let Some(kernel) = scheduler.kernel() {
+            while !engines.free.is_empty() {
+                let Some(key) = ready.min_key() else { break };
+                let engine = kernel_engine(kernel, key % nm, &engines.free, &cache, &mut prefs);
+                let job = ready.take_key(key, users_raw[key / nm]);
+                engines.dispatch(job, engine, now, &cache, fstate.as_mut(), &mut out);
             }
-            Some(kstate) => {
-                // Kernel path (always fault-free): the pick heap's root
-                // under the declared request order, engine rule
-                // replayed exactly.
-                while !free.is_empty() {
-                    let Some(key) = ready.min_key() else { break };
-                    let mi = key % nm;
-                    let model = ModelId::ALL[mi];
-                    let engine =
-                        match kstate {
-                            KernelState::EdfFastest => {
-                                let row = prefs.row(mi, |row| {
-                                    row.sort_unstable_by(|&a, &b| {
-                                        cache
-                                            .cost(model, a as usize)
-                                            .latency_s
-                                            .total_cmp(&cache.cost(model, b as usize).latency_s)
-                                            .then(a.cmp(&b))
-                                    });
-                                });
-                                *row.iter().find(|&&e| free.contains(e as usize)).expect(
-                                    "free set is non-empty, so some preferred engine is free",
-                                ) as usize
-                            }
-                            KernelState::EdfOutages { outages } => {
-                                let row = prefs.row(mi, |row| {
-                                    row.sort_unstable_by(|&a, &b| {
-                                        outages[a as usize]
-                                            .cmp(&outages[b as usize])
-                                            .then(
-                                                cache.cost(model, a as usize).latency_s.total_cmp(
-                                                    &cache.cost(model, b as usize).latency_s,
-                                                ),
-                                            )
-                                            .then(a.cmp(&b))
-                                    });
-                                });
-                                *row.iter().find(|&&e| free.contains(e as usize)).expect(
-                                    "free set is non-empty, so some preferred engine is free",
-                                ) as usize
-                            }
-                            KernelState::FifoRotate { next_engine } => {
-                                let e = free
-                                    .first_at_or_above(*next_engine)
-                                    .unwrap_or_else(|| free.lowest());
-                                // Mirrors RoundRobin::select's cursor
-                                // update, including reading the free count
-                                // *before* this dispatch occupies `e`.
-                                *next_engine = (e + 1) % usize::max(1, e + 1).max(free.count);
-                                e
-                            }
-                            KernelState::FifoLeastLoaded { loads } => {
-                                let mut best = usize::MAX;
-                                let mut best_load = f64::INFINITY;
-                                free.for_each(|e| {
-                                    // Strictly-less keeps the lowest id on
-                                    // ties, matching `min_by`'s first-min.
-                                    if loads[e].total_cmp(&best_load).is_lt() {
-                                        best_load = loads[e];
-                                        best = e;
-                                    }
-                                });
-                                loads[best] += cache.cost(model, best).latency_s;
-                                best
-                            }
-                        };
-                    let (frame_id, sensor_frame, t_req, t_deadline, _frac) = ready.take_key(key);
-                    let cost = cache.cost(model, engine);
-                    let t_end = now + cost.latency_s;
-                    stats[key].executed_frames += 1;
-                    if t_end > t_deadline {
-                        stats[key].missed_deadlines += 1;
-                    }
-                    let record = ExecRecord {
-                        model,
-                        frame_id,
-                        sensor_frame,
-                        engine,
-                        t_req,
-                        t_deadline,
-                        t_start: now,
-                        t_end,
-                        energy_j: cost.energy_j,
-                    };
-                    match &mut mode {
-                        RecordMode::Collect => records[key / nm].push(record),
-                        RecordMode::Fold(sink) => sink(users_raw[key / nm], &record),
-                    }
-                    let token = next_token;
-                    next_token += 1;
-                    if t_end > now + EPS {
-                        engine_token[engine] = Some(token);
-                        free.remove(engine);
-                    }
-                    calendar.push(std::cmp::Reverse(CompletionEv {
-                        t: t_end,
-                        key: key as u32,
-                        sensor_frame,
-                        engine: engine as u32,
-                        token,
-                    }));
-                }
+        } else {
+            ready.compact();
+            while !engines.free.is_empty() && !ready.is_empty() {
+                let Some((ri, engine)) =
+                    scheduler.select(ready.views(), &engines.free.list, &cache, now)
+                else {
+                    break;
+                };
+                assert!(
+                    ri < ready.views().len(),
+                    "scheduler returned bad request index"
+                );
+                assert!(
+                    engines.free.contains(engine),
+                    "scheduler returned busy engine {engine}"
+                );
+                let job = ready.remove_pos(ri);
+                engines.dispatch(job, engine, now, &cache, fstate.as_mut(), &mut out);
             }
         }
 
@@ -1632,8 +1551,8 @@ pub(crate) fn run_tagged(
         if let Some(p) = arrivals.peek() {
             next = next.min(p.req.t_req);
         }
-        drain_due(&mut calendar, now + EPS, &mut due);
-        if let Some(std::cmp::Reverse(ev)) = calendar.peek() {
+        drain_due(&mut engines.calendar, now + EPS, &mut due);
+        if let Some(std::cmp::Reverse(ev)) = engines.calendar.peek() {
             next = next.min(ev.t);
         }
         if let Some(f) = &fstate {
@@ -1642,7 +1561,7 @@ pub(crate) fn run_tagged(
             // or arriving, the remaining toggles are no-ops (waiting
             // frames can never resolve without completions).
             let work_pending = arrivals.peek().is_some()
-                || !calendar.is_empty()
+                || !engines.calendar.is_empty()
                 || !due.is_empty()
                 || !ready.is_empty();
             if work_pending {
@@ -1657,12 +1576,6 @@ pub(crate) fn run_tagged(
         now = next;
     }
 
-    // Hand the evolved kernel state back so back-to-back runs on one
-    // scheduler instance behave as if `select` had been called.
-    if let Some(kstate) = kstate {
-        scheduler.absorb_kernel(kernel_export(kstate));
-    }
-
     // Completions stashed as due when the loop ended (possible only
     // with sub-epsilon latencies) did execute; surface their deferred
     // records in faulted mode (the clean path emitted at dispatch).
@@ -1672,22 +1585,14 @@ pub(crate) fn run_tagged(
                 continue;
             }
             if let Some(inf) = f.open.remove(&ev.token) {
-                emit_completion(
-                    &inf,
-                    &ev,
-                    nm,
-                    &users_raw,
-                    &mut stats,
-                    &mut records,
-                    &mut mode,
-                );
+                emit_completion(&inf, &ev, &mut out);
             }
         }
     }
 
     // Anything still queued at drain time never got to run within the
     // run's horizon; count as dropped.
-    for (key, st) in stats.iter_mut().enumerate() {
+    for (key, st) in out.stats.iter_mut().enumerate() {
         if waiting.occupied(key) {
             st.record_drop(DropReason::Starved);
         }
@@ -1702,9 +1607,9 @@ pub(crate) fn run_tagged(
     // identity); faulted records were emitted at
     // completion and still need the stable start-time sort.
     let emit_at_completion = fstate.is_some();
-    let mut out = BTreeMap::new();
+    let mut result = BTreeMap::new();
     for (ui, &(user, _)) in specs.iter().enumerate() {
-        let mut recs = std::mem::take(&mut records[ui]);
+        let mut recs = std::mem::take(&mut out.records[ui]);
         if emit_at_completion {
             recs.sort_by(|a, b| a.t_start.total_cmp(&b.t_start));
         } else {
@@ -1717,10 +1622,10 @@ pub(crate) fn run_tagged(
         for (mi, &m) in ModelId::ALL.iter().enumerate() {
             let key = ui * nm + mi;
             if touched[key] {
-                user_stats.insert(m, stats[key].clone());
+                user_stats.insert(m, out.stats[key].clone());
             }
         }
-        out.insert(
+        result.insert(
             user,
             SimResult {
                 records: recs,
@@ -1730,7 +1635,7 @@ pub(crate) fn run_tagged(
             },
         );
     }
-    out
+    result
 }
 
 #[cfg(test)]
@@ -1777,7 +1682,7 @@ mod tests {
         // the engine only raises queued keys and only removes the
         // minimum: this test is the one guard on those heap branches.
         for num_keys in [1usize, 2, 3, 66, 1_000, 1024 * NUM_MODELS] {
-            for order in [PickOrder::Edf, PickOrder::Fifo] {
+            for order in [RequestOrder::Edf, RequestOrder::Fifo] {
                 let mut rng = StdRng::seed_from_u64(num_keys as u64 * 31 + order as u64);
                 let mut heap = PickHeap::new(num_keys);
                 let mut live: Vec<Option<PickKey>> = vec![None; num_keys];

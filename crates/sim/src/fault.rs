@@ -418,6 +418,8 @@ fn draw_intervals(
         // Inverse-CDF exponential from a [0, 1) uniform; 1 - u is in
         // (0, 1] so the log is finite.
         let u: f64 = rng.gen_range(0.0..1.0);
+        // Every faulted report's timeline draws through this `ln`.
+        // lint:allow(libm): kept until a host-independent `ln` replaces it.
         -mean * (1.0 - u).ln()
     };
     let mut t = 0.0f64;

@@ -1,8 +1,10 @@
 //! Pluggable inference dispatchers/schedulers.
 
+use std::cmp::Ordering;
+
 use xrbench_models::ModelId;
 
-use crate::provider::CostProvider;
+use crate::provider::{CostProvider, NUM_MODELS};
 
 /// A read-only view of one dispatchable (ready) request, handed to
 /// schedulers.
@@ -27,24 +29,42 @@ pub struct PendingView {
     pub t_deadline: f64,
 }
 
-/// A closed-form description of a scheduler's `select` behavior, used
-/// by the engine's fast dispatch path (see
-/// [`Scheduler::dispatch_kernel`]).
+/// The two deterministic total request orders of the closed-form
+/// policies. The ready queue holds at most one entry per
+/// `(user, model)`, so under either order the minimum is unique.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RequestOrder {
+    /// `(t_deadline, t_req, model, user)` under `f64::total_cmp`.
+    Edf,
+    /// `(t_req, model, user)` under `f64::total_cmp`.
+    Fifo,
+}
+
+impl RequestOrder {
+    fn cmp(self, a: &PendingView, b: &PendingView) -> Ordering {
+        match self {
+            RequestOrder::Edf => edf_order(a, b),
+            RequestOrder::Fifo => fifo_order(a, b),
+        }
+    }
+}
+
+/// A closed-form scheduling policy, declared as data: a *request
+/// order* (which ready request goes next), an *engine rule* (which
+/// free engine it goes to), and any state the rule carries.
 ///
-/// Each variant names a *request order* (how the next ready request is
-/// chosen) and an *engine rule* (how the engine for it is chosen),
-/// plus any evolving state the rule carries. The request orders are
-/// the two deterministic total orders every shipped scheduler uses:
+/// The request orders are EDF, `(t_deadline, t_req, model, user)`, and
+/// FIFO, `(t_req, model, user)`, both under `f64::total_cmp`.
 ///
-/// * **EDF** — `(t_deadline, t_req, model, user)` under
-///   `f64::total_cmp`;
-/// * **FIFO** — `(t_req, model, user)` under `f64::total_cmp`.
-///
-/// Because the ready queue holds at most one entry per
-/// `(user, model)`, both orders are strict total orders and the
-/// minimum is unique — which is what lets the engine replace the
-/// per-pick linear scan with an indexed argmin and still reproduce
-/// `select`'s picks bit-for-bit.
+/// A value is the whole policy of the shipped [`LatencyGreedy`],
+/// [`RoundRobin`], [`LeastLoaded`] and [`FailoverAware`] schedulers:
+/// their `select` is [`DispatchKernel::select`], the specification the
+/// reference loop and the conformance tests run, and they lend the
+/// value to the engine through [`Scheduler::kernel`]. The engine then
+/// drives dispatch through an indexed form of the same policy — a heap
+/// of the queued requests under the request order and per-model engine
+/// preference rows — that reproduces `select`'s picks exactly and
+/// updates the carried state in place.
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq)]
 pub enum DispatchKernel {
@@ -53,8 +73,8 @@ pub enum DispatchKernel {
     EdfFastestEngine,
     /// FIFO request order; engine = first free engine at or above the
     /// rotation cursor, else the lowest free engine; the cursor then
-    /// advances to `(engine + 1) % max(1, engine + 1).max(free count)`
-    /// ([`RoundRobin`]).
+    /// advances to `(engine + 1) % max(1, engine + 1).max(free count)`,
+    /// the free count taken before the dispatch ([`RoundRobin`]).
     FifoRotatingEngine {
         /// The rotation cursor (next engine id to try).
         next_engine: usize,
@@ -70,14 +90,113 @@ pub enum DispatchKernel {
     },
     /// EDF request order; engine = minimal `(observed outages,
     /// latency, engine id)` among the free engines
-    /// ([`FailoverAware`]). Outage counts only change via
-    /// [`Scheduler::on_engine_down`], so on the fault-free path the
-    /// rule is static for the whole run.
+    /// ([`FailoverAware`]). Outage counts change only through
+    /// [`DispatchKernel::on_engine_down`].
     EdfFewestOutagesEngine {
         /// Outages observed per engine id (entries beyond the
         /// vector's length read as `0`).
         outages: Vec<u64>,
     },
+}
+
+impl DispatchKernel {
+    /// The policy's pick: the first ready request under its request
+    /// order, on the free engine its engine rule chooses, updating the
+    /// rule's carried state. `None` when either slice is empty.
+    pub fn select(
+        &mut self,
+        ready: &[PendingView],
+        free_engines: &[usize],
+        provider: &dyn CostProvider,
+    ) -> Option<(usize, usize)> {
+        if ready.is_empty() || free_engines.is_empty() {
+            return None;
+        }
+        let order = self.order();
+        let (ri, req) = ready
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| order.cmp(a, b))
+            .expect("ready is non-empty");
+        let model = req.model;
+        let latency = |e: usize| provider.cost(model, e).latency_s;
+        let engine = match self {
+            DispatchKernel::EdfFastestEngine => fastest_engine(model, free_engines, provider),
+            DispatchKernel::FifoRotatingEngine { next_engine } => {
+                let engine = free_engines
+                    .iter()
+                    .copied()
+                    .find(|&e| e >= *next_engine)
+                    .unwrap_or(free_engines[0]);
+                *next_engine = (engine + 1) % usize::max(1, engine + 1).max(free_engines.len());
+                engine
+            }
+            DispatchKernel::FifoLeastLoadedEngine { loads } => {
+                let load = |e: usize| loads.get(e).copied().unwrap_or(0.0);
+                let engine = free_engines
+                    .iter()
+                    .copied()
+                    .min_by(|&a, &b| load(a).total_cmp(&load(b)).then(a.cmp(&b)))
+                    .expect("free_engines is non-empty");
+                if loads.len() <= engine {
+                    loads.resize(engine + 1, 0.0);
+                }
+                loads[engine] += latency(engine);
+                engine
+            }
+            DispatchKernel::EdfFewestOutagesEngine { outages } => {
+                let count = |e: usize| outages.get(e).copied().unwrap_or(0);
+                free_engines
+                    .iter()
+                    .copied()
+                    .min_by(|&a, &b| {
+                        count(a)
+                            .cmp(&count(b))
+                            .then(latency(a).total_cmp(&latency(b)))
+                            .then(a.cmp(&b))
+                    })
+                    .expect("free_engines is non-empty")
+            }
+        };
+        Some((ri, engine))
+    }
+
+    /// Records that `engine` went offline. Only the fewest-outages rule
+    /// reads outages; for the others this does nothing.
+    pub fn on_engine_down(&mut self, engine: usize) {
+        if let DispatchKernel::EdfFewestOutagesEngine { outages } = self {
+            if outages.len() <= engine {
+                outages.resize(engine + 1, 0);
+            }
+            outages[engine] += 1;
+        }
+    }
+
+    /// The policy's request order.
+    pub(crate) fn order(&self) -> RequestOrder {
+        match self {
+            DispatchKernel::EdfFastestEngine | DispatchKernel::EdfFewestOutagesEngine { .. } => {
+                RequestOrder::Edf
+            }
+            DispatchKernel::FifoRotatingEngine { .. }
+            | DispatchKernel::FifoLeastLoadedEngine { .. } => RequestOrder::Fifo,
+        }
+    }
+
+    /// Pads the carried per-engine state to `num_engines` entries, so
+    /// the engine can index it directly. Entries beyond a vector's
+    /// length read as zero, so this changes no pick.
+    pub(crate) fn reserve_engines(&mut self, num_engines: usize) {
+        match self {
+            DispatchKernel::FifoLeastLoadedEngine { loads } if loads.len() < num_engines => {
+                loads.resize(num_engines, 0.0)
+            }
+            DispatchKernel::EdfFewestOutagesEngine { outages } if outages.len() < num_engines => {
+                outages.resize(num_engines, 0)
+            }
+            _ => {}
+        }
+    }
 }
 
 /// An inference dispatcher: repeatedly asked to pick one
@@ -110,134 +229,119 @@ pub trait Scheduler {
     /// future placements away from flaky engines.
     fn on_engine_down(&mut self, _engine: usize, _now: f64) {}
 
-    /// Declares a closed-form [`DispatchKernel`] equivalent to this
-    /// scheduler's `select`, or `None` (the default) for opaque
-    /// policies.
+    /// Lends the engine this scheduler's [`DispatchKernel`], or `None`
+    /// (the default) for opaque policies.
     ///
-    /// Returning `Some` is a **promise**: on fault-free runs the
-    /// engine may skip `select` entirely and drive dispatch through an
-    /// indexed kernel that reproduces the declared policy's picks
-    /// exactly. Any carried state (rotation cursor, load accumulators,
-    /// outage counts) is snapshotted here at run start and handed back
-    /// through [`Scheduler::absorb_kernel`] at run end, so back-to-back
-    /// runs on one scheduler instance behave as if `select` had been
-    /// called throughout. Two caveats: a kernel-driven run may query
-    /// provider costs for *any* `(ready model, engine)` pair while a
-    /// `select`-driven run only queries the pairs it inspects (only
-    /// observable with panicking partial [`CostProvider`]s), and
-    /// faulted runs always use `select` (kernels cannot observe
-    /// mid-run outages).
-    fn dispatch_kernel(&self) -> Option<DispatchKernel> {
+    /// Returning `Some` is a **promise** that `select` and
+    /// `on_engine_down` behave exactly as the returned value's
+    /// [`DispatchKernel::select`] and [`DispatchKernel::on_engine_down`],
+    /// and that every call during a run returns the same variant. The
+    /// engine then never calls `select`: it dispatches through an
+    /// indexed form of the kernel, fault-free and faulted runs alike,
+    /// and updates the carried state (rotation cursor, loads, outage
+    /// counts) in place, so back-to-back runs on one instance behave
+    /// as if `select` had been called throughout. One caveat: a
+    /// kernel-driven run may query provider costs for *any*
+    /// `(ready model, engine)` pair while a `select`-driven run only
+    /// queries the pairs it inspects (only observable with panicking
+    /// partial [`CostProvider`]s).
+    fn kernel(&mut self) -> Option<&mut DispatchKernel> {
         None
     }
-
-    /// Hands back the kernel state as evolved by a kernel-driven run
-    /// (see [`Scheduler::dispatch_kernel`]). The default discards it,
-    /// which is correct for stateless policies.
-    fn absorb_kernel(&mut self, _kernel: DispatchKernel) {}
 }
 
-/// The paper's default for cost-model/simulator runs: dispatch the
-/// most urgent ready request (earliest deadline) to the idle engine
-/// with the minimal expected latency for that model.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyGreedy {
-    _private: (),
-}
-
-impl LatencyGreedy {
-    /// Creates the scheduler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for LatencyGreedy {
-    fn select(
-        &mut self,
-        ready: &[PendingView],
-        free_engines: &[usize],
-        provider: &dyn CostProvider,
-        _now: f64,
-    ) -> Option<(usize, usize)> {
-        if ready.is_empty() || free_engines.is_empty() {
-            return None;
+/// Declares a shipped scheduler whose whole policy is one
+/// [`DispatchKernel`] value: the struct, its constructor, and a
+/// [`Scheduler`] impl that selects, observes outages and lends its
+/// state through that value.
+macro_rules! kernel_scheduler {
+    ($(#[$doc:meta])* $ty:ident, $name:literal, $kernel:expr) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone)]
+        pub struct $ty {
+            kernel: DispatchKernel,
         }
-        // Most urgent request first, on the fastest idle engine.
-        let (ri, req) = ready
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| edf_order(a, b))
-            .expect("ready is non-empty");
-        Some((ri, fastest_engine(req.model, free_engines, provider)))
-    }
 
-    fn name(&self) -> &'static str {
-        "latency-greedy"
-    }
-
-    fn dispatch_kernel(&self) -> Option<DispatchKernel> {
-        Some(DispatchKernel::EdfFastestEngine)
-    }
-}
-
-/// The paper's round-robin style scheduler for real systems: requests
-/// are served in arrival order and engines are used in rotation.
-#[derive(Debug, Clone, Default)]
-pub struct RoundRobin {
-    next_engine: usize,
-}
-
-impl RoundRobin {
-    /// Creates the scheduler starting at engine 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for RoundRobin {
-    fn select(
-        &mut self,
-        ready: &[PendingView],
-        free_engines: &[usize],
-        _provider: &dyn CostProvider,
-        _now: f64,
-    ) -> Option<(usize, usize)> {
-        if ready.is_empty() || free_engines.is_empty() {
-            return None;
+        impl $ty {
+            /// Creates the scheduler in its initial state.
+            pub fn new() -> Self {
+                Self { kernel: $kernel }
+            }
         }
-        // Oldest request first.
-        let (ri, _) = ready
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| fifo_order(a, b))
-            .expect("ready is non-empty");
-        // Next engine in rotation among the free ones.
-        let engine = free_engines
-            .iter()
-            .copied()
-            .find(|&e| e >= self.next_engine)
-            .unwrap_or(free_engines[0]);
-        self.next_engine = (engine + 1) % usize::max(1, engine + 1).max(free_engines.len());
-        Some((ri, engine))
-    }
 
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn dispatch_kernel(&self) -> Option<DispatchKernel> {
-        Some(DispatchKernel::FifoRotatingEngine {
-            next_engine: self.next_engine,
-        })
-    }
-
-    fn absorb_kernel(&mut self, kernel: DispatchKernel) {
-        if let DispatchKernel::FifoRotatingEngine { next_engine } = kernel {
-            self.next_engine = next_engine;
+        impl Default for $ty {
+            fn default() -> Self {
+                Self::new()
+            }
         }
-    }
+
+        impl Scheduler for $ty {
+            fn select(
+                &mut self,
+                ready: &[PendingView],
+                free_engines: &[usize],
+                provider: &dyn CostProvider,
+                _now: f64,
+            ) -> Option<(usize, usize)> {
+                self.kernel.select(ready, free_engines, provider)
+            }
+
+            fn name(&self) -> &'static str {
+                $name
+            }
+
+            fn on_engine_down(&mut self, engine: usize, _now: f64) {
+                self.kernel.on_engine_down(engine);
+            }
+
+            fn kernel(&mut self) -> Option<&mut DispatchKernel> {
+                Some(&mut self.kernel)
+            }
+        }
+    };
 }
+
+kernel_scheduler!(
+    /// The paper's default for cost-model/simulator runs: dispatch the
+    /// most urgent ready request (earliest deadline) to the idle engine
+    /// with the minimal expected latency for that model.
+    LatencyGreedy,
+    "latency-greedy",
+    DispatchKernel::EdfFastestEngine
+);
+
+kernel_scheduler!(
+    /// The paper's round-robin style scheduler for real systems:
+    /// requests are served in arrival order and engines are used in
+    /// rotation, starting at engine 0.
+    RoundRobin,
+    "round-robin",
+    DispatchKernel::FifoRotatingEngine { next_engine: 0 }
+);
+
+kernel_scheduler!(
+    /// Load-balancing dispatcher: serves requests in arrival order and
+    /// sends each to the free engine with the least *accumulated* busy
+    /// time for this run (ties by engine id) — the classic least-loaded
+    /// policy a multi-tenant session dispatcher would use.
+    LeastLoaded,
+    "least-loaded",
+    DispatchKernel::FifoLeastLoadedEngine { loads: Vec::new() }
+);
+
+kernel_scheduler!(
+    /// Churn-hardened dispatcher for dynamic fleets: serves requests in
+    /// EDF order (like [`LatencyGreedy`]) but places each on the free
+    /// engine with the fewest *observed outages* this run, breaking ties
+    /// by expected latency and then engine id. On static hardware no
+    /// outage is ever observed, so every tie breaks by latency and the
+    /// policy degenerates to latency-greedy placement.
+    FailoverAware,
+    "failover-aware",
+    DispatchKernel::EdfFewestOutagesEngine {
+        outages: Vec::new()
+    }
+);
 
 /// Slack-aware earliest-deadline-first: walks the ready queue in EDF
 /// order and dispatches the first request that can still *meet* its
@@ -258,12 +362,12 @@ impl SlackAwareEdf {
 }
 
 /// Deterministic EDF ordering: deadline, then arrival, model, user.
-fn edf_order(a: &PendingView, b: &PendingView) -> std::cmp::Ordering {
+fn edf_order(a: &PendingView, b: &PendingView) -> Ordering {
     a.t_deadline.total_cmp(&b.t_deadline).then(fifo_order(a, b))
 }
 
 /// Deterministic FIFO ordering: arrival, then model, then user.
-fn fifo_order(a: &PendingView, b: &PendingView) -> std::cmp::Ordering {
+fn fifo_order(a: &PendingView, b: &PendingView) -> Ordering {
     a.t_req
         .total_cmp(&b.t_req)
         .then(a.model.cmp(&b.model))
@@ -296,177 +400,37 @@ impl Scheduler for SlackAwareEdf {
         if ready.is_empty() || free_engines.is_empty() {
             return None;
         }
-        let mut order: Vec<usize> = (0..ready.len()).collect();
-        order.sort_by(|&a, &b| edf_order(&ready[a], &ready[b]));
-        // First salvageable request in EDF order, on its fastest
-        // deadline-meeting engine.
-        for &ri in &order {
-            let req = &ready[ri];
-            let feasible: Vec<usize> = free_engines
-                .iter()
-                .copied()
-                .filter(|&e| now + provider.cost(req.model, e).latency_s <= req.t_deadline + 1e-15)
-                .collect();
-            if !feasible.is_empty() {
-                return Some((ri, fastest_engine(req.model, &feasible, provider)));
+        // One pass, no allocation. `now + latency` is monotone in the
+        // latency, so a request can meet its deadline on some free
+        // engine iff it can on its model's fastest free engine, which
+        // is then also its fastest deadline-meeting engine. That engine
+        // is memoized per model.
+        let mut fastest: [Option<(usize, f64)>; NUM_MODELS] = [None; NUM_MODELS];
+        let mut first: Option<usize> = None;
+        let mut salvageable: Option<usize> = None;
+        for (ri, req) in ready.iter().enumerate() {
+            let (_, latency) = *fastest[req.model as usize].get_or_insert_with(|| {
+                let e = fastest_engine(req.model, free_engines, provider);
+                (e, provider.cost(req.model, e).latency_s)
+            });
+            let before =
+                |best: Option<usize>| best.is_none_or(|b| edf_order(req, &ready[b]).is_lt());
+            if before(first) {
+                first = Some(ri);
+            }
+            if now + latency <= req.t_deadline + 1e-15 && before(salvageable) {
+                salvageable = Some(ri);
             }
         }
-        // Everything is late: limit damage on the most urgent one.
-        let ri = order[0];
-        Some((ri, fastest_engine(ready[ri].model, free_engines, provider)))
+        // The first salvageable request in EDF order; if everything is
+        // late, limit the damage on the most urgent one.
+        let ri = salvageable.or(first).expect("ready is non-empty");
+        let (engine, _) = fastest[ready[ri].model as usize].expect("filled for every ready model");
+        Some((ri, engine))
     }
 
     fn name(&self) -> &'static str {
         "slack-edf"
-    }
-}
-
-/// Load-balancing dispatcher: serves requests in arrival order and
-/// sends each to the free engine with the least *accumulated* busy
-/// time for this run (ties by engine id) — the classic least-loaded
-/// policy a multi-tenant session dispatcher would use.
-#[derive(Debug, Clone, Default)]
-pub struct LeastLoaded {
-    /// Accumulated dispatched latency per engine id.
-    loads: Vec<f64>,
-}
-
-impl LeastLoaded {
-    /// Creates the scheduler with all engines unloaded.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn load(&self, engine: usize) -> f64 {
-        self.loads.get(engine).copied().unwrap_or(0.0)
-    }
-}
-
-impl Scheduler for LeastLoaded {
-    fn select(
-        &mut self,
-        ready: &[PendingView],
-        free_engines: &[usize],
-        provider: &dyn CostProvider,
-        _now: f64,
-    ) -> Option<(usize, usize)> {
-        if ready.is_empty() || free_engines.is_empty() {
-            return None;
-        }
-        // Oldest request first (FIFO across users).
-        let (ri, req) = ready
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| fifo_order(a, b))
-            .expect("ready is non-empty");
-        let engine = free_engines
-            .iter()
-            .copied()
-            .min_by(|&a, &b| self.load(a).total_cmp(&self.load(b)).then(a.cmp(&b)))
-            .expect("free_engines is non-empty");
-        if self.loads.len() <= engine {
-            self.loads.resize(engine + 1, 0.0);
-        }
-        self.loads[engine] += provider.cost(req.model, engine).latency_s;
-        Some((ri, engine))
-    }
-
-    fn name(&self) -> &'static str {
-        "least-loaded"
-    }
-
-    fn dispatch_kernel(&self) -> Option<DispatchKernel> {
-        Some(DispatchKernel::FifoLeastLoadedEngine {
-            loads: self.loads.clone(),
-        })
-    }
-
-    fn absorb_kernel(&mut self, kernel: DispatchKernel) {
-        if let DispatchKernel::FifoLeastLoadedEngine { loads } = kernel {
-            self.loads = loads;
-        }
-    }
-}
-
-/// Churn-hardened dispatcher for dynamic fleets: serves requests in
-/// EDF order (like [`LatencyGreedy`]) but places each on the free
-/// engine with the fewest *observed outages* this run, breaking ties
-/// by expected latency and then engine id. On static hardware no
-/// outage is ever observed, so every tie breaks by latency and the
-/// policy degenerates to latency-greedy placement.
-#[derive(Debug, Clone, Default)]
-pub struct FailoverAware {
-    /// Outages observed per engine id (grown on demand).
-    outages: Vec<u64>,
-}
-
-impl FailoverAware {
-    /// Creates the scheduler with no outages observed.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn outage_count(&self, engine: usize) -> u64 {
-        self.outages.get(engine).copied().unwrap_or(0)
-    }
-}
-
-impl Scheduler for FailoverAware {
-    fn select(
-        &mut self,
-        ready: &[PendingView],
-        free_engines: &[usize],
-        provider: &dyn CostProvider,
-        _now: f64,
-    ) -> Option<(usize, usize)> {
-        if ready.is_empty() || free_engines.is_empty() {
-            return None;
-        }
-        // Most urgent request first, on the most reliable idle engine.
-        let (ri, req) = ready
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| edf_order(a, b))
-            .expect("ready is non-empty");
-        let engine = free_engines
-            .iter()
-            .copied()
-            .min_by(|&a, &b| {
-                self.outage_count(a)
-                    .cmp(&self.outage_count(b))
-                    .then(
-                        provider
-                            .cost(req.model, a)
-                            .latency_s
-                            .total_cmp(&provider.cost(req.model, b).latency_s),
-                    )
-                    .then(a.cmp(&b))
-            })
-            .expect("free_engines is non-empty");
-        Some((ri, engine))
-    }
-
-    fn name(&self) -> &'static str {
-        "failover-aware"
-    }
-
-    fn dispatch_kernel(&self) -> Option<DispatchKernel> {
-        Some(DispatchKernel::EdfFewestOutagesEngine {
-            outages: self.outages.clone(),
-        })
-    }
-
-    fn absorb_kernel(&mut self, kernel: DispatchKernel) {
-        if let DispatchKernel::EdfFewestOutagesEngine { outages } = kernel {
-            self.outages = outages;
-        }
-    }
-
-    fn on_engine_down(&mut self, engine: usize, _now: f64) {
-        if self.outages.len() <= engine {
-            self.outages.resize(engine + 1, 0);
-        }
-        self.outages[engine] += 1;
     }
 }
 

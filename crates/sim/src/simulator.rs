@@ -1218,6 +1218,154 @@ mod tests {
     }
 
     #[test]
+    fn outages_after_the_last_completion_leave_the_run_unchanged() {
+        // Metamorphic relation (no second engine needed as the oracle):
+        // fault events that all fire after the fault-free run's last
+        // completion find no work to revoke or slow, so the faulted run
+        // must equal the fault-free one exactly, for every shipped
+        // scheduler and recovery policy, in both loops. Exact equality
+        // needs one more condition, which this session meets: no user
+        // has two dispatches at one instant that complete out of
+        // dispatch order (see the next test).
+        use crate::fault::{FaultAction, FaultEvent, FaultKind};
+        use crate::scheduler::{FailoverAware, LeastLoaded, SlackAwareEdf};
+        let p = UniformProvider::new(3, 0.004, 0.001);
+        let sim = Simulator::new(SimConfig::default());
+        let specs: Vec<ScenarioSpec> = UsageScenario::ALL.iter().map(|s| s.spec()).collect();
+        let session = SessionSpec::mixed("after-horizon", &specs, 6, 0.01);
+        let span_s = session.span_s(sim.config.duration_s);
+        let users: Vec<(u32, &ScenarioSpec)> =
+            session.users.iter().map(|u| (u.user, &u.spec)).collect();
+        let schedulers: [fn() -> Box<dyn Scheduler>; 5] = [
+            || Box::new(LatencyGreedy::new()),
+            || Box::new(RoundRobin::new()),
+            || Box::new(SlackAwareEdf::new()),
+            || Box::new(LeastLoaded::new()),
+            || Box::new(FailoverAware::new()),
+        ];
+        let loops: [(&str, EventLoop); 2] = [
+            ("engine", crate::engine::run_tagged),
+            ("naive", crate::naive::run_tagged_naive),
+        ];
+        for (name, event_loop) in loops {
+            for make in schedulers {
+                let run = |faults: Option<FaultCtx<'_>>| {
+                    let per_user = event_loop(
+                        sim.config,
+                        &users,
+                        &mut session.arrivals(sim.config.seed, sim.config.duration_s),
+                        &p,
+                        make().as_mut(),
+                        span_s,
+                        RecordMode::Collect,
+                        faults,
+                    );
+                    SessionSimResult {
+                        session: session.name.clone(),
+                        per_user: per_user.into_iter().collect(),
+                        num_engines: p.num_engines(),
+                        span_s,
+                    }
+                };
+                let clean = run(None);
+                let last = clean
+                    .per_user
+                    .iter()
+                    .flat_map(|(_, r)| &r.records)
+                    .map(|r| r.t_end)
+                    .fold(0.0, f64::max);
+                assert!(last > 0.0, "{name}: the clean run executed nothing");
+                let event = |dt: f64, engine: u32, action: FaultAction| FaultEvent {
+                    t: last + dt,
+                    engine,
+                    action,
+                };
+                let timeline = FaultTimeline::from_events(vec![
+                    event(1e-6, 0, FaultAction::Down(FaultKind::Failure)),
+                    event(1e-3, 1, FaultAction::Capacity(0.5)),
+                    event(2e-3, 2, FaultAction::Down(FaultKind::Preemption)),
+                    event(3e-3, 0, FaultAction::Up),
+                    event(1.0, 2, FaultAction::Up),
+                ]);
+                for policy in RecoveryPolicy::ALL {
+                    let faulted = run(Some(FaultCtx {
+                        timeline: &timeline,
+                        policy,
+                    }));
+                    assert_eq!(
+                        faulted,
+                        clean,
+                        "{name}/{}/{policy}: outages after the last completion changed the run",
+                        make().name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn outages_after_the_last_completion_can_reorder_tied_records() {
+        // The counterexample to exact equality above. A faulted run
+        // emits records at completion and stable-sorts them by start
+        // time, so a user's records that share a start time keep
+        // completion order; a fault-free run keeps dispatch order. EDF
+        // sends Eye Segmentation (earlier deadline) out first, but the
+        // completion calendar pops Hand Tracking (lower key) first, so
+        // the two records swap while every stat stays the same.
+        use crate::fault::{FaultAction, FaultEvent, FaultKind};
+        use xrbench_workload::ScenarioBuilder;
+        let spec = ScenarioBuilder::new("pair")
+            .model(ModelId::HandTracking, 30.0)
+            .model(ModelId::EyeSegmentation, 30.0)
+            .build()
+            .expect("valid pair scenario");
+        let request = |model, t_deadline| SessionRequest {
+            user: 0,
+            req: InferenceRequest {
+                model,
+                frame_id: 0,
+                sensor_frame: 0,
+                t_req: 0.0,
+                t_deadline,
+            },
+        };
+        let requests = [
+            request(ModelId::HandTracking, 0.033),
+            request(ModelId::EyeSegmentation, 0.010),
+        ];
+        let p = UniformProvider::new(2, 0.004, 0.001);
+        let timeline = FaultTimeline::from_events(vec![FaultEvent {
+            t: 0.5,
+            engine: 0,
+            action: FaultAction::Down(FaultKind::Failure),
+        }]);
+        let run = |faults| {
+            let mut per_user = crate::engine::run_tagged(
+                SimConfig::default(),
+                &[(0, &spec)],
+                &mut requests.iter().cloned(),
+                &p,
+                &mut LatencyGreedy::new(),
+                1.0,
+                RecordMode::Collect,
+                faults,
+            );
+            per_user.remove(&0).expect("user 0 ran")
+        };
+        let clean = run(None);
+        let faulted = run(Some(FaultCtx {
+            timeline: &timeline,
+            policy: RecoveryPolicy::Drop,
+        }));
+        let models: Vec<ModelId> = clean.records.iter().map(|r| r.model).collect();
+        assert_eq!(models, [ModelId::EyeSegmentation, ModelId::HandTracking]);
+        let mut swapped = faulted.records.clone();
+        swapped.swap(0, 1);
+        assert_eq!(swapped, clean.records, "the same two records, swapped");
+        assert_eq!(faulted.stats, clean.stats);
+    }
+
+    #[test]
     fn failover_scheduler_runs_under_churn() {
         let p = UniformProvider::new(3, 0.003, 0.001);
         let sim = Simulator::new(SimConfig::default());

@@ -303,6 +303,8 @@ fn gaussian_unit(rng: &mut StdRng) -> f64 {
     // Box–Muller transform.
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
+    // Every report's arrival jitter draws through this `ln` and `cos`.
+    // lint:allow(libm): kept until host-independent versions replace them.
     let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
     (0.5 + 0.25 * z).clamp(0.0, 1.0)
 }

@@ -10,7 +10,9 @@ use proptest::prelude::*;
 use xrbench::costmodel::{evaluate_layers, Dataflow, HardwareConfig, Layer};
 use xrbench::models::{zoo, InputSource, ModelId};
 use xrbench::prelude::*;
-use xrbench::sim::{ExecRecord, FailoverAware, FaultProcess, RecoveryPolicy, UniformProvider};
+use xrbench::sim::{
+    ExecRecord, FailoverAware, FaultProcess, PendingView, RecoveryPolicy, UniformProvider,
+};
 use xrbench::workload::DependencyKind;
 
 fn scenario_strategy() -> impl Strategy<Value = UsageScenario> {
@@ -81,18 +83,50 @@ fn slow_and_fast(
     )
 }
 
-/// All five shipped schedulers — the differential suites must cover
-/// every one, kernel-declaring (LatencyGreedy, RoundRobin, LeastLoaded,
-/// FailoverAware) and opaque (SlackAwareEdf) alike.
+/// All five shipped schedulers — the differential suites run every one
+/// on each case, kernel-declaring (LatencyGreedy, RoundRobin,
+/// LeastLoaded, FailoverAware) and opaque (SlackAwareEdf) alike.
 const NUM_SCHEDULERS: usize = 5;
 
-fn scheduler_for(idx: usize) -> Box<dyn Scheduler> {
-    match idx % NUM_SCHEDULERS {
+/// Shipped scheduler `idx`, as shipped (a kernel scheduler takes the
+/// engine's indexed path) or with its kernel hidden behind [`Opaque`]
+/// (the engine's `select` path over the view buffer).
+fn scheduler_for(idx: usize, hide_kernel: bool) -> Box<dyn Scheduler> {
+    let shipped: Box<dyn Scheduler> = match idx % NUM_SCHEDULERS {
         0 => Box::new(LatencyGreedy::new()),
         1 => Box::new(RoundRobin::new()),
         2 => Box::new(SlackAwareEdf::new()),
         3 => Box::new(LeastLoaded::new()),
         _ => Box::new(FailoverAware::new()),
+    };
+    if hide_kernel {
+        Box::new(Opaque(shipped))
+    } else {
+        shipped
+    }
+}
+
+/// Forwards every call but `kernel`, so the engine must drive the
+/// wrapped scheduler through `select`.
+struct Opaque(Box<dyn Scheduler>);
+
+impl Scheduler for Opaque {
+    fn select(
+        &mut self,
+        ready: &[PendingView],
+        free_engines: &[usize],
+        provider: &dyn CostProvider,
+        now: f64,
+    ) -> Option<(usize, usize)> {
+        self.0.select(ready, free_engines, provider, now)
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn on_engine_down(&mut self, engine: usize, now: f64) {
+        self.0.on_engine_down(engine, now);
     }
 }
 
@@ -258,12 +292,12 @@ proptest! {
     ) {
         // The fault-free differential: on randomized builder-generated
         // multi-user sessions — mixed scenarios, random rates,
-        // probabilistic cascades, every shipped scheduler, under- and
-        // over-provisioned systems — the production engine must
-        // reproduce the reference loop's output exactly (records,
-        // stats, drop causes, everything `SessionSimResult: PartialEq`
-        // sees), and Fold must stream the same records Collect keeps,
-        // in the same order.
+        // probabilistic cascades, under- and over-provisioned systems —
+        // the production engine must reproduce the reference loop's
+        // output exactly (records, stats, drop causes, everything
+        // `SessionSimResult: PartialEq` sees) for every shipped
+        // scheduler on both dispatch paths, and Fold must stream the
+        // same records Collect keeps, in the same order.
         let mut st = structure;
         let spec_count = 1 + pick(&mut st, 3);
         let specs: Vec<ScenarioSpec> = (0..spec_count)
@@ -275,55 +309,71 @@ proptest! {
         let engines = 1 + pick(&mut st, 4);
         let latency = [0.0003, 0.002, 0.009, 0.035][pick(&mut st, 4)];
         let provider = UniformProvider::new(engines, latency, 0.001);
-        let sched_idx = pick(&mut st, NUM_SCHEDULERS);
         let sim = Simulator::new(SimConfig { duration_s: 1.0, seed });
-        let fast = sim.run_session(&session, &provider, scheduler_for(sched_idx).as_mut());
-        let slow = sim.run_session_reference(
-            &session,
-            &provider,
-            scheduler_for(sched_idx).as_mut(),
-            None,
-            None,
-        );
-        prop_assert_eq!(
-            &fast,
-            &slow,
-            "engines diverge: {} users, {} engines, {}s latency, scheduler {}",
-            users,
-            engines,
-            latency,
-            sched_idx % NUM_SCHEDULERS
-        );
-        let mut folded: Vec<(u32, ExecRecord)> = Vec::new();
-        let fold = sim.run_session_folded(
-            &session,
-            &provider,
-            scheduler_for(sched_idx).as_mut(),
-            &mut |user, rec| folded.push((user, rec.clone())),
-        );
-        let collected: Vec<(u32, ExecRecord)> = fast
-            .per_user
-            .iter()
-            .flat_map(|(u, r)| r.records.iter().map(move |rec| (*u, rec.clone())))
-            .collect();
-        let mut by_user = folded.clone();
-        by_user.sort_by_key(|&(u, _)| u);
-        prop_assert_eq!(by_user, collected, "folded records diverge from collected");
-        for ((u, r), (uf, rf)) in fast.per_user.iter().zip(fold.per_user.iter()) {
-            prop_assert_eq!(u, uf);
-            prop_assert_eq!(&r.stats, &rf.stats, "fold mode changed stats");
+        for sched_idx in 0..NUM_SCHEDULERS {
+            // The reference loop always calls `select`, so one run of
+            // it checks both variants.
+            let slow = sim.run_session_reference(
+                &session,
+                &provider,
+                scheduler_for(sched_idx, false).as_mut(),
+                None,
+                None,
+            );
+            let mut slow_folded: Vec<(u32, ExecRecord)> = Vec::new();
+            let slow_fold = sim.run_session_reference(
+                &session,
+                &provider,
+                scheduler_for(sched_idx, false).as_mut(),
+                None,
+                Some(&mut |user, rec| slow_folded.push((user, rec.clone()))),
+            );
+            for hide_kernel in [false, true] {
+                let fast = sim.run_session(
+                    &session,
+                    &provider,
+                    scheduler_for(sched_idx, hide_kernel).as_mut(),
+                );
+                prop_assert_eq!(
+                    &fast,
+                    &slow,
+                    "engines diverge: {} users, {} engines, {}s latency, scheduler {}, \
+                     kernel hidden {}",
+                    users,
+                    engines,
+                    latency,
+                    sched_idx,
+                    hide_kernel
+                );
+                let mut folded: Vec<(u32, ExecRecord)> = Vec::new();
+                let fold = sim.run_session_folded(
+                    &session,
+                    &provider,
+                    scheduler_for(sched_idx, hide_kernel).as_mut(),
+                    &mut |user, rec| folded.push((user, rec.clone())),
+                );
+                let collected: Vec<(u32, ExecRecord)> = fast
+                    .per_user
+                    .iter()
+                    .flat_map(|(u, r)| r.records.iter().map(move |rec| (*u, rec.clone())))
+                    .collect();
+                let mut by_user = folded.clone();
+                by_user.sort_by_key(|&(u, _)| u);
+                prop_assert_eq!(by_user, collected, "folded records diverge from collected");
+                for ((u, r), (uf, rf)) in fast.per_user.iter().zip(fold.per_user.iter()) {
+                    prop_assert_eq!(u, uf);
+                    prop_assert_eq!(&r.stats, &rf.stats, "fold mode changed stats");
+                }
+                // The reference fold streams the same records in the
+                // same order.
+                prop_assert_eq!(&fold, &slow_fold, "fold results diverge from the reference fold");
+                prop_assert_eq!(
+                    &folded,
+                    &slow_folded,
+                    "fold streams diverge from the reference fold"
+                );
+            }
         }
-        // The reference fold streams the same records in the same order.
-        let mut slow_folded: Vec<(u32, ExecRecord)> = Vec::new();
-        let slow_fold = sim.run_session_reference(
-            &session,
-            &provider,
-            scheduler_for(sched_idx).as_mut(),
-            None,
-            Some(&mut |user, rec| slow_folded.push((user, rec.clone()))),
-        );
-        prop_assert_eq!(fold, slow_fold, "fold results diverge from the reference fold");
-        prop_assert_eq!(folded, slow_folded, "fold streams diverge from the reference fold");
     }
 
     #[test]
@@ -333,9 +383,10 @@ proptest! {
     ) {
         // The faulted differential: on randomized sessions with engine
         // churn, preemption, and throttling, the production engine must
-        // reproduce the reference loop exactly under every recovery
-        // policy and every shipped scheduler, in both record modes —
-        // and in Fold mode, record for record in stream order.
+        // reproduce the reference loop exactly under every shipped
+        // scheduler on both dispatch paths and a random recovery
+        // policy, in both record modes — and in Fold mode, record for
+        // record in stream order.
         let mut st = structure;
         let spec_count = 1 + pick(&mut st, 2);
         let specs: Vec<ScenarioSpec> = (0..spec_count)
@@ -357,54 +408,58 @@ proptest! {
                 Some(xrbench::sim::ThrottleSpec { period_s: 0.3, duty: 0.4, factor: 0.5 })
             },
         };
-        let sched_idx = pick(&mut st, NUM_SCHEDULERS);
         let policy = RecoveryPolicy::ALL[pick(&mut st, RecoveryPolicy::ALL.len())];
         let sim = Simulator::new(SimConfig { duration_s: 1.0, seed });
-        let fast = sim.run_session_faulted(
-            &session,
-            &provider,
-            scheduler_for(sched_idx).as_mut(),
-            &faults,
-            policy,
-        );
-        let slow = sim.run_session_reference(
-            &session,
-            &provider,
-            scheduler_for(sched_idx).as_mut(),
-            Some((&faults, policy)),
-            None,
-        );
-        prop_assert_eq!(
-            &fast,
-            &slow,
-            "faulted engines diverge: {} users, {} engines, {}s latency, \
-             scheduler {}, policy {}",
-            users,
-            engines,
-            latency,
-            sched_idx % NUM_SCHEDULERS,
-            policy
-        );
-        // Fold-mode parity under faults: same results, and the same
-        // records reach the sink in the same order.
-        let mut fast_folded: Vec<(u32, ExecRecord)> = Vec::new();
-        let fast_fold = sim.run_session_folded_faulted(
-            &session,
-            &provider,
-            scheduler_for(sched_idx).as_mut(),
-            &faults,
-            policy,
-            &mut |user, rec| fast_folded.push((user, rec.clone())),
-        );
-        let mut slow_folded: Vec<(u32, ExecRecord)> = Vec::new();
-        let slow_fold = sim.run_session_reference(
-            &session,
-            &provider,
-            scheduler_for(sched_idx).as_mut(),
-            Some((&faults, policy)),
-            Some(&mut |user, rec| slow_folded.push((user, rec.clone()))),
-        );
-        prop_assert_eq!(fast_fold, slow_fold, "faulted fold results diverge");
-        prop_assert_eq!(&fast_folded, &slow_folded, "faulted fold streams diverge");
+        for sched_idx in 0..NUM_SCHEDULERS {
+            let slow = sim.run_session_reference(
+                &session,
+                &provider,
+                scheduler_for(sched_idx, false).as_mut(),
+                Some((&faults, policy)),
+                None,
+            );
+            let mut slow_folded: Vec<(u32, ExecRecord)> = Vec::new();
+            let slow_fold = sim.run_session_reference(
+                &session,
+                &provider,
+                scheduler_for(sched_idx, false).as_mut(),
+                Some((&faults, policy)),
+                Some(&mut |user, rec| slow_folded.push((user, rec.clone()))),
+            );
+            for hide_kernel in [false, true] {
+                let fast = sim.run_session_faulted(
+                    &session,
+                    &provider,
+                    scheduler_for(sched_idx, hide_kernel).as_mut(),
+                    &faults,
+                    policy,
+                );
+                prop_assert_eq!(
+                    &fast,
+                    &slow,
+                    "faulted engines diverge: {} users, {} engines, {}s latency, \
+                     scheduler {}, kernel hidden {}, policy {}",
+                    users,
+                    engines,
+                    latency,
+                    sched_idx,
+                    hide_kernel,
+                    policy
+                );
+                // Fold-mode parity under faults: same results, and the
+                // same records reach the sink in the same order.
+                let mut fast_folded: Vec<(u32, ExecRecord)> = Vec::new();
+                let fast_fold = sim.run_session_folded_faulted(
+                    &session,
+                    &provider,
+                    scheduler_for(sched_idx, hide_kernel).as_mut(),
+                    &faults,
+                    policy,
+                    &mut |user, rec| fast_folded.push((user, rec.clone())),
+                );
+                prop_assert_eq!(&fast_fold, &slow_fold, "faulted fold results diverge");
+                prop_assert_eq!(&fast_folded, &slow_folded, "faulted fold streams diverge");
+            }
+        }
     }
 }

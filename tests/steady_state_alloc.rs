@@ -3,8 +3,10 @@
 //! allocator, and a folded session run asserts that **zero** heap
 //! allocations happen between a post-warm-up checkpoint and a
 //! pre-teardown checkpoint taken inside the record sink. The check
-//! runs once per kernel-declaring scheduler, so both request orders
-//! (EDF and FIFO) and every engine rule are on the measured path.
+//! runs once per shipped scheduler: the four kernel schedulers cover
+//! both request orders (EDF and FIFO) and every engine rule of the
+//! indexed path, and `slack-edf` covers the `select` path over the
+//! view buffer.
 //!
 //! The engine pre-sizes its state from spec-derived bounds (the
 //! completion heap, the stash of due completions and the free set
@@ -21,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use xrbench::sim::{
     FailoverAware, LatencyGreedy, LeastLoaded, RoundRobin, Scheduler, SimConfig, Simulator,
-    UniformProvider,
+    SlackAwareEdf, UniformProvider,
 };
 use xrbench::workload::{ScenarioCatalog, ScenarioSpec, SessionSpec};
 
@@ -128,18 +130,17 @@ fn assert_steady_state_allocation_free(
 #[test]
 fn steady_state_loop_does_not_allocate() {
     // A mixed multi-user session over every built-in scenario:
-    // dependencies, cascades, supersession, and the kernel dispatch
-    // fast path are all on the measured path, under every scheduler
-    // that declares a kernel. Both request orders push into the same
-    // pick heap.
+    // dependencies, cascades, supersession, and both dispatch paths
+    // are all on the measured path, under every shipped scheduler.
     let users = 64u32;
     let provider = UniformProvider::new(8, 0.001, 0.001);
     let specs: Vec<ScenarioSpec> = ScenarioCatalog::builtin().iter().cloned().collect();
     let session = SessionSpec::mixed("alloc-probe", &specs, users, 0.002);
     let sim = Simulator::new(SimConfig::default());
-    let schedulers: [(&str, SchedulerFactory); 4] = [
+    let schedulers: [(&str, SchedulerFactory); 5] = [
         ("latency-greedy", || Box::new(LatencyGreedy::new())),
         ("round-robin", || Box::new(RoundRobin::new())),
+        ("slack-edf", || Box::new(SlackAwareEdf::new())),
         ("least-loaded", || Box::new(LeastLoaded::new())),
         ("failover-aware", || Box::new(FailoverAware::new())),
     ];
