@@ -1,10 +1,7 @@
 //! The benchmark harness: run a scenario, score the timeline.
 
-use xrbench_models::{quality_for, ModelId, QualityType};
-use xrbench_score::{
-    accuracy_score, energy_score, rt_score, scenario_score, AccuracyParams, EnergyParams,
-    InferenceScore, MetricKind, ModelOutcome, RtParams,
-};
+use xrbench_fleet::{InferenceScorer, ScenarioFold};
+use xrbench_score::{AccuracyParams, EnergyParams, RtParams};
 use xrbench_sim::{CostProvider, LatencyGreedy, Scheduler, SimConfig, SimResult, Simulator};
 use xrbench_workload::{ScenarioSpec, SessionSpec, UsageScenario};
 
@@ -58,9 +55,12 @@ impl Harness {
     ///
     /// # Panics
     ///
-    /// Panics if `duration_s` is not positive.
+    /// Panics if `duration_s` is not positive and finite.
     pub fn with_duration(mut self, duration_s: f64) -> Self {
-        assert!(duration_s > 0.0, "duration must be positive");
+        assert!(
+            duration_s.is_finite() && duration_s > 0.0,
+            "duration must be positive and finite"
+        );
         self.sim.duration_s = duration_s;
         self
     }
@@ -119,45 +119,7 @@ impl Harness {
         scheduler: &mut dyn Scheduler,
     ) -> SessionReport {
         let scheduler_name = scheduler.name();
-        let sim = Simulator::new(self.sim);
-        let result = sim.run_session(session, system, scheduler);
-        self.assemble_session_report(session, system, scheduler_name, &result)
-    }
-
-    /// [`Harness::run_session`] under an injected availability process
-    /// (engine churn, preemption, throttling): the fault timeline is
-    /// derived deterministically from the harness seed, and in-flight
-    /// work on a lost engine is recovered per `policy`. Revoked frames
-    /// surface as `preempted` / `device_lost` in the per-user and
-    /// session drop breakdowns. A quiet process is bit-identical to
-    /// [`Harness::run_session`].
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Harness::run_session`], plus an invalid
-    /// fault process (see [`xrbench_sim::FaultProcess::validate`]).
-    pub fn run_session_faulted(
-        &self,
-        session: &SessionSpec,
-        system: &dyn CostProvider,
-        scheduler: &mut dyn Scheduler,
-        faults: &xrbench_sim::FaultProcess,
-        policy: xrbench_sim::RecoveryPolicy,
-    ) -> SessionReport {
-        let scheduler_name = scheduler.name();
-        let sim = Simulator::new(self.sim);
-        let result = sim.run_session_faulted(session, system, scheduler, faults, policy);
-        self.assemble_session_report(session, system, scheduler_name, &result)
-    }
-
-    /// Scores and assembles a simulated session into its report.
-    fn assemble_session_report(
-        &self,
-        session: &SessionSpec,
-        system: &dyn CostProvider,
-        scheduler_name: &str,
-        result: &xrbench_sim::SessionSimResult,
-    ) -> SessionReport {
+        let result = Simulator::new(self.sim).run_session(session, system, scheduler);
         let mut users = Vec::with_capacity(session.users.len());
         let mut session_drops = DropBreakdownReport::default();
         for u in &session.users {
@@ -215,118 +177,12 @@ impl Harness {
         }
     }
 
-    /// Runs a **fleet**: `Σ replicas` independent device sessions
-    /// (each its own [`xrbench_fleet::FleetSpec`] group replica with a
-    /// derived seed, simulated against its own replica of `system`)
-    /// across a bounded worker pool, folding every result into a
-    /// streaming, exactly-mergeable aggregate. Memory stays
-    /// O(workers × groups) and the returned
-    /// [`xrbench_fleet::FleetReport`] is bit-identical for any
-    /// `workers` value — see `xrbench-fleet` and `DESIGN.md`.
-    ///
-    /// The harness's seed, duration, and score parameters apply to
-    /// every device session, exactly as they would in
-    /// [`Harness::run_session`].
+    /// Scores an existing simulation result against a scenario spec:
+    /// one [`ScenarioFold`] over the result's records in start order.
     ///
     /// # Panics
     ///
-    /// Panics if the fleet has no groups, `workers == 0`, or the
-    /// system has no engines.
-    pub fn run_fleet(
-        &self,
-        fleet: &xrbench_fleet::FleetSpec,
-        system: &(dyn CostProvider + Sync),
-        workers: usize,
-    ) -> xrbench_fleet::FleetReport {
-        self.run_fleet_with_recovery(
-            fleet,
-            system,
-            workers,
-            xrbench_sim::RecoveryPolicy::default(),
-        )
-    }
-
-    /// [`Harness::run_fleet`] with an explicit recovery policy for
-    /// fault-injected device groups (groups without a fault process
-    /// are unaffected — a fully fault-free fleet is bit-identical
-    /// under every policy).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Harness::run_fleet`].
-    pub fn run_fleet_with_recovery(
-        &self,
-        fleet: &xrbench_fleet::FleetSpec,
-        system: &(dyn CostProvider + Sync),
-        workers: usize,
-        recovery: xrbench_sim::RecoveryPolicy,
-    ) -> xrbench_fleet::FleetReport {
-        xrbench_fleet::run_fleet(fleet, system, &self.fleet_config(workers, recovery))
-    }
-
-    /// Runs a fault-injected fleet once per
-    /// [`xrbench_sim::RecoveryPolicy`] — identical spec, seeds, and
-    /// outage schedules — and tabulates the outcomes
-    /// (see [`xrbench_fleet::compare_recovery_policies`]).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Harness::run_fleet`].
-    pub fn compare_fleet_policies(
-        &self,
-        fleet: &xrbench_fleet::FleetSpec,
-        system: &(dyn CostProvider + Sync),
-        workers: usize,
-    ) -> xrbench_fleet::PolicyComparisonReport {
-        let config = self.fleet_config(workers, xrbench_sim::RecoveryPolicy::default());
-        xrbench_fleet::compare_recovery_policies(fleet, system, &config)
-    }
-
-    /// Runs shard `shard` of `num_shards` of a fleet — the same
-    /// sessions [`Harness::run_fleet_with_recovery`] would seed for
-    /// the global `(group, replica)` coordinates that fall in the
-    /// shard — and returns the partial state
-    /// ([`xrbench_fleet::ShardState`]) ready to cross a process
-    /// boundary (see [`xrbench_fleet::merge_fleet_shards`]).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Harness::run_fleet`], plus
-    /// `shard < num_shards`.
-    pub fn run_fleet_shard(
-        &self,
-        fleet: &xrbench_fleet::FleetSpec,
-        system: &(dyn CostProvider + Sync),
-        workers: usize,
-        recovery: xrbench_sim::RecoveryPolicy,
-        shard: u32,
-        num_shards: u32,
-    ) -> xrbench_fleet::ShardState {
-        xrbench_fleet::run_fleet_shard(
-            fleet,
-            system,
-            &self.fleet_config(workers, recovery),
-            shard,
-            num_shards,
-        )
-    }
-
-    pub(crate) fn fleet_config(
-        &self,
-        workers: usize,
-        recovery: xrbench_sim::RecoveryPolicy,
-    ) -> xrbench_fleet::FleetRunConfig {
-        xrbench_fleet::FleetRunConfig {
-            sim: self.sim,
-            rt: self.score.rt,
-            energy: self.score.energy,
-            accuracy: self.score.accuracy,
-            workers,
-            recovery,
-        }
-    }
-
-    /// Scores an existing simulation result against a scenario spec.
+    /// Panics if `result` holds a record of a model outside `spec`.
     pub fn score_result(
         &self,
         spec: &ScenarioSpec,
@@ -334,76 +190,42 @@ impl Harness {
         scheduler_name: &str,
         result: &SimResult,
     ) -> ScenarioReport {
-        let mut outcomes: Vec<ModelOutcome> = Vec::with_capacity(spec.models.len());
-        let mut model_reports: Vec<ModelReport> = Vec::with_capacity(spec.models.len());
-
-        for sm in &spec.models {
-            let stats = result.stats.get(&sm.model).cloned().unwrap_or_default();
-            let mut scores = Vec::with_capacity(stats.executed_frames as usize);
-            let mut lat_sum = 0.0;
-            let mut energy_sum = 0.0;
-            for rec in result.records_for(sm.model) {
-                scores.push(self.score_inference(
-                    sm.model,
-                    rec.latency_s(),
-                    rec.slack_s(),
-                    rec.energy_j,
-                ));
-                lat_sum += rec.latency_s();
-                energy_sum += rec.energy_j;
-            }
-            let n = scores.len().max(1) as f64;
-            let outcome = ModelOutcome {
-                inference_scores: scores,
-                total_frames: stats.total_frames,
-            };
-            model_reports.push(ModelReport {
-                model: sm.model.abbrev().to_string(),
-                target_fps: sm.target_fps,
-                total_frames: stats.total_frames,
-                executed_frames: stats.executed_frames,
-                dropped_frames: stats.dropped_frames,
-                untriggered_frames: stats.untriggered_frames,
-                missed_deadlines: stats.missed_deadlines,
-                mean_latency_ms: lat_sum / n * 1e3,
-                mean_energy_mj: energy_sum / n * 1e3,
-                per_model_score: outcome.per_model(),
-                qoe: outcome.qoe(),
-            });
-            outcomes.push(outcome);
+        let scorer = InferenceScorer::new(self.score.rt, self.score.energy, self.score.accuracy);
+        let mut fold = ScenarioFold::new(spec);
+        for rec in &result.records {
+            fold.record(rec, &scorer);
         }
-
-        let breakdown = scenario_score(&outcomes);
+        let models = spec
+            .models
+            .iter()
+            .zip(fold.model_means(&result.stats))
+            .map(|(sm, means)| {
+                let stats = result.stats.get(&sm.model).cloned().unwrap_or_default();
+                ModelReport {
+                    model: sm.model.abbrev().to_string(),
+                    target_fps: sm.target_fps,
+                    total_frames: stats.total_frames,
+                    executed_frames: stats.executed_frames,
+                    dropped_frames: stats.dropped_frames,
+                    untriggered_frames: stats.untriggered_frames,
+                    missed_deadlines: stats.missed_deadlines,
+                    mean_latency_ms: means.latency_s * 1e3,
+                    mean_energy_mj: means.energy_j * 1e3,
+                    per_model_score: means.per_model,
+                    qoe: means.qoe,
+                }
+            })
+            .collect();
         ScenarioReport {
             scenario: spec.name.clone(),
             system: system.label(),
             scheduler: scheduler_name.to_string(),
-            breakdown: BreakdownReport::from(breakdown),
-            models: model_reports,
+            breakdown: BreakdownReport::from(fold.breakdown(&result.stats)),
+            models,
             drop_rate: result.drop_rate(),
             total_energy_mj: result.total_energy_j() * 1e3,
             mean_utilization: result.mean_utilization(),
         }
-    }
-
-    /// Scores a single inference (Definition 14's three factors).
-    pub fn score_inference(
-        &self,
-        model: ModelId,
-        latency_s: f64,
-        slack_s: f64,
-        energy_j: f64,
-    ) -> InferenceScore {
-        let q = quality_for(model);
-        let kind = match q.quality_type {
-            QualityType::HigherIsBetter => MetricKind::HigherIsBetter,
-            QualityType::LowerIsBetter => MetricKind::LowerIsBetter,
-        };
-        InferenceScore::new(
-            rt_score(latency_s, slack_s, self.score.rt),
-            energy_score(energy_j, self.score.energy),
-            accuracy_score(q.measured, q.target, kind, self.score.accuracy),
-        )
     }
 }
 
@@ -469,8 +291,21 @@ mod tests {
 
     #[test]
     fn score_inference_triple_in_range() {
+        // The scorer `score_result` folds with, built from the
+        // harness's default score parameters.
         let h = Harness::new();
-        let s = h.score_inference(ModelId::HandTracking, 0.005, 0.010, 0.1);
+        let scorer = InferenceScorer::new(h.score.rt, h.score.energy, h.score.accuracy);
+        let s = scorer.score(&xrbench_sim::ExecRecord {
+            model: xrbench_models::ModelId::HandTracking,
+            frame_id: 0,
+            sensor_frame: 0,
+            engine: 0,
+            t_req: 0.0,
+            t_deadline: 0.010,
+            t_start: 0.0,
+            t_end: 0.005,
+            energy_j: 0.1,
+        });
         assert!(s.realtime > 0.99);
         assert!((s.energy - (1.5 - 0.1) / 1.5).abs() < 1e-12);
         assert_eq!(s.accuracy, 1.0);
@@ -479,20 +314,34 @@ mod tests {
     #[test]
     #[should_panic(expected = "duration")]
     fn invalid_duration_rejected() {
-        let _ = Harness::new().with_duration(-1.0);
+        for bad in [-1.0, 0.0, f64::NAN] {
+            let refused = std::panic::catch_unwind(|| Harness::new().with_duration(bad));
+            assert!(refused.is_err(), "{bad} s accepted");
+        }
+        // An infinite run would never end.
+        let _ = Harness::new().with_duration(f64::INFINITY);
     }
 
     #[test]
     fn harness_runs_fleets() {
-        use xrbench_fleet::FleetSpec;
+        use crate::spec::RunParams;
+        use xrbench_fleet::{run_fleet, FleetRunConfig, FleetSpec};
         use xrbench_workload::SessionSpec;
+
+        // Fleets run in the fleet crate under the configuration built
+        // from the harness's run parameters.
+        let params = RunParams {
+            seed: Some(9),
+            duration_s: None,
+        };
+        let cfg = params.fleet_config();
+        assert_eq!(cfg.sim, params.harness().sim_config());
 
         let p = UniformProvider::new(4, 0.001, 0.001);
         let session = SessionSpec::uniform("party", UsageScenario::VrGaming.spec(), 4, 0.002);
         let fleet = FleetSpec::uniform("arcade", session, 6);
-        let h = Harness::new();
-        let a = h.run_fleet(&fleet, &p, 1);
-        let b = h.run_fleet(&fleet, &p, 4);
+        let a = run_fleet(&fleet, &p, &FleetRunConfig { workers: 1, ..cfg });
+        let b = run_fleet(&fleet, &p, &FleetRunConfig { workers: 4, ..cfg });
         assert_eq!(a, b, "worker count must not change the report");
         assert_eq!(a.num_sessions, 6);
         assert_eq!(a.num_users, 24);
@@ -543,73 +392,41 @@ mod tests {
         assert!(!json.contains("device_lost"));
     }
 
-    fn churny() -> xrbench_sim::FaultProcess {
-        xrbench_sim::FaultProcess {
+    #[test]
+    fn harness_compares_recovery_policies() {
+        use crate::spec::RunParams;
+        use xrbench_fleet::{compare_recovery_policies, run_fleet, FleetRunConfig, FleetSpec};
+        use xrbench_sim::{FaultProcess, RecoveryPolicy};
+        use xrbench_workload::SessionSpec;
+
+        let churny = FaultProcess {
             failure_rate_per_s: 3.0,
             mean_downtime_s: 0.05,
             preemption_rate_per_s: 6.0,
             mean_preemption_s: 0.02,
             throttle: None,
-        }
-    }
-
-    #[test]
-    fn faulted_session_surfaces_fault_drops() {
-        use xrbench_sim::{LatencyGreedy, RecoveryPolicy};
-        use xrbench_workload::SessionSpec;
-
-        let p = UniformProvider::new(2, 0.002, 0.001);
-        let session = SessionSpec::uniform("churn", UsageScenario::VrGaming.spec(), 4, 0.005);
-        let h = Harness::new();
-        let r = h.run_session_faulted(
-            &session,
-            &p,
-            &mut LatencyGreedy::new(),
-            &churny(),
-            RecoveryPolicy::Drop,
-        );
-        assert!(r.drops.fault_total() > 0, "{:?}", r.drops);
-        // Fault drops roll up from per-model, per-user accounting.
-        let mut sum = crate::report::DropBreakdownReport::default();
-        for u in &r.users {
-            sum.add(&u.drops());
-        }
-        assert_eq!(sum, r.drops);
-        let json = r.to_json();
-        assert!(json.contains("\"preempted\"") || json.contains("\"device_lost\""));
-
-        // A quiet process is bit-identical to the fault-free path.
-        let quiet = h.run_session_faulted(
-            &session,
-            &p,
-            &mut LatencyGreedy::new(),
-            &xrbench_sim::FaultProcess::default(),
-            RecoveryPolicy::Drop,
-        );
-        let clean = h.run_session(&session, &p, &mut LatencyGreedy::new());
-        assert_eq!(quiet, clean);
-        assert_eq!(quiet.to_json(), clean.to_json());
-    }
-
-    #[test]
-    fn harness_compares_recovery_policies() {
-        use xrbench_fleet::FleetSpec;
-        use xrbench_workload::SessionSpec;
-
+        };
         let p = UniformProvider::new(2, 0.002, 0.001);
         let fleet = FleetSpec::new("churn").group_faulted(
             "vr",
             SessionSpec::uniform("vr", UsageScenario::VrGaming.spec(), 2, 0.002),
             3,
-            churny(),
+            churny,
         );
-        let h = Harness::new();
-        let cmp = h.compare_fleet_policies(&fleet, &p, 2);
+        let cfg = RunParams::default().fleet_config();
+        let cmp = compare_recovery_policies(&fleet, &p, &FleetRunConfig { workers: 2, ..cfg });
         assert_eq!(cmp.policies.len(), 3);
         assert!(cmp.policy("drop").unwrap().preempted > 0);
-        // Per-policy rows reproduce the dedicated entry point.
-        let requeue =
-            h.run_fleet_with_recovery(&fleet, &p, 4, xrbench_sim::RecoveryPolicy::Requeue);
+        // Per-policy rows reproduce a dedicated run of that policy.
+        let requeue = run_fleet(
+            &fleet,
+            &p,
+            &FleetRunConfig {
+                workers: 4,
+                recovery: RecoveryPolicy::Requeue,
+                ..cfg
+            },
+        );
         let row = cmp.policy("requeue").unwrap();
         assert_eq!(row.executed_inferences, requeue.executed_inferences);
         assert_eq!(row.fleet_score, requeue.fleet_score);

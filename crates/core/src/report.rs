@@ -350,4 +350,37 @@ mod tests {
         assert!(b.scenario("VR Gaming").is_none());
         assert!(b.to_json().contains("xrbench_score"));
     }
+
+    #[test]
+    fn drop_breakdown_names_fault_counters_only_when_nonzero() {
+        let json = |d: &DropBreakdownReport| serde_json::to_string(d).unwrap();
+        let quiet = DropBreakdownReport {
+            superseded: 3,
+            upstream_dropped: 2,
+            starved: 1,
+            ..Default::default()
+        };
+        assert_eq!(
+            json(&quiet),
+            r#"{"superseded":3.0,"upstream_dropped":2.0,"starved":1.0}"#
+        );
+        assert_eq!(quiet.fault_total(), 0);
+
+        let mut faulted = quiet;
+        faulted.add(&DropBreakdownReport {
+            preempted: 4,
+            ..Default::default()
+        });
+        assert_eq!(
+            json(&faulted),
+            r#"{"superseded":3.0,"upstream_dropped":2.0,"starved":1.0,"preempted":4.0}"#
+        );
+        faulted.add(&DropBreakdownReport {
+            device_lost: 5,
+            ..Default::default()
+        });
+        assert!(json(&faulted).ends_with(r#""preempted":4.0,"device_lost":5.0}"#));
+        assert_eq!(faulted.fault_total(), 9);
+        assert_eq!(faulted.total(), 15);
+    }
 }

@@ -4,10 +4,10 @@
 //! goes through [`Runner::run`]: it executes any [`RunDocument`]
 //! through exactly the library paths a hand-written caller would use
 //! ([`crate::run_suite_catalog`], [`crate::Harness::run_session`],
-//! [`crate::Harness::run_fleet_with_recovery`], and the sweep
-//! executor), so reports are byte-identical to theirs, and returns one
-//! tagged [`RunReport`], with one error type ([`XrError`]) across
-//! every kind:
+//! [`xrbench_fleet::run_fleet`], and the sweep executor), so reports
+//! are byte-identical to theirs, and returns one tagged
+//! [`RunReport`], with one error type ([`XrError`]) across every
+//! kind:
 //!
 //! ```
 //! use xrbench_core::{Runner, RunReport};
@@ -119,7 +119,7 @@ mod tests {
 
     /// The legacy entry points are the library functions that predate
     /// `Runner`: `run_suite`, `Harness::run_session` and
-    /// `Harness::run_fleet`.
+    /// `xrbench_fleet::run_fleet`.
     #[test]
     fn runner_reports_match_the_legacy_entry_points() {
         use crate::Harness;
@@ -159,9 +159,12 @@ mod tests {
             2,
         );
         // The worker count cannot change a fleet report.
-        let expected = Harness::new()
-            .with_duration(0.2)
-            .run_fleet(&fleet, &system, 1);
+        let config = xrbench_fleet::FleetRunConfig {
+            sim: Harness::new().with_duration(0.2).sim_config(),
+            workers: 1,
+            ..Default::default()
+        };
+        let expected = xrbench_fleet::run_fleet(&fleet, &system, &config);
         assert_eq!(report.to_json(), expected.to_json());
     }
 

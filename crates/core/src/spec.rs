@@ -7,9 +7,9 @@
 //! [`RunDocument::from_json_str`] turns it into a ready-to-execute
 //! value. Executing a run document goes through exactly the same
 //! library entry points ([`crate::run_suite_catalog`],
-//! [`Harness::run_session`], [`Harness::run_fleet`]) a Rust caller
-//! uses, so the reports are bit-for-bit identical to the programmatic
-//! path.
+//! [`Harness::run_session`], [`xrbench_fleet::run_fleet`]) a Rust
+//! caller uses, so the reports are bit-for-bit identical to the
+//! programmatic path.
 //!
 //! ## Hardware schema
 //!
@@ -55,6 +55,7 @@ use std::collections::BTreeSet;
 use serde::de::Cursor;
 
 use xrbench_accel::{config_by_id, AcceleratorSystem};
+use xrbench_fleet::FleetRunConfig;
 use xrbench_models::ModelId;
 use xrbench_sim::{
     CostProvider, FailoverAware, InferenceCost, LatencyGreedy, LeastLoaded, RecoveryPolicy,
@@ -456,6 +457,15 @@ impl RunParams {
         }
         h
     }
+
+    /// The fleet configuration these parameters configure: the
+    /// harness's seed and duration, every other field at its default.
+    pub fn fleet_config(&self) -> FleetRunConfig {
+        FleetRunConfig {
+            sim: self.harness().sim_config(),
+            ..FleetRunConfig::default()
+        }
+    }
 }
 
 /// A decoded `"kind": "suite"` run document.
@@ -531,37 +541,42 @@ pub struct FleetRun {
 }
 
 impl FleetRun {
-    /// Executes the fleet exactly as
-    /// [`Harness::run_fleet_with_recovery`] would (the
-    /// [`crate::Runner`] path for fleet documents).
+    /// Executes the fleet exactly as [`xrbench_fleet::run_fleet`]
+    /// would under [`FleetRun::config`] (the [`crate::Runner`] path for
+    /// fleet documents).
     pub(crate) fn execute(&self) -> xrbench_fleet::FleetReport {
         let system = self.system.build();
-        self.params.harness().run_fleet_with_recovery(
-            &self.fleet,
-            system.as_ref(),
-            self.effective_workers(),
-            self.recovery,
-        )
+        xrbench_fleet::run_fleet(&self.fleet, system.as_ref(), &self.config())
+    }
+
+    /// The fleet configuration this document selects: its seed,
+    /// duration, worker count and recovery policy.
+    fn config(&self) -> FleetRunConfig {
+        let base = self.params.fleet_config();
+        FleetRunConfig {
+            workers: self.workers.unwrap_or(base.workers),
+            recovery: self.recovery,
+            ..base
+        }
     }
 
     /// Runs one shard of the fleet: the sessions whose global
     /// `(group, replica)` coordinates fall in shard `shard` of
     /// `num_shards`, seeded exactly as the whole-fleet run would seed
-    /// them. The returned [`xrbench_fleet::ShardState`] serializes
-    /// over a pipe and merges back through
-    /// [`FleetRun::merge_shards`].
+    /// them ([`xrbench_fleet::run_fleet_shard`]). The returned
+    /// [`xrbench_fleet::ShardState`] serializes over a pipe and merges
+    /// back through [`FleetRun::merge_shards`].
     ///
     /// # Panics
     ///
     /// Panics if `shard >= num_shards` (same contract as
-    /// [`Harness::run_fleet`] otherwise).
+    /// [`xrbench_fleet::run_fleet`] otherwise).
     pub fn run_shard(&self, shard: u32, num_shards: u32) -> xrbench_fleet::ShardState {
         let system = self.system.build();
-        self.params.harness().run_fleet_shard(
+        xrbench_fleet::run_fleet_shard(
             &self.fleet,
             system.as_ref(),
-            self.effective_workers(),
-            self.recovery,
+            &self.config(),
             shard,
             num_shards,
         )
@@ -585,8 +600,8 @@ impl FleetRun {
     ) -> Result<xrbench_fleet::FleetReport, SpecError> {
         let label = self.system.build().label();
         let scheduler = xrbench_sim::LatencyGreedy::new().name();
-        let config = self.params.harness().fleet_config(1, self.recovery);
-        let fingerprint = xrbench_fleet::fleet_fingerprint(&self.fleet, &label, scheduler, &config);
+        let fingerprint =
+            xrbench_fleet::fleet_fingerprint(&self.fleet, &label, scheduler, &self.config());
         xrbench_fleet::check_partition(
             states
                 .iter()
@@ -597,18 +612,10 @@ impl FleetRun {
     }
 
     /// Runs the fleet once per recovery policy under identical fault
-    /// seeds (see [`Harness::compare_fleet_policies`]).
+    /// seeds (see [`xrbench_fleet::compare_recovery_policies`]).
     pub fn compare_policies(&self) -> xrbench_fleet::PolicyComparisonReport {
         let system = self.system.build();
-        self.params.harness().compare_fleet_policies(
-            &self.fleet,
-            system.as_ref(),
-            self.effective_workers(),
-        )
-    }
-
-    fn effective_workers(&self) -> usize {
-        self.workers.unwrap_or_else(xrbench_fleet::default_workers)
+        xrbench_fleet::compare_recovery_policies(&self.fleet, system.as_ref(), &self.config())
     }
 }
 
@@ -896,7 +903,11 @@ mod tests {
         );
         // The worker count cannot change the report (PR 4 invariant),
         // so the document's `workers: 2` matches any library run.
-        let expected = Harness::new().run_fleet(&fleet, &system, 1);
+        let config = FleetRunConfig {
+            workers: 1,
+            ..FleetRunConfig::default()
+        };
+        let expected = xrbench_fleet::run_fleet(&fleet, &system, &config);
         assert_eq!(report, expected);
     }
 
@@ -931,8 +942,12 @@ mod tests {
                 ..FaultProcess::default()
             },
         );
-        let expected =
-            Harness::new().run_fleet_with_recovery(&fleet, &system, 1, RecoveryPolicy::Requeue);
+        let config = FleetRunConfig {
+            workers: 1,
+            recovery: RecoveryPolicy::Requeue,
+            ..FleetRunConfig::default()
+        };
+        let expected = xrbench_fleet::run_fleet(&fleet, &system, &config);
         assert_eq!(report, expected);
         // The policy comparison runs off the same decoded document.
         let cmp = run.compare_policies();

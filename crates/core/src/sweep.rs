@@ -559,10 +559,9 @@ impl SweepDocument {
             }
             SweepWorkloadKind::Fleet(spec) => {
                 let config = FleetRunConfig {
-                    sim: harness.sim_config(),
                     workers: 1,
                     recovery: point.recovery,
-                    ..FleetRunConfig::default()
+                    ..self.params.fleet_config()
                 };
                 let report = run_fleet_with(spec, system, &config, &|| point.scheduler.build());
                 PointMetrics {

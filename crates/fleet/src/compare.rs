@@ -11,7 +11,7 @@ use serde::Serialize;
 
 use xrbench_sim::{CostProvider, LatencyGreedy, RecoveryPolicy, Scheduler};
 
-use crate::executor::{run_fleet_with, FleetRunConfig};
+use crate::executor::{run_fleet, FleetRunConfig};
 use crate::report::FleetReport;
 use crate::spec::FleetSpec;
 
@@ -120,38 +120,24 @@ pub fn compare_recovery_policies(
     system: &(dyn CostProvider + Sync),
     config: &FleetRunConfig,
 ) -> PolicyComparisonReport {
-    compare_recovery_policies_with(spec, system, config, &|| Box::new(LatencyGreedy::new()))
-}
-
-/// [`compare_recovery_policies`] under an explicit scheduler factory.
-///
-/// # Panics
-///
-/// Same contract as [`crate::run_fleet_with`].
-pub fn compare_recovery_policies_with(
-    spec: &FleetSpec,
-    system: &(dyn CostProvider + Sync),
-    config: &FleetRunConfig,
-    scheduler_factory: &(dyn Fn() -> Box<dyn Scheduler> + Sync),
-) -> PolicyComparisonReport {
-    let mut policies = Vec::with_capacity(RecoveryPolicy::ALL.len());
-    let mut header: Option<(String, String)> = None;
-    for policy in RecoveryPolicy::ALL {
-        let cfg = FleetRunConfig {
-            recovery: policy,
-            ..*config
-        };
-        let report = run_fleet_with(spec, system, &cfg, scheduler_factory);
-        if header.is_none() {
-            header = Some((report.system.clone(), report.scheduler.clone()));
-        }
-        policies.push(outcome(policy, &report));
-    }
-    let (system_label, scheduler) = header.expect("RecoveryPolicy::ALL is non-empty");
+    let policies = RecoveryPolicy::ALL
+        .iter()
+        .map(|&recovery| {
+            let report = run_fleet(
+                spec,
+                system,
+                &FleetRunConfig {
+                    recovery,
+                    ..*config
+                },
+            );
+            outcome(recovery, &report)
+        })
+        .collect();
     PolicyComparisonReport {
         fleet: spec.name.clone(),
-        system: system_label,
-        scheduler,
+        system: system.label(),
+        scheduler: LatencyGreedy::new().name().to_string(),
         policies,
     }
 }
@@ -210,6 +196,22 @@ mod tests {
         let again = compare_recovery_policies(&faulted_fleet(), &p, &cfg);
         assert_eq!(cmp, again);
         assert_eq!(cmp.to_json(), again.to_json());
+        // Each row is a dedicated run of its policy, at any worker
+        // count.
+        for recovery in RecoveryPolicy::ALL {
+            let cfg = FleetRunConfig {
+                workers: 4,
+                recovery,
+                ..cfg
+            };
+            let dedicated = crate::run_fleet(&faulted_fleet(), &p, &cfg);
+            assert_eq!(
+                cmp.policy(recovery.as_str()),
+                Some(&outcome(recovery, &dedicated))
+            );
+        }
+        assert_eq!(cmp.system, p.label());
+        assert_eq!(cmp.scheduler, "latency-greedy");
     }
 
     #[test]

@@ -276,6 +276,7 @@ mod tests {
         assert_eq!(r.num_sessions, 7);
         assert_eq!(r.num_users, 4 * 3 + 3 * 2);
         assert_eq!(r.num_groups, 2);
+        assert_eq!(r.scheduler, "latency-greedy");
         assert!(r.fleet_score > 0.0 && r.fleet_score <= 1.0);
         assert!(r.executed_inferences > 0);
         assert_eq!(

@@ -14,7 +14,9 @@
 //!
 //! * **memory is O(workers × groups)**, not O(requests): every
 //!   completed inference is scored and folded the moment it is
-//!   dispatched ([`xrbench_sim::Simulator::run_session_folded`]);
+//!   dispatched ([`xrbench_sim::Simulator::run_session_folded`]),
+//!   by the same [`ScenarioFold`] that scores scenario and session
+//!   reports;
 //! * **the report is bit-identical for any worker count**: the
 //!   [`FleetAccumulator`] stores only integer counters, fixed-point
 //!   sums, histogram buckets, and min/max, so merging is associative,
@@ -82,16 +84,13 @@ pub use accumulator::{
     DropCounts, FleetAccumulator, ModelAccumulator, ScenarioAccumulator, StatAgg, ENERGY_SCALE,
     SCORE_SCALE, TIME_SCALE,
 };
-pub use compare::{
-    compare_recovery_policies, compare_recovery_policies_with, PolicyComparisonReport,
-    PolicyOutcome,
-};
+pub use compare::{compare_recovery_policies, PolicyComparisonReport, PolicyOutcome};
 pub use executor::{default_workers, run_fleet, run_fleet_with, FleetRunConfig};
 pub use report::{
     DistributionReport, FleetDropReport, FleetReport, GroupFleetReport, ModelFleetReport,
     ScenarioFleetReport,
 };
-pub use scoring::InferenceScorer;
+pub use scoring::{InferenceScorer, ModelMeans, ScenarioFold};
 pub use shard::{
     check_partition, cut, fleet_fingerprint, merge_fleet_shards, plan_shards, run_fleet_shard,
     run_fleet_shard_with, ShardPiece, ShardPlan, ShardState,

@@ -154,8 +154,15 @@ pub(crate) fn trigger_all(
 
 impl Simulator {
     /// Creates a simulator with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.duration_s` is not positive and finite.
     pub fn new(config: SimConfig) -> Self {
-        assert!(config.duration_s > 0.0, "duration must be positive");
+        assert!(
+            config.duration_s.is_finite() && config.duration_s > 0.0,
+            "duration must be positive and finite"
+        );
         Self { config }
     }
 
@@ -802,6 +809,16 @@ mod tests {
     fn zero_duration_rejected() {
         let _ = Simulator::new(SimConfig {
             duration_s: 0.0,
+            seed: 0,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "duration")]
+    fn infinite_duration_rejected() {
+        // A run that never ends would collect records without bound.
+        let _ = Simulator::new(SimConfig {
+            duration_s: f64::INFINITY,
             seed: 0,
         });
     }

@@ -1,13 +1,14 @@
 //! Property-based tests over the fleet layer: exact-merge algebra of
 //! the accumulator, worker-count invariance of whole fleet runs, and
-//! the 1-session fleet ↔ `Harness::run_session` parity that anchors
-//! the fleet's scoring semantics to the harness's.
+//! the 1-session fleet ↔ `Harness::run_session` parity: both score
+//! through the same `ScenarioFold`, so they differ only by the fleet
+//! accumulator's fixed-point quantization.
 
 use proptest::prelude::*;
 
 use xrbench::fleet::{
-    merge_fleet_shards, plan_shards, replica_seed, FleetAccumulator, FleetSpec, ShardState,
-    StatAgg, SCORE_SCALE, TIME_SCALE,
+    merge_fleet_shards, plan_shards, replica_seed, run_fleet_shard, FleetAccumulator, FleetSpec,
+    ShardState, StatAgg, SCORE_SCALE, TIME_SCALE,
 };
 use xrbench::models::ModelId;
 use xrbench::prelude::*;
@@ -15,6 +16,20 @@ use xrbench::score::ScenarioBreakdown;
 use xrbench::sim::{
     ExecRecord, FaultProcess, ModelStats, RecoveryPolicy, ThrottleSpec, UniformProvider,
 };
+
+/// A fleet run configuration: the base seed, the worker count and the
+/// recovery policy, everything else at its default.
+fn config(seed: u64, workers: usize, recovery: RecoveryPolicy) -> FleetRunConfig {
+    FleetRunConfig {
+        sim: SimConfig {
+            seed,
+            ..SimConfig::default()
+        },
+        workers,
+        recovery,
+        ..FleetRunConfig::default()
+    }
+}
 
 /// Splitmix64 step — randomized structure derived deterministically
 /// from one proptest-drawn seed.
@@ -243,11 +258,11 @@ proptest! {
         // recovery policy.
         let fleet = random_faulted_fleet(seed);
         let p = UniformProvider::new(2, 0.002, 0.001);
-        let h = Harness::new().with_seed(seed ^ 0xFA017);
+        let base = seed ^ 0xFA017;
         for policy in RecoveryPolicy::ALL {
-            let one = h.run_fleet_with_recovery(&fleet, &p, 1, policy).to_json();
+            let one = run_fleet(&fleet, &p, &config(base, 1, policy)).to_json();
             for workers in [2usize, 8] {
-                let other = h.run_fleet_with_recovery(&fleet, &p, workers, policy).to_json();
+                let other = run_fleet(&fleet, &p, &config(base, workers, policy)).to_json();
                 prop_assert_eq!(&one, &other, "workers = {}, policy = {}", workers, policy);
             }
         }
@@ -263,10 +278,11 @@ proptest! {
         // to byte-identical JSON.
         let fleet = random_fleet(seed);
         let p = UniformProvider::new(2, 0.002, 0.001);
-        let h = Harness::new().with_seed(seed ^ 0xF1EE7);
-        let one = h.run_fleet(&fleet, &p, 1).to_json();
+        let base = seed ^ 0xF1EE7;
+        let one = run_fleet(&fleet, &p, &config(base, 1, RecoveryPolicy::default())).to_json();
         for workers in [2usize, 8] {
-            let other = h.run_fleet(&fleet, &p, workers).to_json();
+            let other =
+                run_fleet(&fleet, &p, &config(base, workers, RecoveryPolicy::default())).to_json();
             prop_assert_eq!(&one, &other, "workers = {}", workers);
         }
     }
@@ -289,9 +305,11 @@ proptest! {
 
         // The fleet derives session seeds from its base seed; run the
         // reference session under exactly the derived seed.
-        let fleet_report = Harness::new()
-            .with_seed(seed)
-            .run_fleet(&FleetSpec::uniform("one", session.clone(), 1), &p, 2);
+        let fleet_report = run_fleet(
+            &FleetSpec::uniform("one", session.clone(), 1),
+            &p,
+            &config(seed, 2, RecoveryPolicy::default()),
+        );
         let session_report = Harness::new()
             .with_seed(replica_seed(seed, 0, 0))
             .run_session(&session, &p, &mut LatencyGreedy::new());
@@ -380,14 +398,12 @@ proptest! {
             random_fleet(seed)
         };
         let p = UniformProvider::new(2, 0.002, 0.001);
-        let h = Harness::new().with_seed(seed ^ 0x54A8D);
-        let reference = h.run_fleet(&fleet, &p, 2).to_json();
+        let config = config(seed ^ 0x54A8D, 2, RecoveryPolicy::default());
+        let reference = run_fleet(&fleet, &p, &config).to_json();
 
         let states: Vec<ShardState> = (0..num_shards)
             .map(|k| {
-                let wire = h
-                    .run_fleet_shard(&fleet, &p, 2, RecoveryPolicy::default(), k, num_shards)
-                    .to_json();
+                let wire = run_fleet_shard(&fleet, &p, &config, k, num_shards).to_json();
                 ShardState::from_json(&wire).expect("shard state survives the wire format")
             })
             .collect();

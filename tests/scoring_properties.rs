@@ -1,11 +1,21 @@
 //! Property-based tests over the scoring stack and cross-crate
-//! invariants, using randomly generated workload outcomes.
+//! invariants, using randomly generated workload outcomes, and the
+//! bitwise check of the streaming scorer that every report is built
+//! from (`xrbench::fleet::ScenarioFold`) against the Definition 15
+//! reference (`scenario_score` over materialized `ModelOutcome`s).
 
 use proptest::prelude::*;
 
+use xrbench::fleet::{InferenceScorer, ScenarioFold};
+use xrbench::prelude::*;
 use xrbench::score::{
     accuracy_score, benchmark_score, energy_score, qoe_score, rt_score, scenario_score,
     AccuracyParams, EnergyParams, InferenceScore, MetricKind, ModelOutcome, RtParams,
+    ScenarioBreakdown,
+};
+use xrbench::sim::{
+    ExecRecord, FailoverAware, FaultProcess, RecoveryPolicy, SimResult, ThrottleSpec,
+    UniformProvider,
 };
 
 proptest! {
@@ -106,5 +116,199 @@ proptest! {
         let min = scores.iter().cloned().fold(f64::MAX, f64::min);
         let max = scores.iter().cloned().fold(f64::MIN, f64::max);
         prop_assert!(b >= min - 1e-12 && b <= max + 1e-12);
+    }
+}
+
+/// Splitmix64 step — randomized structure derived deterministically
+/// from one proptest-drawn seed.
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn pick(state: &mut u64, n: usize) -> usize {
+    (mix(state) % n as u64) as usize
+}
+
+/// The five shipped schedulers.
+const NUM_SCHEDULERS: usize = 5;
+
+/// Shipped scheduler `idx`, freshly built.
+fn scheduler_for(idx: usize) -> Box<dyn Scheduler> {
+    match idx % NUM_SCHEDULERS {
+        0 => Box::new(LatencyGreedy::new()),
+        1 => Box::new(RoundRobin::new()),
+        2 => Box::new(SlackAwareEdf::new()),
+        3 => Box::new(LeastLoaded::new()),
+        _ => Box::new(FailoverAware::new()),
+    }
+}
+
+fn breakdown_bits(b: &ScenarioBreakdown) -> [u64; 5] {
+    [b.realtime, b.energy, b.accuracy, b.qoe, b.overall].map(f64::to_bits)
+}
+
+/// Folds one user's records in start order and checks, bit for bit,
+/// the breakdown and every model's means against `scenario_score`
+/// over `ModelOutcome`s scored from the same records, and the
+/// harness's report of the same result against both.
+fn check_fold_against_reference(
+    spec: &ScenarioSpec,
+    result: &SimResult,
+    provider: &dyn CostProvider,
+    context: &str,
+) {
+    let scorer = InferenceScorer::new(
+        RtParams::default(),
+        EnergyParams::default(),
+        AccuracyParams::default(),
+    );
+    let mut fold = ScenarioFold::new(spec);
+    for rec in &result.records {
+        let combined = fold.record(rec, &scorer);
+        assert_eq!(
+            combined.to_bits(),
+            scorer.score(rec).combined().to_bits(),
+            "{context}"
+        );
+    }
+    let outcomes: Vec<ModelOutcome> = spec
+        .models
+        .iter()
+        .map(|sm| ModelOutcome {
+            inference_scores: result
+                .records_for(sm.model)
+                .map(|r| scorer.score(r))
+                .collect(),
+            total_frames: result.stats.get(&sm.model).map_or(0, |s| s.total_frames),
+        })
+        .collect();
+    let reference = scenario_score(&outcomes);
+    let breakdown = fold.breakdown(&result.stats);
+    assert_eq!(
+        breakdown_bits(&breakdown),
+        breakdown_bits(&reference),
+        "{context}: {breakdown:?} vs {reference:?}"
+    );
+
+    let report = Harness::new().score_result(spec, provider, "reference", result);
+    assert_eq!(
+        breakdown_bits(&report.breakdown.into()),
+        breakdown_bits(&reference),
+        "{context}: harness report"
+    );
+    let means: Vec<_> = fold.model_means(&result.stats).collect();
+    assert_eq!(means.len(), outcomes.len(), "{context}");
+    for (((sm, m), o), r) in spec
+        .models
+        .iter()
+        .zip(&means)
+        .zip(&outcomes)
+        .zip(&report.models)
+    {
+        let records: Vec<&ExecRecord> = result.records_for(sm.model).collect();
+        let n = records.len().max(1) as f64;
+        let latency_s = records.iter().fold(0.0, |a, r| a + r.latency_s()) / n;
+        let energy_j = records.iter().fold(0.0, |a, r| a + r.energy_j) / n;
+        assert_eq!(m.executed, o.inference_scores.len() as u64, "{context}");
+        assert_eq!(
+            [
+                m.per_model,
+                m.qoe,
+                m.realtime,
+                m.energy,
+                m.accuracy,
+                m.latency_s,
+                m.energy_j
+            ]
+            .map(f64::to_bits),
+            [
+                o.per_model(),
+                o.qoe(),
+                o.component_mean(|s| s.realtime),
+                o.component_mean(|s| s.energy),
+                o.component_mean(|s| s.accuracy),
+                latency_s,
+                energy_j
+            ]
+            .map(f64::to_bits),
+            "{context}: model {}",
+            sm.model
+        );
+        assert_eq!(
+            [
+                r.per_model_score,
+                r.qoe,
+                r.mean_latency_ms,
+                r.mean_energy_mj
+            ]
+            .map(f64::to_bits),
+            [o.per_model(), o.qoe(), latency_s * 1e3, energy_j * 1e3].map(f64::to_bits),
+            "{context}: harness model {}",
+            sm.model
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn scenario_fold_reproduces_the_reference_bit_for_bit(
+        structure in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        // Mixed built-in scenarios on a contended device: overload
+        // drops frames (some models execute none), an over-budget
+        // energy cost zeroes the energy score, and faulted runs revoke,
+        // requeue or migrate in-flight work.
+        let mut st = structure;
+        let specs: Vec<ScenarioSpec> = (0..1 + pick(&mut st, 3))
+            .map(|_| UsageScenario::ALL[pick(&mut st, UsageScenario::ALL.len())].spec())
+            .collect();
+        let users = 1 + pick(&mut st, 4) as u32;
+        let stagger_s = [0.0, 0.003, 0.05][pick(&mut st, 3)];
+        let session = SessionSpec::mixed("fold-reference", &specs, users, stagger_s);
+        let provider = UniformProvider::new(
+            1 + pick(&mut st, 3),
+            [0.0008, 0.004, 0.02][pick(&mut st, 3)],
+            [0.0005, 0.02, 1.6][pick(&mut st, 3)],
+        );
+        let faults = FaultProcess {
+            failure_rate_per_s: 1.0 + pick(&mut st, 4) as f64,
+            mean_downtime_s: 0.01 + 0.02 * pick(&mut st, 4) as f64,
+            preemption_rate_per_s: 2.0 * pick(&mut st, 3) as f64,
+            mean_preemption_s: 0.01,
+            throttle: if pick(&mut st, 2) == 0 {
+                None
+            } else {
+                Some(ThrottleSpec { period_s: 0.3, duty: 0.4, factor: 0.5 })
+            },
+        };
+        let sim = Simulator::new(SimConfig { duration_s: 0.5, seed });
+        for idx in 0..NUM_SCHEDULERS {
+            let name = scheduler_for(idx).name();
+            let mut runs = vec![(
+                "fault-free",
+                sim.run_session(&session, &provider, scheduler_for(idx).as_mut()),
+            )];
+            for policy in RecoveryPolicy::ALL {
+                let mut scheduler = scheduler_for(idx);
+                runs.push((
+                    policy.as_str(),
+                    sim.run_session_faulted(&session, &provider, scheduler.as_mut(), &faults, policy),
+                ));
+            }
+            for (run, result) in &runs {
+                for u in &session.users {
+                    let r = result.user(u.user).expect("simulated every user");
+                    let context = format!("{name}, {run}, user {}", u.user);
+                    check_fold_against_reference(&u.spec, r, &provider, &context);
+                }
+            }
+        }
     }
 }

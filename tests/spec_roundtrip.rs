@@ -89,8 +89,11 @@ fn builtin_session_and_fleet_documents_round_trip_via_fleet_loader() {
     assert_eq!(reloaded, fleet);
 
     let system = xrbench::sim::UniformProvider::new(2, 0.002, 0.001);
-    let harness = Harness::new();
-    let direct = harness.run_fleet(&fleet, &system, 2);
-    let via_spec = harness.run_fleet(&reloaded, &system, 2);
+    let config = FleetRunConfig {
+        workers: 2,
+        ..Default::default()
+    };
+    let direct = run_fleet(&fleet, &system, &config);
+    let via_spec = run_fleet(&reloaded, &system, &config);
     assert_eq!(direct.to_json(), via_spec.to_json());
 }
