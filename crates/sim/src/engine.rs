@@ -4,8 +4,12 @@
 //!
 //! This is the next-generation rewrite of the PR 3 heap engine (since
 //! deleted). Its one differential reference is the quadratic loop in
-//! [`crate::naive`], which shares [`run_tagged`]'s signature. The four
-//! structural choices, each preserving the event order bit-for-bit:
+//! [`crate::naive`], which shares [`run_tagged`]'s signature: both
+//! loops stream every execution record to a sink and return per-user
+//! stats, and the simulator's one assembly step builds results from
+//! that. A run is one [`Run`] state whose methods are the phases of an
+//! instant, in the reference loop's order. The four structural choices,
+//! each preserving the event order bit-for-bit:
 //!
 //! * **Completion heap** — in-flight completions sit in a binary
 //!   min-heap ([`crate::calendar`]) under the total
@@ -28,7 +32,7 @@
 //!   entries, so an insert, a dispatch or a supersession (which
 //!   re-keys its key's entry in place) sifts over O(log queued)
 //!   levels. Every other scheduler gets a [`PendingView`] buffer
-//!   whose removals during a same-timestamp cohort (steps 1–3) are
+//!   whose removals during a same-timestamp cohort (phases 1–4) are
 //!   tombstones compacted once before dispatch, amortizing the buffer
 //!   memmoves over the cohort. Both paths share one dispatch step.
 //! * **Precomputed dispatch tables** — per-*scenario* dependency and
@@ -40,21 +44,24 @@
 //! Output is **bit-identical** to [`crate::naive`]; the differential
 //! property tests in `tests/runtime_properties.rs` and the golden
 //! fixtures enforce it across all schedulers, both dispatch paths,
-//! record modes, and fault policies. The fault-injection semantics
-//! (revocation, recovery policies, deferred emission) are unchanged
-//! since PR 7.
+//! collected and streamed records, and fault policies. The
+//! fault-injection semantics (revocation, recovery policies, deferred
+//! emission) are unchanged since PR 7. A faulted run holds each busy
+//! engine's dispatch in a per-engine slot, so it allocates no more per
+//! dispatch than a fault-free one.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BinaryHeap};
+use std::iter::Peekable;
 
 use xrbench_models::ModelId;
 use xrbench_workload::loadgen::time_bits;
 use xrbench_workload::{ScenarioSpec, SessionRequest};
 
 use crate::calendar::{drain_due, Calendar, CompletionEv};
-use crate::fault::{FaultAction, FaultKind, FaultTimeline, RecoveryPolicy};
+use crate::fault::{FaultAction, FaultEvent, FaultKind, FaultTimeline, RecoveryPolicy};
 use crate::provider::{CostProvider, DenseCostCache, NUM_MODELS};
-use crate::result::{DropReason, ExecRecord, ModelStats, SimResult};
+use crate::result::{DropReason, ExecRecord, ModelStats};
 use crate::scheduler::{DispatchKernel, PendingView, RequestOrder, Scheduler};
 use crate::simulator::{trigger_draw, Resolution, SimConfig, EPS};
 
@@ -228,10 +235,10 @@ enum ReadyIndex {
     Heap { heap: PickHeap, order: RequestOrder },
 }
 
-/// The dispatchable-request queue in struct-of-arrays layout: one slot
-/// per dense `(user, model)` key (`seq == EMPTY_SEQ` marks empty),
-/// pre-sized at setup, plus the dispatch index.
-struct Ready {
+/// One frame slot per dense `(user, model)` key in struct-of-arrays
+/// layout (`seq == EMPTY_SEQ` marks an empty slot), pre-sized at
+/// setup: the storage of both the ready and the waiting queue.
+struct Slots {
     seq: Vec<u64>,
     frame_id: Vec<u64>,
     sensor_frame: Vec<u64>,
@@ -240,6 +247,59 @@ struct Ready {
     /// Remaining-work fraction: 1.0 for fresh frames, smaller for
     /// checkpointed work migrating off a lost engine.
     frac: Vec<f64>,
+}
+
+impl Slots {
+    fn new(num_keys: usize) -> Self {
+        Self {
+            seq: vec![EMPTY_SEQ; num_keys],
+            frame_id: vec![0; num_keys],
+            sensor_frame: vec![0; num_keys],
+            t_req: vec![0.0; num_keys],
+            t_deadline: vec![0.0; num_keys],
+            frac: vec![1.0; num_keys],
+        }
+    }
+
+    #[inline]
+    fn occupied(&self, key: usize) -> bool {
+        self.seq[key] != EMPTY_SEQ
+    }
+
+    /// Writes `job` into its key's slot under queue sequence number
+    /// `seq`.
+    fn put(&mut self, job: &Queued, seq: u64) {
+        let key = job.key as usize;
+        self.seq[key] = seq;
+        self.frame_id[key] = job.view.frame_id;
+        self.sensor_frame[key] = job.sensor_frame;
+        self.t_req[key] = job.view.t_req;
+        self.t_deadline[key] = job.view.t_deadline;
+        self.frac[key] = job.frac;
+    }
+
+    /// Empties `key`'s slot and returns its frame as `user`'s.
+    fn take(&mut self, key: usize, user: u32) -> Queued {
+        self.seq[key] = EMPTY_SEQ;
+        Queued {
+            key: key as u32,
+            view: PendingView {
+                user,
+                model: ModelId::ALL[key % NUM_MODELS],
+                frame_id: self.frame_id[key],
+                t_req: self.t_req[key],
+                t_deadline: self.t_deadline[key],
+            },
+            sensor_frame: self.sensor_frame[key],
+            frac: self.frac[key],
+        }
+    }
+}
+
+/// The dispatchable-request queue: its [`Slots`] plus the dispatch
+/// index.
+struct Ready {
+    slots: Slots,
     count: usize,
     index: ReadyIndex,
 }
@@ -258,12 +318,7 @@ impl Ready {
             },
         };
         Self {
-            seq: vec![EMPTY_SEQ; num_keys],
-            frame_id: vec![0; num_keys],
-            sensor_frame: vec![0; num_keys],
-            t_req: vec![0.0; num_keys],
-            t_deadline: vec![0.0; num_keys],
-            frac: vec![1.0; num_keys],
+            slots: Slots::new(num_keys),
             count: 0,
             index,
         }
@@ -275,88 +330,32 @@ impl Ready {
 
     #[inline]
     fn occupied(&self, key: usize) -> bool {
-        self.seq[key] != EMPTY_SEQ
+        self.slots.occupied(key)
     }
 
-    /// Tombstones `key`'s queued buffer entry ahead of a supersession.
-    /// Heap mode has nothing to detach: the `attach` that follows
-    /// re-keys the key's queued entry in place, which leaves the heap
-    /// ordered just as a removal and a fresh insert would.
-    fn detach(&mut self, key: usize) {
-        if let ReadyIndex::Buffer { meta, dead, .. } = &mut self.index {
-            let pos = meta
-                .binary_search_by_key(&self.seq[key], |m| m.seq)
-                .expect("slot seq is queued");
-            meta[pos].dead = true;
-            *dead += 1;
-        }
-    }
-
-    /// Attaches `key`'s (freshly written) slot to the dispatch index:
-    /// a new buffer entry, or a heap insert or in-place re-key.
-    fn attach(&mut self, key: usize, user: u32, model: ModelId) {
-        match &mut self.index {
-            ReadyIndex::Buffer { views, meta, .. } => {
-                views.push(PendingView {
-                    user,
-                    model,
-                    frame_id: self.frame_id[key],
-                    t_req: self.t_req[key],
-                    t_deadline: self.t_deadline[key],
-                });
-                meta.push(BufMeta {
-                    seq: self.seq[key],
-                    key: key as u32,
-                    dead: false,
-                });
-            }
-            ReadyIndex::Heap { heap, order } => {
-                heap.set(
-                    key,
-                    pick_key(
-                        *order,
-                        key % NUM_MODELS,
-                        user,
-                        self.t_req[key],
-                        self.t_deadline[key],
-                    ),
-                );
-            }
-        }
-    }
-
-    /// Pushes a new entry for `key`, dropping (freshness policy) the
-    /// key's older queued frame if one exists.
-    #[allow(clippy::too_many_arguments)]
-    fn supersede_push(
-        &mut self,
-        key: usize,
-        user: u32,
-        model: ModelId,
-        frame_id: u64,
-        sensor_frame: u64,
-        t_req: f64,
-        t_deadline: f64,
-        seq: u64,
-        stats: &mut [ModelStats],
-    ) {
+    /// Queues `job` under `seq`, dropping (freshness policy) its key's
+    /// older queued frame, if one exists, into `stats`. Heap mode needs
+    /// no removal for the drop: the push re-keys the key's queued entry
+    /// in place, which leaves the heap ordered just as a removal and a
+    /// fresh insert would.
+    fn supersede_push(&mut self, job: Queued, seq: u64, stats: &mut ModelStats) {
+        let key = job.key as usize;
         if self.occupied(key) {
             assert!(
-                self.frame_id[key] < frame_id,
+                self.slots.frame_id[key] < job.view.frame_id,
                 "ready queue requires strictly increasing frame ids per (user, model)"
             );
-            stats[key].record_drop(DropReason::Superseded);
-            self.detach(key);
+            stats.record_drop(DropReason::Superseded);
+            if let ReadyIndex::Buffer { meta, dead, .. } = &mut self.index {
+                let pos = meta
+                    .binary_search_by_key(&self.slots.seq[key], |m| m.seq)
+                    .expect("slot seq is queued");
+                meta[pos].dead = true;
+                *dead += 1;
+            }
             self.count -= 1;
         }
-        self.seq[key] = seq;
-        self.frame_id[key] = frame_id;
-        self.sensor_frame[key] = sensor_frame;
-        self.t_req[key] = t_req;
-        self.t_deadline[key] = t_deadline;
-        self.frac[key] = 1.0;
-        self.count += 1;
-        self.attach(key, user, model);
+        self.push(job, seq);
     }
 
     /// Re-queues a revoked in-flight frame (requeue/migrate recovery)
@@ -364,16 +363,36 @@ impl Ready {
     /// empty — if a newer frame is queued, freshness drops the revoked
     /// one instead of calling this.
     fn requeue_push(&mut self, job: Queued, seq: u64) {
+        assert!(
+            !self.occupied(job.key as usize),
+            "requeue into an occupied slot"
+        );
+        self.push(job, seq);
+    }
+
+    /// Writes `job` into its key's slot and attaches it to the dispatch
+    /// index: a new buffer entry, or a heap insert or in-place re-key.
+    fn push(&mut self, job: Queued, seq: u64) {
         let key = job.key as usize;
-        assert!(!self.occupied(key), "requeue into an occupied slot");
-        self.seq[key] = seq;
-        self.frame_id[key] = job.view.frame_id;
-        self.sensor_frame[key] = job.sensor_frame;
-        self.t_req[key] = job.view.t_req;
-        self.t_deadline[key] = job.view.t_deadline;
-        self.frac[key] = job.frac;
+        self.slots.put(&job, seq);
         self.count += 1;
-        self.attach(key, job.view.user, job.view.model);
+        match &mut self.index {
+            ReadyIndex::Buffer { views, meta, .. } => {
+                views.push(job.view);
+                meta.push(BufMeta {
+                    seq,
+                    key: job.key,
+                    dead: false,
+                });
+            }
+            ReadyIndex::Heap { heap, order } => {
+                let v = &job.view;
+                heap.set(
+                    key,
+                    pick_key(*order, key % NUM_MODELS, v.user, v.t_req, v.t_deadline),
+                );
+            }
+        }
     }
 
     /// Compacts tombstoned buffer entries (order-preserving, so the
@@ -443,20 +462,8 @@ impl Ready {
     /// always views its key's current slot, so both paths read the
     /// frame from the slot.
     fn take(&mut self, key: usize, user: u32) -> Queued {
-        self.seq[key] = EMPTY_SEQ;
         self.count -= 1;
-        Queued {
-            key: key as u32,
-            view: PendingView {
-                user,
-                model: ModelId::ALL[key % NUM_MODELS],
-                frame_id: self.frame_id[key],
-                t_req: self.t_req[key],
-                t_deadline: self.t_deadline[key],
-            },
-            sensor_frame: self.sensor_frame[key],
-            frac: self.frac[key],
-        }
+        self.slots.take(key, user)
     }
 }
 
@@ -772,16 +779,26 @@ struct ResolutionStore {
     wins: Vec<Window>,
 }
 
-#[derive(Default, Clone)]
 struct Window {
     buf: Vec<(u64, Resolution)>,
     head: usize,
 }
 
 impl ResolutionStore {
-    fn new(num_keys: usize) -> Self {
+    /// One window per key. A key with dependents starts with room for a
+    /// few resolutions, so a key first resolved late in a run (say, by
+    /// a revocation's Dropped resolution) does not allocate mid-run.
+    fn new(tables: &Tables, num_keys: usize) -> Self {
+        let window = |key| Window {
+            buf: Vec::with_capacity(if tables.downstream(key).is_empty() {
+                0
+            } else {
+                4
+            }),
+            head: 0,
+        };
         Self {
-            wins: vec![Window::default(); num_keys],
+            wins: (0..num_keys).map(window).collect(),
         }
     }
 
@@ -821,37 +838,10 @@ impl ResolutionStore {
     }
 }
 
-/// Dependent frames parked until their upstreams resolve, in
-/// struct-of-arrays layout (`seq == EMPTY_SEQ` marks empty).
-struct Waiting {
-    seq: Vec<u64>,
-    frame_id: Vec<u64>,
-    sensor_frame: Vec<u64>,
-    t_req: Vec<f64>,
-    t_deadline: Vec<f64>,
-}
-
-impl Waiting {
-    fn new(num_keys: usize) -> Self {
-        Self {
-            seq: vec![EMPTY_SEQ; num_keys],
-            frame_id: vec![0; num_keys],
-            sensor_frame: vec![0; num_keys],
-            t_req: vec![0.0; num_keys],
-            t_deadline: vec![0.0; num_keys],
-        }
-    }
-
-    #[inline]
-    fn occupied(&self, key: usize) -> bool {
-        self.seq[key] != EMPTY_SEQ
-    }
-}
-
 /// Raw user id → dense user index. Dense ids (the common case: session
 /// builders assign 0..n) get a direct lookup table; sparse ids fall
 /// back to binary search.
-enum UserIndex {
+pub(crate) enum UserIndex {
     /// `table[id] == idx + 1`, 0 marks an unknown id.
     Dense(Vec<u32>),
     /// Sorted `(id, idx)` pairs.
@@ -859,7 +849,7 @@ enum UserIndex {
 }
 
 impl UserIndex {
-    fn build(users: &[u32]) -> Self {
+    pub(crate) fn build(users: &[u32]) -> Self {
         let max = users.iter().copied().max().unwrap_or(0) as usize;
         if max < users.len() * 4 + 64 {
             let mut table = vec![0u32; max + 1];
@@ -884,7 +874,7 @@ impl UserIndex {
     }
 
     #[inline]
-    fn get(&self, user: u32) -> usize {
+    pub(crate) fn get(&self, user: u32) -> usize {
         match self {
             UserIndex::Dense(table) => {
                 let v = table.get(user as usize).copied().unwrap_or(0);
@@ -901,72 +891,6 @@ impl UserIndex {
     }
 }
 
-/// The smallest sensor frame any dependent of `key` may still look
-/// up — resolutions of `key` below this watermark are unreachable.
-fn retire_threshold(key: usize, nm: usize, tables: &Tables, floor: &[u64]) -> u64 {
-    let user_base = key - key % nm;
-    tables
-        .downstream(key)
-        .iter()
-        .map(|&d| floor[user_base + d as usize])
-        .min()
-        .unwrap_or(u64::MAX)
-}
-
-/// After `key`'s watermark advanced: retire upstream resolutions no
-/// dependent can reference anymore. Each resolution is retired at most
-/// once, so the cost amortizes to a constant per completion.
-fn retire_upstreams(
-    key: usize,
-    nm: usize,
-    tables: &Tables,
-    floor: &[u64],
-    resolved: &mut ResolutionStore,
-) {
-    let user_base = key - key % nm;
-    let (ups, _) = tables.deps(key);
-    for &up in ups {
-        let upkey = user_base + up as usize;
-        let threshold = retire_threshold(upkey, nm, tables, floor);
-        resolved.retire_below(upkey, threshold);
-    }
-}
-
-/// Applies one due completion: records the resolution (unless already
-/// unreachable), queues pass candidates for the waiting dependents it
-/// may unblock, and frees its engine.
-#[allow(clippy::too_many_arguments)]
-fn process_completion(
-    ev: CompletionEv,
-    nm: usize,
-    tables: &Tables,
-    floor: &[u64],
-    resolved: &mut ResolutionStore,
-    waiting: &Waiting,
-    pass: &mut BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
-    engine_token: &mut [Option<u64>],
-    free: &mut FreeSet,
-) {
-    let key = ev.key as usize;
-    if !tables.downstream(key).is_empty() {
-        if ev.sensor_frame >= retire_threshold(key, nm, tables, floor) {
-            resolved.insert(key, ev.sensor_frame, Resolution::Completed);
-        }
-        let user_base = key - key % nm;
-        for &d in tables.downstream(key) {
-            let dkey = user_base + d as usize;
-            if waiting.occupied(dkey) && waiting.sensor_frame[dkey] == ev.sensor_frame {
-                pass.push(std::cmp::Reverse((waiting.seq[dkey], dkey as u32)));
-            }
-        }
-    }
-    let engine = ev.engine as usize;
-    if engine_token[engine] == Some(ev.token) {
-        engine_token[engine] = None;
-        free.insert(engine);
-    }
-}
-
 /// Fault-injection inputs for one run: the expanded event schedule and
 /// the recovery policy for revoked in-flight work.
 pub(crate) struct FaultCtx<'a> {
@@ -976,7 +900,14 @@ pub(crate) struct FaultCtx<'a> {
     pub policy: RecoveryPolicy,
 }
 
-/// A frame taken off the ready queue for dispatch.
+/// Where an event loop streams its records: each executed inference is
+/// handed over as `(user, record)`.
+pub(crate) type Sink<'a> = &'a mut dyn FnMut(u32, &ExecRecord);
+
+/// One user's per-model accounting, as an event loop returns it.
+pub(crate) type UserStats = BTreeMap<ModelId, ModelStats>;
+
+/// A frame taken off the ready or the waiting queue.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     key: u32,
@@ -988,6 +919,22 @@ struct Queued {
 }
 
 impl Queued {
+    /// The arriving frame `p`, under its dense key `key`.
+    fn fresh(key: usize, p: &SessionRequest) -> Self {
+        Self {
+            key: key as u32,
+            view: PendingView {
+                user: p.user,
+                model: p.req.model,
+                frame_id: p.req.frame_id,
+                t_req: p.req.t_req,
+                t_deadline: p.req.t_deadline,
+            },
+            sensor_frame: p.req.sensor_frame,
+            frac: 1.0,
+        }
+    }
+
     /// The execution record of this frame run on `engine`.
     fn record(&self, engine: usize, t_start: f64, t_end: f64, energy_j: f64) -> ExecRecord {
         ExecRecord {
@@ -1015,7 +962,7 @@ struct InFlight {
 
 /// Live fault-injection state for one run.
 struct FaultState<'a> {
-    events: &'a [crate::fault::FaultEvent],
+    events: &'a [FaultEvent],
     cursor: usize,
     policy: RecoveryPolicy,
     engine_up: Vec<bool>,
@@ -1023,62 +970,44 @@ struct FaultState<'a> {
     /// time (a throttle landing mid-flight does not stretch work
     /// already on the engine).
     capacity: Vec<f64>,
-    /// In-flight dispatches by token, for revocation and for the
-    /// deferred stats/record emission at completion.
-    open: BTreeMap<u64, InFlight>,
-    /// Tokens whose dispatch was revoked; their stale calendar
-    /// completions are skipped.
-    revoked: BTreeSet<u64>,
+    /// The dispatch each busy engine runs, held for revocation and for
+    /// its deferred stats and record at completion. A slot is valid
+    /// while `Engines::token[engine]` names its dispatch, so a
+    /// completion whose token its engine no longer names was revoked.
+    running: Vec<Option<InFlight>>,
+    /// Sub-epsilon dispatches by token. They leave their engine free,
+    /// so they hold no slot, and no fault can revoke them.
+    instant: Vec<(u64, InFlight)>,
 }
 
-/// Where completed inferences go: materialized per-user vectors (the
-/// classic path), or streamed into a fold callback so the run's memory
-/// stays proportional to the in-flight window instead of the request
-/// count (the fleet path).
-///
-/// Records reach the sink in dispatch order, which is nondecreasing in
-/// `t_start` — exactly the order `SimResult::records` lists them (the
-/// fault-free path emits pre-sorted and skips the final sort
-/// entirely). The two modes are otherwise bit-identical: same events,
-/// same stats, same tie-breaks.
-pub(crate) enum RecordMode<'a> {
-    /// Retain every [`ExecRecord`] in per-user vectors.
-    Collect,
-    /// Stream each record to the callback as `(user, record)` and
-    /// retain nothing.
-    Fold(&'a mut dyn FnMut(u32, &ExecRecord)),
+impl FaultState<'_> {
+    /// The next fault event due by `now`, if any, consumed.
+    fn pop_due(&mut self, now: f64) -> Option<FaultEvent> {
+        let ev = *self
+            .events
+            .get(self.cursor)
+            .filter(|ev| ev.t <= now + EPS)?;
+        self.cursor += 1;
+        Some(ev)
+    }
 }
 
-/// A run's per-key stats and where its records go.
-struct Output<'m> {
+/// A run's per-key stats and the sink its records stream to.
+struct Output<'a> {
     stats: Vec<ModelStats>,
-    /// Per-user records, filled in `Collect` mode only.
-    records: Vec<Vec<ExecRecord>>,
-    mode: RecordMode<'m>,
+    sink: Sink<'a>,
 }
 
 impl Output<'_> {
-    /// Counts one execution of `key` and emits its record as `user`'s.
+    /// Counts one execution of `key` and streams its record as `user`'s.
     fn emit(&mut self, key: usize, user: u32, record: ExecRecord) {
         let st = &mut self.stats[key];
         st.executed_frames += 1;
         if record.t_end > record.t_deadline {
             st.missed_deadlines += 1;
         }
-        match &mut self.mode {
-            RecordMode::Collect => self.records[key / NUM_MODELS].push(record),
-            RecordMode::Fold(sink) => sink(user, &record),
-        }
+        (self.sink)(user, &record);
     }
-}
-
-/// Emits the deferred stats and record of a faulted dispatch that
-/// survived to its scheduled end.
-fn emit_completion(inf: &InFlight, ev: &CompletionEv, out: &mut Output<'_>) {
-    let record = inf
-        .job
-        .record(ev.engine as usize, inf.t_start, ev.t, inf.energy_j);
-    out.emit(ev.key as usize, inf.job.view.user, record);
 }
 
 /// The engines' side of a run: which are free, the token of the
@@ -1095,7 +1024,7 @@ impl Engines {
     /// share. A fault-free dispatch runs the full latency and emits its
     /// stats and record at once, in dispatch order. A faulted one runs
     /// only its remaining-work fraction, stretched by the engine's
-    /// current capacity, and waits in `open` to emit at completion,
+    /// current capacity, and is held in `faults` to emit at completion,
     /// because a fault may yet revoke it.
     fn dispatch(
         &mut self,
@@ -1103,39 +1032,44 @@ impl Engines {
         engine: usize,
         now: f64,
         cache: &DenseCostCache<'_>,
-        fstate: Option<&mut FaultState<'_>>,
+        faults: Option<&mut FaultState<'_>>,
         out: &mut Output<'_>,
     ) {
         let cost = cache.cost(job.view.model, engine);
         let token = self.next_token;
         self.next_token += 1;
-        let t_end = match fstate {
+        let t_end = match &faults {
+            Some(f) => now + cost.latency_s * job.frac / f.capacity[engine],
+            None => now + cost.latency_s,
+        };
+        // Degenerate sub-epsilon latencies leave the engine free,
+        // matching the reference loop's fresh free-set rescan; the stale
+        // token then never matches at completion time.
+        let occupies = t_end > now + EPS;
+        if occupies {
+            self.token[engine] = Some(token);
+            self.free.remove(engine);
+        }
+        match faults {
             Some(f) => {
-                let t_end = now + cost.latency_s * job.frac / f.capacity[engine];
                 let inf = InFlight {
                     job,
                     t_start: now,
                     t_end,
                     energy_j: cost.energy_j * job.frac,
                 };
-                f.open.insert(token, inf);
-                t_end
+                if occupies {
+                    f.running[engine] = Some(inf);
+                } else {
+                    f.instant.push((token, inf));
+                }
             }
             None => {
-                let t_end = now + cost.latency_s;
                 let record = job.record(engine, now, t_end, cost.energy_j);
                 out.emit(job.key as usize, job.view.user, record);
-                t_end
             }
-        };
-        // Degenerate sub-epsilon latencies leave the engine free,
-        // matching the reference loop's fresh free-set rescan; the stale
-        // token then never matches at completion time.
-        if t_end > now + EPS {
-            self.token[engine] = Some(token);
-            self.free.remove(engine);
         }
-        self.calendar.push(std::cmp::Reverse(CompletionEv {
+        self.calendar.push(Reverse(CompletionEv {
             t: t_end,
             key: job.key,
             sensor_frame: job.sensor_frame,
@@ -1145,234 +1079,264 @@ impl Engines {
     }
 }
 
-/// The production event loop over user-tagged requests, consumed
-/// lazily as the clock reaches them (`requests` must be sorted by
-/// `t_req`, and strictly frame-monotone per `(user, model)`). Returns
-/// one [`SimResult`] per user, bit-identical to
-/// [`crate::naive::run_tagged_naive`]. In `Fold` mode the returned
-/// [`SimResult`]s carry empty `records` vectors (stats are still
-/// complete). With `faults: None` this *is* the fault-free loop — no
-/// fault state is allocated and every fault branch is behind an
-/// `Option` check.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_tagged(
-    config: SimConfig,
-    specs: &[(u32, &ScenarioSpec)],
-    requests: &mut dyn Iterator<Item = SessionRequest>,
-    provider: &dyn CostProvider,
-    scheduler: &mut dyn Scheduler,
-    duration_s: f64,
-    mode: RecordMode<'_>,
-    faults: Option<FaultCtx<'_>>,
-) -> BTreeMap<u32, SimResult> {
-    assert!(provider.num_engines() > 0, "provider must expose engines");
+/// The state of one run of the production loop. Each phase of an
+/// instant is one method, called in the reference loop's order: due
+/// completions, due fault events, due arrivals, the waiting pass and
+/// dispatch; then [`Run::advance`] moves the clock, and
+/// [`Run::finish`] drains what is left when no event is.
+struct Run<'a> {
+    seed: u64,
+    /// Raw user id by dense user index.
+    users: Vec<u32>,
+    uidx: UserIndex,
+    tables: Tables,
+    /// Keys that must appear in the output stats: spec members, plus
+    /// any key a request touched.
+    touched: Vec<bool>,
+    cache: DenseCostCache<'a>,
+    scheduler: &'a mut dyn Scheduler,
+    prefs: PrefTable,
+    engines: Engines,
+    /// Due completions: calendar entries discovered at or before
+    /// `now + EPS` while looking for the next event time (possible only
+    /// for degenerate sub-epsilon latencies) are stashed here, and the
+    /// reference loop processes them at the *next* event time, so we do
+    /// too.
+    due: Vec<CompletionEv>,
+    next_seq: u64,
+    ready: Ready,
+    /// Dependent frames parked until their upstreams resolve.
+    waiting: Slots,
+    /// Waiting frames to look at in this instant's pass, as
+    /// `(seq, key)`: popped in waiting-queue order.
+    pass: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Candidates the pass under way had already gone by: they join
+    /// the next instant's pass.
+    deferred: Vec<(u64, u32)>,
+    resolved: ResolutionStore,
+    /// Per key, the oldest sensor frame its dependent frames may still
+    /// look up upstream.
+    floor: Vec<u64>,
+    last_frame: Vec<Option<(u64, u64)>>,
+    out: Output<'a>,
+    faults: Option<FaultState<'a>>,
+    arrivals: Peekable<&'a mut dyn Iterator<Item = SessionRequest>>,
+    now: f64,
+}
 
-    let nm = NUM_MODELS;
-    let users_raw: Vec<u32> = specs.iter().map(|&(u, _)| u).collect();
-    let uidx = UserIndex::build(&users_raw);
-    let num_users = users_raw.len();
-    let num_keys = num_users * nm;
-
-    // Precomputed per-scenario dispatch tables (deduplicated CSR).
-    let tables = Tables::build(specs);
-    // Keys that must appear in the output stats (spec members), plus
-    // any key a request actually touched.
-    let mut touched = vec![false; num_keys];
-    for (ui, &(_, spec)) in specs.iter().enumerate() {
-        for m in &spec.models {
-            touched[ui * nm + m.model as usize] = true;
+impl<'a> Run<'a> {
+    /// Sets up a run, pre-sized from spec-derived bounds: the calendar,
+    /// the due stash and the free set from the engine count, the queues
+    /// and tables from the dense key count.
+    fn new(
+        config: SimConfig,
+        specs: &[(u32, &ScenarioSpec)],
+        requests: &'a mut dyn Iterator<Item = SessionRequest>,
+        provider: &'a dyn CostProvider,
+        scheduler: &'a mut dyn Scheduler,
+        faults: Option<FaultCtx<'a>>,
+        sink: Sink<'a>,
+    ) -> Self {
+        assert!(provider.num_engines() > 0, "provider must expose engines");
+        let users: Vec<u32> = specs.iter().map(|&(u, _)| u).collect();
+        let num_keys = users.len() * NUM_MODELS;
+        let mut touched = vec![false; num_keys];
+        for (ui, &(_, spec)) in specs.iter().enumerate() {
+            for m in &spec.models {
+                touched[ui * NUM_MODELS + m.model as usize] = true;
+            }
+        }
+        // A scheduler that lends a kernel is dispatched through the
+        // indexed path for the whole run, faulted or not: its request
+        // order keys the pick heap. Everything else takes `select`.
+        let tables = Tables::build(specs);
+        let resolved = ResolutionStore::new(&tables, num_keys);
+        let num_engines = provider.num_engines();
+        let kernel_order = scheduler.kernel().map(|k| {
+            k.reserve_engines(num_engines);
+            k.order()
+        });
+        Self {
+            seed: config.seed,
+            uidx: UserIndex::build(&users),
+            users,
+            tables,
+            touched,
+            cache: DenseCostCache::new(provider),
+            scheduler,
+            prefs: PrefTable::new(num_engines),
+            engines: Engines {
+                free: FreeSet::all(num_engines, kernel_order.is_none()),
+                token: vec![None; num_engines],
+                next_token: 0,
+                // Revoked completions stay queued in faulted runs while
+                // their engine takes new work, so the calendar can
+                // outgrow the engine count.
+                calendar: Calendar::with_capacity(num_engines * 2 + 8),
+            },
+            due: Vec::with_capacity(num_engines * 2 + 8),
+            next_seq: 0,
+            ready: Ready::new(num_keys, kernel_order),
+            waiting: Slots::new(num_keys),
+            pass: BinaryHeap::with_capacity(num_keys + 16),
+            deferred: Vec::with_capacity(32),
+            resolved,
+            floor: vec![0; num_keys],
+            last_frame: vec![None; num_keys],
+            out: Output {
+                stats: vec![ModelStats::default(); num_keys],
+                sink,
+            },
+            faults: faults.map(|f| FaultState {
+                events: f.timeline.events(),
+                cursor: 0,
+                policy: f.policy,
+                engine_up: vec![true; num_engines],
+                capacity: vec![1.0; num_engines],
+                running: vec![None; num_engines],
+                instant: Vec::with_capacity(num_engines * 2 + 8),
+            }),
+            arrivals: requests.peekable(),
+            now: 0.0,
         }
     }
 
-    // A scheduler that lends a kernel is dispatched through the
-    // indexed path for the whole run, faulted or not: its request
-    // order keys the pick heap. Everything else takes `select`.
-    let num_engines = provider.num_engines();
-    let kernel_order = scheduler.kernel().map(|k| {
-        k.reserve_engines(num_engines);
-        k.order()
-    });
-    let mut prefs = PrefTable::new(num_engines);
-
-    // Runtime state, pre-sized from spec-derived bounds: the calendar
-    // and free set from the engine count, the queues and tables from
-    // the dense key count.
-    let cache = DenseCostCache::new(provider);
-    let mut engines = Engines {
-        free: FreeSet::all(num_engines, kernel_order.is_none()),
-        token: vec![None; num_engines],
-        next_token: 0,
-        // Revoked completions stay queued in faulted runs while their
-        // engine takes new work, so the calendar can outgrow the
-        // engine count.
-        calendar: Calendar::with_capacity(num_engines * 2 + 8),
-    };
-    let mut next_seq = 0u64;
-    // Due-but-stashed events: calendar entries discovered at or before
-    // `now + EPS` while looking for the next event time (possible only
-    // for degenerate sub-epsilon latencies); the reference loop
-    // processes them at the *next* event time, so we do too.
-    let mut due: Vec<CompletionEv> = Vec::with_capacity(num_engines * 2 + 8);
-    let mut ready = Ready::new(num_keys, kernel_order);
-    let mut waiting = Waiting::new(num_keys);
-    let mut pass: BinaryHeap<std::cmp::Reverse<(u64, u32)>> =
-        BinaryHeap::with_capacity(num_keys + 16);
-    let mut deferred: Vec<(u64, u32)> = Vec::with_capacity(32);
-    let mut resolved = ResolutionStore::new(num_keys);
-    let mut floor = vec![0u64; num_keys];
-    let mut out = Output {
-        stats: vec![ModelStats::default(); num_keys],
-        records: vec![Vec::new(); num_users],
-        mode,
-    };
-    let mut last_frame: Vec<Option<(u64, u64)>> = vec![None; num_keys];
-
-    let mut fstate = faults.map(|f| FaultState {
-        events: f.timeline.events(),
-        cursor: 0,
-        policy: f.policy,
-        engine_up: vec![true; num_engines],
-        capacity: vec![1.0; num_engines],
-        open: BTreeMap::new(),
-        revoked: BTreeSet::new(),
-    });
-
-    let mut arrivals = requests.peekable();
-    let mut now = 0.0_f64;
-
-    loop {
-        // 1. Process completions due now (stashed first, then the
-        //    calendar drain, which pops each cohort in the total
-        //    `(t, key, sensor_frame, token)` order) and re-queue
-        //    cascade candidates deferred from the previous pass.
-        drain_due(&mut engines.calendar, now + EPS, &mut due);
+    /// Phase 1: completions due now (stashed first, then the calendar
+    /// drain, which pops each cohort in the total
+    /// `(t, key, sensor_frame, token)` order), then the candidates the
+    /// last pass deferred.
+    fn complete_due(&mut self) {
+        drain_due(&mut self.engines.calendar, self.now + EPS, &mut self.due);
+        let mut due = std::mem::take(&mut self.due);
         for ev in due.drain(..) {
-            if let Some(f) = fstate.as_mut() {
-                if f.revoked.remove(&ev.token) {
-                    // The dispatch was revoked by a fault; this is its
-                    // stale completion.
-                    continue;
-                }
-                if let Some(inf) = f.open.remove(&ev.token) {
-                    emit_completion(&inf, &ev, &mut out);
-                }
-            }
-            process_completion(
-                ev,
-                nm,
-                &tables,
-                &floor,
-                &mut resolved,
-                &waiting,
-                &mut pass,
-                &mut engines.token,
-                &mut engines.free,
-            );
+            self.process_completion(ev);
         }
-        for c in deferred.drain(..) {
-            pass.push(std::cmp::Reverse(c));
+        self.due = due;
+        for c in self.deferred.drain(..) {
+            self.pass.push(Reverse(c));
         }
+    }
 
-        // 1b. Apply fault events due now: engines leave/rejoin the
-        //     free set, in-flight work on a lost engine is revoked and
-        //     recovered per policy, and capacity multipliers update.
-        if let Some(f) = fstate.as_mut() {
-            while f.cursor < f.events.len() && f.events[f.cursor].t <= now + EPS {
-                let fev = f.events[f.cursor];
-                f.cursor += 1;
-                let engine = fev.engine as usize;
-                if engine >= num_engines {
-                    continue;
-                }
-                match fev.action {
-                    FaultAction::Down(kind) => {
-                        if !f.engine_up[engine] {
-                            continue;
-                        }
-                        f.engine_up[engine] = false;
-                        engines.free.remove(engine);
-                        scheduler.on_engine_down(engine, now);
-                        // The outage may reorder a kernel's engine
-                        // preferences (`FailoverAware`'s do).
-                        prefs.invalidate();
-                        let Some(token) = engines.token[engine].take() else {
-                            continue;
-                        };
-                        f.revoked.insert(token);
-                        let inf = f.open.remove(&token).expect("busy engine has open entry");
-                        let key = inf.job.key as usize;
-                        let sensor_frame = inf.job.sensor_frame;
-                        match f.policy {
-                            RecoveryPolicy::Drop => {
-                                let reason = match kind {
-                                    FaultKind::Failure => DropReason::DeviceLost,
-                                    FaultKind::Preemption => DropReason::Preempted,
-                                };
-                                out.stats[key].record_drop(reason);
-                                if !tables.downstream(key).is_empty() {
-                                    // Dependents see the same Dropped
-                                    // resolution an untriggered frame
-                                    // would leave behind.
-                                    if sensor_frame >= retire_threshold(key, nm, &tables, &floor) {
-                                        resolved.insert(key, sensor_frame, Resolution::Dropped);
-                                    }
-                                    let user_base = key - key % nm;
-                                    for &d in tables.downstream(key) {
-                                        let dkey = user_base + d as usize;
-                                        if waiting.occupied(dkey)
-                                            && waiting.sensor_frame[dkey] == sensor_frame
-                                        {
-                                            pass.push(std::cmp::Reverse((
-                                                waiting.seq[dkey],
-                                                dkey as u32,
-                                            )));
-                                        }
-                                    }
-                                }
-                            }
-                            RecoveryPolicy::Requeue | RecoveryPolicy::Migrate => {
-                                if ready.occupied(key) {
-                                    // A newer frame is already queued:
-                                    // freshness drops the revoked one.
-                                    out.stats[key].record_drop(DropReason::Superseded);
-                                } else {
-                                    // In-flight implies a super-epsilon
-                                    // span, so the fraction is well
-                                    // defined and positive.
-                                    let frac = if f.policy == RecoveryPolicy::Migrate {
-                                        ((inf.t_end - now) / (inf.t_end - inf.t_start))
-                                            .clamp(0.0, 1.0)
-                                            * inf.job.frac
-                                    } else {
-                                        1.0
-                                    };
-                                    let seq = next_seq;
-                                    next_seq += 1;
-                                    ready.requeue_push(Queued { frac, ..inf.job }, seq);
-                                }
-                            }
-                        }
-                    }
-                    FaultAction::Up => {
-                        if f.engine_up[engine] {
-                            continue;
-                        }
-                        f.engine_up[engine] = true;
-                        engines.free.insert(engine);
-                    }
-                    FaultAction::Capacity(c) => {
-                        f.capacity[engine] = c;
+    /// Applies one due completion: a faulted run first emits its
+    /// deferred record, and skips it altogether if a fault revoked the
+    /// dispatch. A live one resolves its frame as completed and frees
+    /// its engine.
+    fn process_completion(&mut self, ev: CompletionEv) {
+        if self.faults.is_some() && !self.emit_completion(&ev) {
+            return;
+        }
+        let (key, engine) = (ev.key as usize, ev.engine as usize);
+        self.resolve(key, ev.sensor_frame, Resolution::Completed, None);
+        if self.engines.token[engine] == Some(ev.token) {
+            self.engines.token[engine] = None;
+            self.engines.free.insert(engine);
+        }
+    }
+
+    /// Emits the deferred stats and record of the faulted dispatch that
+    /// `ev` completes. Returns false, emitting nothing, if a fault
+    /// revoked the dispatch.
+    fn emit_completion(&mut self, ev: &CompletionEv) -> bool {
+        let f = self.faults.as_mut().expect("a faulted run");
+        let engine = ev.engine as usize;
+        let inf = if self.engines.token[engine] == Some(ev.token) {
+            f.running[engine].take()
+        } else {
+            let i = f.instant.iter().position(|&(token, _)| token == ev.token);
+            i.map(|i| f.instant.swap_remove(i).1)
+        };
+        let Some(inf) = inf else {
+            return false;
+        };
+        let record = inf.job.record(engine, inf.t_start, ev.t, inf.energy_j);
+        self.out.emit(ev.key as usize, inf.job.view.user, record);
+        true
+    }
+
+    /// Phase 2: fault events due now. Engines leave or rejoin the free
+    /// set, capacity multipliers update, and in-flight work on a lost
+    /// engine is revoked and recovered per policy.
+    fn apply_faults(&mut self) {
+        let now = self.now;
+        while let Some(fev) = self.faults.as_mut().and_then(|f| f.pop_due(now)) {
+            let engine = fev.engine as usize;
+            let f = self.faults.as_mut().expect("a faulted run");
+            if engine >= f.engine_up.len() {
+                continue;
+            }
+            match fev.action {
+                FaultAction::Down(kind) => {
+                    if std::mem::replace(&mut f.engine_up[engine], false) {
+                        self.take_down(engine, kind);
                     }
                 }
+                FaultAction::Up => {
+                    if !std::mem::replace(&mut f.engine_up[engine], true) {
+                        self.engines.free.insert(engine);
+                    }
+                }
+                FaultAction::Capacity(c) => f.capacity[engine] = c,
             }
         }
+    }
 
-        // 2. Ingest arrivals due now.
-        while arrivals.peek().is_some_and(|p| p.req.t_req <= now + EPS) {
-            let p = arrivals.next().expect("peeked");
-            let ui = uidx.get(p.user);
-            let key = ui * nm + p.req.model as usize;
-            if let Some((lf, lsf)) = last_frame[key] {
+    /// Takes a running engine down: it leaves the free set, and the
+    /// dispatch it runs, if any, is revoked and recovered per policy.
+    fn take_down(&mut self, engine: usize, kind: FaultKind) {
+        self.engines.free.remove(engine);
+        self.scheduler.on_engine_down(engine, self.now);
+        // The outage may reorder a kernel's engine preferences
+        // (`FailoverAware`'s do).
+        self.prefs.invalidate();
+        if self.engines.token[engine].take().is_none() {
+            return;
+        }
+        let f = self.faults.as_mut().expect("a faulted run");
+        let policy = f.policy;
+        let inf = f.running[engine]
+            .take()
+            .expect("a busy engine runs a dispatch");
+        let key = inf.job.key as usize;
+        match policy {
+            RecoveryPolicy::Drop => {
+                let reason = match kind {
+                    FaultKind::Failure => DropReason::DeviceLost,
+                    FaultKind::Preemption => DropReason::Preempted,
+                };
+                self.out.stats[key].record_drop(reason);
+                // Dependents see the same Dropped resolution an
+                // untriggered frame would leave behind.
+                self.resolve(key, inf.job.sensor_frame, Resolution::Dropped, None);
+            }
+            RecoveryPolicy::Requeue | RecoveryPolicy::Migrate => {
+                if self.ready.occupied(key) {
+                    // A newer frame is already queued: freshness drops
+                    // the revoked one.
+                    self.out.stats[key].record_drop(DropReason::Superseded);
+                } else {
+                    // In-flight implies a super-epsilon span, so the
+                    // fraction is well defined and positive.
+                    let frac = if policy == RecoveryPolicy::Migrate {
+                        ((inf.t_end - self.now) / (inf.t_end - inf.t_start)).clamp(0.0, 1.0)
+                            * inf.job.frac
+                    } else {
+                        1.0
+                    };
+                    let seq = self.take_seq();
+                    self.ready.requeue_push(Queued { frac, ..inf.job }, seq);
+                }
+            }
+        }
+    }
+
+    /// Phase 3: arrivals due now. A dependent frame parks in the
+    /// waiting queue as a candidate for this instant's pass; any other
+    /// joins the ready queue.
+    fn ingest_arrivals(&mut self) {
+        let bound = self.now + EPS;
+        while let Some(p) = self.arrivals.next_if(|p| p.req.t_req <= bound) {
+            let key = self.uidx.get(p.user) * NUM_MODELS + p.req.model as usize;
+            if let Some((lf, lsf)) = self.last_frame[key] {
                 assert!(
                     p.req.frame_id > lf && p.req.sensor_frame > lsf,
                     "requests for {} (user {}) must have strictly increasing \
@@ -1381,261 +1345,280 @@ pub(crate) fn run_tagged(
                     p.user
                 );
             }
-            last_frame[key] = Some((p.req.frame_id, p.req.sensor_frame));
-            touched[key] = true;
-            out.stats[key].total_frames += 1;
-            if tables.has_deps(key) {
-                // Freshness: a newer dependent frame supersedes an
-                // older one still waiting for its upstream.
-                if waiting.occupied(key) {
-                    out.stats[key].record_drop(DropReason::Superseded);
-                }
-                let seq = next_seq;
-                next_seq += 1;
-                waiting.seq[key] = seq;
-                waiting.frame_id[key] = p.req.frame_id;
-                waiting.sensor_frame[key] = p.req.sensor_frame;
-                waiting.t_req[key] = p.req.t_req;
-                waiting.t_deadline[key] = p.req.t_deadline;
-                // Lookups now target this frame and nothing older.
-                if p.req.sensor_frame > floor[key] {
-                    floor[key] = p.req.sensor_frame;
-                    retire_upstreams(key, nm, &tables, &floor, &mut resolved);
-                }
-                pass.push(std::cmp::Reverse((seq, key as u32)));
-            } else {
-                let seq = next_seq;
-                next_seq += 1;
-                ready.supersede_push(
-                    key,
-                    p.user,
-                    p.req.model,
-                    p.req.frame_id,
-                    p.req.sensor_frame,
-                    p.req.t_req,
-                    p.req.t_deadline,
-                    seq,
-                    &mut out.stats,
-                );
+            self.last_frame[key] = Some((p.req.frame_id, p.req.sensor_frame));
+            self.touched[key] = true;
+            self.out.stats[key].total_frames += 1;
+            let job = Queued::fresh(key, &p);
+            if !self.tables.has_deps(key) {
+                self.enqueue(job);
+                continue;
             }
+            // Freshness: a newer dependent frame supersedes an older
+            // one still waiting for its upstream.
+            if self.waiting.occupied(key) {
+                self.out.stats[key].record_drop(DropReason::Superseded);
+            }
+            let seq = self.take_seq();
+            self.waiting.put(&job, seq);
+            // Lookups now target this frame and nothing older.
+            if job.sensor_frame > self.floor[key] {
+                self.floor[key] = job.sensor_frame;
+                self.retire_upstreams(key);
+            }
+            self.pass.push(Reverse((seq, job.key)));
         }
+    }
 
-        // 3. Resolve waiting dependents whose upstream is decided —
-        //    candidates only, in waiting-queue (seq) order, exactly
-        //    mirroring the reference loop's linear scan.
-        while let Some(std::cmp::Reverse((seq, key32))) = pass.pop() {
+    /// Phase 4: the waiting pass. Candidates pop in waiting-queue (seq)
+    /// order, exactly mirroring the reference loop's linear scan. A
+    /// frame whose upstreams are all decided leaves the queue: dropped
+    /// if one of them dropped, else ready if every trigger draw fires,
+    /// else untriggered.
+    fn resolve_waiting(&mut self) {
+        'pass: while let Some(Reverse((seq, key32))) = self.pass.pop() {
             let key = key32 as usize;
-            if !waiting.occupied(key) || waiting.seq[key] != seq {
+            if self.waiting.seq[key] != seq {
                 continue; // superseded since candidacy
             }
-            let user_base = key - key % nm;
-            let w_sf = waiting.sensor_frame[key];
-            // Are all upstream resolutions decided?
-            let (ups, probs) = tables.deps(key);
-            let mut any_dropped = Some(false);
+            let user_base = key - key % NUM_MODELS;
+            let sensor_frame = self.waiting.sensor_frame[key];
+            let (ups, probs) = self.tables.deps(key);
+            let mut any_dropped = false;
             for &up in ups {
-                match resolved.get(user_base + up as usize, w_sf) {
-                    None => {
-                        any_dropped = None;
-                        break;
-                    }
-                    Some(Resolution::Dropped) => any_dropped = any_dropped.map(|_| true),
+                match self.resolved.get(user_base + up as usize, sensor_frame) {
+                    None => continue 'pass, // upstream still in flight
+                    Some(Resolution::Dropped) => any_dropped = true,
                     Some(Resolution::Completed) => {}
                 }
             }
-            let Some(any_dropped) = any_dropped else {
-                continue; // upstream still in flight; stays waiting
-            };
-            let w_frame = waiting.frame_id[key];
-            let w_t_req = waiting.t_req[key];
-            let w_deadline = waiting.t_deadline[key];
-            waiting.seq[key] = EMPTY_SEQ;
-            floor[key] = w_sf + 1;
-            retire_upstreams(key, nm, &tables, &floor, &mut resolved);
-            let model = ModelId::ALL[key % nm];
-            let user = users_raw[key / nm];
+            let user = self.users[key / NUM_MODELS];
+            let job = self.waiting.take(key, user);
+            // Exactly one seeded draw per (user, model, upstream, frame)
+            // decision: the waiting slot holds one frame per key and is
+            // emptied here, and frame ids are strictly increasing, so no
+            // decision can ever be re-evaluated — no memo table needed.
+            let fires = !any_dropped
+                && ups.iter().zip(probs).all(|(&up, &prob)| {
+                    let upstream = ModelId::ALL[up as usize];
+                    let model = job.view.model;
+                    trigger_draw(self.seed, user, model, upstream, job.view.frame_id, prob)
+                });
+            self.floor[key] = sensor_frame + 1;
+            self.retire_upstreams(key);
             if any_dropped {
-                out.stats[key].record_drop(DropReason::UpstreamDropped);
-            } else if ups.iter().zip(probs).all(|(&up, &prob)| {
-                // Exactly one seeded draw per (user, model, upstream,
-                // frame) decision: the waiting slot holds one frame
-                // per key and is cleared before this branch runs, and
-                // frame ids are strictly increasing, so no decision
-                // can ever be re-evaluated — no memo table needed.
-                trigger_draw(
-                    config.seed,
-                    user,
-                    model,
-                    ModelId::ALL[up as usize],
-                    w_frame,
-                    prob,
-                )
-            }) {
-                let seq = next_seq;
-                next_seq += 1;
-                ready.supersede_push(
-                    key,
-                    user,
-                    model,
-                    w_frame,
-                    w_sf,
-                    w_t_req,
-                    w_deadline,
-                    seq,
-                    &mut out.stats,
-                );
+                self.out.stats[key].record_drop(DropReason::UpstreamDropped);
+            } else if fires {
+                self.enqueue(job);
             } else {
                 // Legitimately deactivated: not streamed work for QoE
-                // purposes.
-                out.stats[key].untriggered_frames += 1;
-                out.stats[key].total_frames -= 1;
-                if !tables.downstream(key).is_empty() {
-                    if w_sf >= retire_threshold(key, nm, &tables, &floor) {
-                        resolved.insert(key, w_sf, Resolution::Dropped);
-                    }
-                    // Cascade: this may unblock further dependents.
-                    // Forward (later-queued) ones join this pass, as
-                    // the reference scan would reach them; backward
-                    // ones wait for the next event time, as the
-                    // reference scan already passed them.
-                    for &d in tables.downstream(key) {
-                        let dkey = user_base + d as usize;
-                        if waiting.occupied(dkey) && waiting.sensor_frame[dkey] == w_sf {
-                            if waiting.seq[dkey] > seq {
-                                pass.push(std::cmp::Reverse((waiting.seq[dkey], dkey as u32)));
-                            } else {
-                                deferred.push((waiting.seq[dkey], dkey as u32));
-                            }
-                        }
-                    }
-                }
+                // purposes. This may unblock further dependents.
+                let st = &mut self.out.stats[key];
+                st.untriggered_frames += 1;
+                st.total_frames -= 1;
+                self.resolve(key, sensor_frame, Resolution::Dropped, Some(seq));
             }
         }
+    }
 
-        // 4. Dispatch ready requests onto free engines: through the
-        //    indexed kernel when the scheduler lends one (the pick
-        //    heap's root under its request order, its engine rule
-        //    replayed exactly), else through its `select` over the
-        //    view buffer, compacted once per cohort.
-        if let Some(kernel) = scheduler.kernel() {
-            while !engines.free.is_empty() {
-                let Some(key) = ready.min_key() else { break };
-                let engine = kernel_engine(kernel, key % nm, &engines.free, &cache, &mut prefs);
-                let job = ready.take_key(key, users_raw[key / nm]);
-                engines.dispatch(job, engine, now, &cache, fstate.as_mut(), &mut out);
+    /// Phase 5: ready requests go onto free engines — through the
+    /// indexed kernel when the scheduler lends one (the pick heap's
+    /// root under its request order, its engine rule replayed exactly),
+    /// else through its `select` over the view buffer, compacted once
+    /// per instant.
+    fn dispatch(&mut self) {
+        if let Some(kernel) = self.scheduler.kernel() {
+            while !self.engines.free.is_empty() {
+                let Some(key) = self.ready.min_key() else {
+                    break;
+                };
+                let free = &self.engines.free;
+                let engine =
+                    kernel_engine(kernel, key % NUM_MODELS, free, &self.cache, &mut self.prefs);
+                let job = self.ready.take_key(key, self.users[key / NUM_MODELS]);
+                let faults = self.faults.as_mut();
+                self.engines
+                    .dispatch(job, engine, self.now, &self.cache, faults, &mut self.out);
             }
         } else {
-            ready.compact();
-            while !engines.free.is_empty() && !ready.is_empty() {
+            self.ready.compact();
+            while !self.engines.free.is_empty() && !self.ready.is_empty() {
+                let views = self.ready.views();
+                let free = &self.engines.free;
                 let Some((ri, engine)) =
-                    scheduler.select(ready.views(), &engines.free.list, &cache, now)
+                    self.scheduler
+                        .select(views, &free.list, &self.cache, self.now)
                 else {
                     break;
                 };
+                assert!(ri < views.len(), "scheduler returned bad request index");
                 assert!(
-                    ri < ready.views().len(),
-                    "scheduler returned bad request index"
-                );
-                assert!(
-                    engines.free.contains(engine),
+                    free.contains(engine),
                     "scheduler returned busy engine {engine}"
                 );
-                let job = ready.remove_pos(ri);
-                engines.dispatch(job, engine, now, &cache, fstate.as_mut(), &mut out);
+                let job = self.ready.remove_pos(ri);
+                let faults = self.faults.as_mut();
+                self.engines
+                    .dispatch(job, engine, self.now, &self.cache, faults, &mut self.out);
             }
         }
+    }
 
-        // 5. Advance to the next event strictly after `now`, stashing
-        //    degenerate sub-epsilon completions for the next pass.
-        let mut next = f64::INFINITY;
-        if let Some(p) = arrivals.peek() {
-            next = next.min(p.req.t_req);
+    /// Phase 6: moves the clock to the next event strictly after `now`,
+    /// stashing degenerate sub-epsilon completions for the next instant.
+    /// Returns false when no event is left.
+    fn advance(&mut self) -> bool {
+        let arrival = self.arrivals.peek().map(|p| p.req.t_req);
+        drain_due(&mut self.engines.calendar, self.now + EPS, &mut self.due);
+        let completion = self.engines.calendar.peek().map(|Reverse(ev)| ev.t);
+        // Fault events only matter while some work can still use the
+        // engines they toggle: with nothing queued, in flight, or
+        // arriving, the remaining toggles are no-ops (waiting frames can
+        // never resolve without completions).
+        let work_pending = arrival.is_some()
+            || completion.is_some()
+            || !self.due.is_empty()
+            || !self.ready.is_empty();
+        let fault = (self.faults.as_ref())
+            .and_then(|f| f.events.get(f.cursor))
+            .filter(|_| work_pending)
+            .map(|ev| ev.t);
+        let next = [arrival, completion, fault]
+            .into_iter()
+            .flatten()
+            .fold(f64::INFINITY, f64::min);
+        if next.is_infinite() {
+            return false;
         }
-        drain_due(&mut engines.calendar, now + EPS, &mut due);
-        if let Some(std::cmp::Reverse(ev)) = engines.calendar.peek() {
-            next = next.min(ev.t);
+        self.now = next;
+        true
+    }
+
+    /// Phase 7, once no event is left: a faulted run emits the
+    /// completions still stashed as due (possible only with sub-epsilon
+    /// latencies; they did execute), every frame still queued counts as
+    /// starved, and each user's stats are returned for the keys its spec
+    /// or its requests touched.
+    fn finish(&mut self) -> BTreeMap<u32, UserStats> {
+        if self.faults.is_some() {
+            for ev in std::mem::take(&mut self.due) {
+                self.emit_completion(&ev);
+            }
         }
-        if let Some(f) = &fstate {
-            // Fault events only matter while some work can still use
-            // the engines they toggle: with nothing queued, in flight,
-            // or arriving, the remaining toggles are no-ops (waiting
-            // frames can never resolve without completions).
-            let work_pending = arrivals.peek().is_some()
-                || !engines.calendar.is_empty()
-                || !due.is_empty()
-                || !ready.is_empty();
-            if work_pending {
-                if let Some(fev) = f.events.get(f.cursor) {
-                    next = next.min(fev.t);
+        for (key, st) in self.out.stats.iter_mut().enumerate() {
+            if self.waiting.occupied(key) {
+                st.record_drop(DropReason::Starved);
+            }
+            if self.ready.occupied(key) {
+                st.record_drop(DropReason::Starved);
+            }
+        }
+        let stats = &self.out.stats;
+        (self.users.iter().enumerate())
+            .map(|(ui, &user)| {
+                let user_stats = (ModelId::ALL.iter().zip(ui * NUM_MODELS..))
+                    .filter(|&(_, key)| self.touched[key])
+                    .map(|(&model, key)| (model, stats[key].clone()))
+                    .collect();
+                (user, user_stats)
+            })
+            .collect()
+    }
+
+    /// The next waiting- or ready-queue sequence number.
+    fn take_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// Queues `job` for dispatch; freshness drops its key's older queued
+    /// frame.
+    fn enqueue(&mut self, job: Queued) {
+        let seq = self.take_seq();
+        let stats = &mut self.out.stats[job.key as usize];
+        self.ready.supersede_push(job, seq, stats);
+    }
+
+    /// The one resolution step: records how `key`'s frame of
+    /// `sensor_frame` ended (unless no dependent can still look it up)
+    /// and wakes the waiting dependents of the same sensor frame. They
+    /// join the current pass, except the ones queued at or before
+    /// `passed`, the candidate a pass under way is resolving: the
+    /// reference scan has gone by those, so they wait for the next
+    /// instant.
+    fn resolve(&mut self, key: usize, sensor_frame: u64, res: Resolution, passed: Option<u64>) {
+        let downstream = self.tables.downstream(key);
+        if downstream.is_empty() {
+            return;
+        }
+        if sensor_frame >= self.retire_threshold(key) {
+            self.resolved.insert(key, sensor_frame, res);
+        }
+        let user_base = key - key % NUM_MODELS;
+        for &d in downstream {
+            let dkey = user_base + d as usize;
+            if self.waiting.occupied(dkey) && self.waiting.sensor_frame[dkey] == sensor_frame {
+                let candidate = (self.waiting.seq[dkey], dkey as u32);
+                if passed.is_some_and(|seq| candidate.0 <= seq) {
+                    self.deferred.push(candidate);
+                } else {
+                    self.pass.push(Reverse(candidate));
                 }
             }
         }
-        if next.is_infinite() {
-            break;
-        }
-        now = next;
     }
 
-    // Completions stashed as due when the loop ended (possible only
-    // with sub-epsilon latencies) did execute; surface their deferred
-    // records in faulted mode (the clean path emitted at dispatch).
-    if let Some(f) = fstate.as_mut() {
-        for ev in due.drain(..) {
-            if f.revoked.remove(&ev.token) {
-                continue;
-            }
-            if let Some(inf) = f.open.remove(&ev.token) {
-                emit_completion(&inf, &ev, &mut out);
-            }
-        }
+    /// The smallest sensor frame any dependent of `key` may still look
+    /// up — resolutions of `key` below this watermark are unreachable.
+    fn retire_threshold(&self, key: usize) -> u64 {
+        let user_base = key - key % NUM_MODELS;
+        (self.tables.downstream(key).iter())
+            .map(|&d| self.floor[user_base + d as usize])
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
-    // Anything still queued at drain time never got to run within the
-    // run's horizon; count as dropped.
-    for (key, st) in out.stats.iter_mut().enumerate() {
-        if waiting.occupied(key) {
-            st.record_drop(DropReason::Starved);
-        }
-        if ready.occupied(key) {
-            st.record_drop(DropReason::Starved);
+    /// After `key`'s watermark advanced: retire upstream resolutions no
+    /// dependent can reference anymore. Each resolution is retired at
+    /// most once, so the cost amortizes to a constant per completion.
+    fn retire_upstreams(&mut self, key: usize) {
+        let user_base = key - key % NUM_MODELS;
+        let (ups, _) = self.tables.deps(key);
+        for &up in ups {
+            let upkey = user_base + up as usize;
+            let threshold = self.retire_threshold(upkey);
+            self.resolved.retire_below(upkey, threshold);
         }
     }
+}
 
-    // Assemble one SimResult per user. Fault-free records were emitted
-    // in dispatch order — already nondecreasing in `t_start` — so the
-    // final re-sort is skipped (a stable sort on sorted input is the
-    // identity); faulted records were emitted at
-    // completion and still need the stable start-time sort.
-    let emit_at_completion = fstate.is_some();
-    let mut result = BTreeMap::new();
-    for (ui, &(user, _)) in specs.iter().enumerate() {
-        let mut recs = std::mem::take(&mut out.records[ui]);
-        if emit_at_completion {
-            recs.sort_by(|a, b| a.t_start.total_cmp(&b.t_start));
-        } else {
-            debug_assert!(
-                recs.windows(2).all(|w| w[0].t_start <= w[1].t_start),
-                "fault-free dispatch order must be nondecreasing in t_start"
-            );
+/// The production event loop over user-tagged requests, consumed
+/// lazily as the clock reaches them (`requests` must be sorted by
+/// `t_req`, and strictly frame-monotone per `(user, model)`). It
+/// streams every execution record to `sink` and returns each user's
+/// per-model stats, both bit-identical to
+/// [`crate::naive::run_tagged_naive`]. With `faults: None` this *is*
+/// the fault-free loop — no fault state is allocated and every fault
+/// branch is behind an `Option` check.
+pub(crate) fn run_tagged(
+    config: SimConfig,
+    specs: &[(u32, &ScenarioSpec)],
+    requests: &mut dyn Iterator<Item = SessionRequest>,
+    provider: &dyn CostProvider,
+    scheduler: &mut dyn Scheduler,
+    faults: Option<FaultCtx<'_>>,
+    sink: Sink<'_>,
+) -> BTreeMap<u32, UserStats> {
+    let mut run = Run::new(config, specs, requests, provider, scheduler, faults, sink);
+    loop {
+        run.complete_due();
+        run.apply_faults();
+        run.ingest_arrivals();
+        run.resolve_waiting();
+        run.dispatch();
+        if !run.advance() {
+            return run.finish();
         }
-        let mut user_stats: BTreeMap<ModelId, ModelStats> = BTreeMap::new();
-        for (mi, &m) in ModelId::ALL.iter().enumerate() {
-            let key = ui * nm + mi;
-            if touched[key] {
-                user_stats.insert(m, out.stats[key].clone());
-            }
-        }
-        result.insert(
-            user,
-            SimResult {
-                records: recs,
-                stats: user_stats,
-                num_engines,
-                duration_s,
-            },
-        );
     }
-    result
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! before/after measurement.
 //!
 //! This began as the simulator's original `run_tagged` and has grown
-//! the production loop's full contract — both [`RecordMode`]s and
-//! optional fault injection (down, up and capacity events under every
+//! the production loop's full contract — a record stream and optional
+//! fault injection (down, up and capacity events under every
 //! [`RecoveryPolicy`]) — without giving up its style: it re-sorts the
 //! dispatch list on every iteration, linearly scans the whole waiting
 //! set per event, rescans every engine and rebuilds the scheduler's
@@ -33,10 +33,10 @@ use std::collections::BTreeMap;
 use xrbench_models::ModelId;
 use xrbench_workload::{ScenarioSpec, SessionRequest};
 
-use crate::engine::{FaultCtx, RecordMode};
+use crate::engine::{FaultCtx, Sink, UserStats};
 use crate::fault::{FaultAction, FaultKind, RecoveryPolicy};
 use crate::provider::CostProvider;
-use crate::result::{DropReason, ExecRecord, ModelStats, SimResult};
+use crate::result::{DropReason, ExecRecord, ModelStats};
 use crate::scheduler::{PendingView, Scheduler};
 use crate::simulator::{trigger_all, Resolution, SimConfig, EPS};
 
@@ -73,20 +73,18 @@ fn completion_order(a: &Dispatch, b: &Dispatch) -> Ordering {
 
 /// The O(n²) event loop over user-tagged requests (`requests` must be
 /// sorted by `t_req`; they are consumed lazily as the clock reaches
-/// them), with the production loop's signature: records
-/// are collected or folded per `mode`, and `faults` optionally injects
-/// an engine event timeline. Returns one [`SimResult`] per user.
-#[allow(clippy::too_many_arguments)]
+/// them), with the production loop's signature: `faults` optionally
+/// injects an engine event timeline, every execution record streams to
+/// `sink`, and each user's per-model stats are returned.
 pub(crate) fn run_tagged_naive(
     config: SimConfig,
     specs: &[(u32, &ScenarioSpec)],
     requests: &mut dyn Iterator<Item = SessionRequest>,
     provider: &dyn CostProvider,
     scheduler: &mut dyn Scheduler,
-    duration_s: f64,
-    mut mode: RecordMode<'_>,
     faults: Option<FaultCtx<'_>>,
-) -> BTreeMap<u32, SimResult> {
+    sink: Sink<'_>,
+) -> BTreeMap<u32, UserStats> {
     assert!(provider.num_engines() > 0, "provider must expose engines");
 
     type Key = (u32, ModelId);
@@ -138,8 +136,6 @@ pub(crate) fn run_tagged_naive(
     // Every dispatch whose scheduled end has not been processed yet.
     let mut dispatches: Vec<Dispatch> = Vec::new();
     let mut next_token = 0u64;
-    let mut records: BTreeMap<u32, Vec<ExecRecord>> =
-        specs.iter().map(|&(user, _)| (user, Vec::new())).collect();
 
     let mut arrivals = requests.peekable();
     let mut now = 0.0_f64;
@@ -159,7 +155,7 @@ pub(crate) fn run_tagged_naive(
                 Resolution::Completed,
             );
             if faults.is_some() {
-                emit(&d, &mut stats, &mut records, &mut mode);
+                emit(&d, &mut stats, sink);
             }
         }
 
@@ -325,7 +321,7 @@ pub(crate) fn run_tagged_naive(
             };
             next_token += 1;
             if faults.is_none() {
-                emit(&d, &mut stats, &mut records, &mut mode);
+                emit(&d, &mut stats, sink);
             }
             dispatches.push(d);
         }
@@ -357,7 +353,7 @@ pub(crate) fn run_tagged_naive(
     if faults.is_some() {
         dispatches.sort_by(completion_order);
         for d in dispatches.iter().filter(|d| !d.revoked) {
-            emit(d, &mut stats, &mut records, &mut mode);
+            emit(d, &mut stats, sink);
         }
     }
 
@@ -370,37 +366,22 @@ pub(crate) fn run_tagged_naive(
             .record_drop(DropReason::Starved);
     }
 
-    // Assemble one SimResult per user.
-    let mut out = BTreeMap::new();
-    for &(user, _) in specs {
-        let mut recs = records.remove(&user).unwrap_or_default();
-        recs.sort_by(|a, b| a.t_start.total_cmp(&b.t_start));
-        let user_stats: BTreeMap<ModelId, ModelStats> = stats
-            .iter()
-            .filter(|((u, _), _)| *u == user)
-            .map(|((_, m), st)| (*m, st.clone()))
-            .collect();
-        out.insert(
-            user,
-            SimResult {
-                records: recs,
-                stats: user_stats,
-                num_engines,
-                duration_s,
-            },
-        );
-    }
-    out
+    specs
+        .iter()
+        .map(|&(user, _)| {
+            let user_stats = stats
+                .iter()
+                .filter(|((u, _), _)| *u == user)
+                .map(|((_, m), st)| (*m, st.clone()))
+                .collect();
+            (user, user_stats)
+        })
+        .collect()
 }
 
 /// Emits one dispatch's stats and execution record: at dispatch on
 /// fault-free runs, at its scheduled end on faulted ones.
-fn emit(
-    d: &Dispatch,
-    stats: &mut BTreeMap<(u32, ModelId), ModelStats>,
-    records: &mut BTreeMap<u32, Vec<ExecRecord>>,
-    mode: &mut RecordMode<'_>,
-) {
+fn emit(d: &Dispatch, stats: &mut BTreeMap<(u32, ModelId), ModelStats>, sink: Sink<'_>) {
     let st = stats.entry((d.p.user, d.p.req.model)).or_default();
     st.executed_frames += 1;
     if d.t_end > d.p.req.t_deadline {
@@ -417,10 +398,7 @@ fn emit(
         t_end: d.t_end,
         energy_j: d.energy_j,
     };
-    match mode {
-        RecordMode::Collect => records.entry(d.p.user).or_default().push(record),
-        RecordMode::Fold(sink) => sink(d.p.user, &record),
-    }
+    sink(d.p.user, &record);
 }
 
 /// Drops any not-yet-started older frame of the same (user, model)

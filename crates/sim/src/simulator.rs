@@ -32,10 +32,13 @@
 //! — amortized constant per event where the original loop was linear
 //! (see `DESIGN.md`). Its one differential-testing reference is the
 //! quadratic loop in [`crate::naive`], which has the same signature
-//! and covers fault-free and faulted runs in both record modes; one
-//! private function feeds either loop, so every `run_session*` variant
-//! and its reference share the input and assembly steps, and the two
-//! loops produce bit-identical results.
+//! and covers fault-free and faulted runs. Both loops produce only two
+//! things: a stream of execution records, handed to a sink, and
+//! per-user stats. One private step, [`Simulator::assemble`], runs
+//! either loop for every entry point and its reference: it passes the
+//! caller's sink through or collects the records per user, sorts a
+//! faulted run's records by start time, and builds every
+//! [`SimResult`], so the two loops produce bit-identical results.
 //!
 //! Both loops pull arrivals lazily: [`Simulator::run`] and every
 //! `run_session*` variant feed them the k-way merge of
@@ -53,7 +56,7 @@ use xrbench_workload::{
     InferenceRequest, LoadGenerator, ScenarioSpec, SessionRequest, SessionSpec,
 };
 
-use crate::engine::{FaultCtx, RecordMode};
+use crate::engine::{FaultCtx, Sink, UserIndex, UserStats};
 use crate::fault::{FaultProcess, FaultTimeline, RecoveryPolicy};
 use crate::provider::CostProvider;
 use crate::result::{ExecRecord, SessionSimResult, SimResult};
@@ -62,25 +65,34 @@ use crate::scheduler::Scheduler;
 /// The time-comparison slack used when grouping events at one instant.
 pub(crate) const EPS: f64 = 1e-15;
 
-/// A streaming record sink, handed `(user, record)` per inference.
-type Sink<'a> = &'a mut dyn FnMut(u32, &ExecRecord);
-
 /// A time-sorted stream of user-tagged requests.
 type Requests<'a> = &'a mut dyn Iterator<Item = SessionRequest>;
 
 /// An event loop over user-tagged requests: the production engine
 /// ([`crate::engine::run_tagged`]) or the reference loop
 /// ([`crate::naive::run_tagged_naive`]), which share this signature.
+/// It streams every execution record to its sink and returns each
+/// user's per-model stats; [`Simulator::assemble`] turns that into
+/// results.
 type EventLoop = fn(
     SimConfig,
     &[(u32, &ScenarioSpec)],
     Requests<'_>,
     &dyn CostProvider,
     &mut dyn Scheduler,
-    f64,
-    RecordMode<'_>,
     Option<FaultCtx<'_>>,
-) -> BTreeMap<u32, SimResult>;
+    Sink<'_>,
+) -> BTreeMap<u32, UserStats>;
+
+/// What an entry point hands an event loop besides the system, the
+/// scheduler and the sink.
+struct LoopInputs<'a> {
+    users: &'a [(u32, &'a ScenarioSpec)],
+    requests: Requests<'a>,
+    faults: Option<FaultCtx<'a>>,
+    /// The span each user's result covers.
+    duration_s: f64,
+}
 
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -384,10 +396,9 @@ impl Simulator {
         }
     }
 
-    /// The one session pipeline behind every `run_session*` variant:
-    /// session inputs → fault-timeline expansion → `event_loop` →
-    /// per-user assembly. A `sink` folds records instead of collecting
-    /// them.
+    /// The session pipeline behind every `run_session*` variant:
+    /// session inputs → fault-timeline expansion → [`Self::assemble`].
+    /// A `sink` takes the records instead of the results.
     fn drive(
         &self,
         event_loop: EventLoop,
@@ -399,29 +410,18 @@ impl Simulator {
     ) -> SessionSimResult {
         assert!(!session.users.is_empty(), "session has no users");
         let span_s = session.span_s(self.config.duration_s);
-        let mut arrivals = session.arrivals(self.config.seed, self.config.duration_s);
         let specs: Vec<(u32, &ScenarioSpec)> =
             session.users.iter().map(|u| (u.user, &u.spec)).collect();
         let timeline =
             faults.and_then(|(process, _)| self.expand_timeline(process, provider, span_s));
-        let fault_ctx = timeline
-            .as_ref()
-            .zip(faults)
-            .map(|(timeline, (_, policy))| FaultCtx { timeline, policy });
-        let mode = match sink {
-            Some(sink) => RecordMode::Fold(sink),
-            None => RecordMode::Collect,
+        let inputs = LoopInputs {
+            users: &specs,
+            requests: &mut session.arrivals(self.config.seed, self.config.duration_s),
+            faults: (timeline.as_ref().zip(faults))
+                .map(|(timeline, (_, policy))| FaultCtx { timeline, policy }),
+            duration_s: span_s,
         };
-        let per_user = event_loop(
-            self.config,
-            &specs,
-            &mut arrivals,
-            provider,
-            scheduler,
-            span_s,
-            mode,
-            fault_ctx,
-        );
+        let per_user = self.assemble(event_loop, inputs, provider, scheduler, sink);
         SessionSimResult {
             session: session.name.clone(),
             per_user: per_user.into_iter().collect(),
@@ -465,17 +465,72 @@ impl Simulator {
         provider: &dyn CostProvider,
         scheduler: &mut dyn Scheduler,
     ) -> SimResult {
-        let mut per_user = event_loop(
-            self.config,
-            &[(0, spec)],
+        let inputs = LoopInputs {
+            users: &[(0, spec)],
             requests,
+            faults: None,
+            duration_s: self.config.duration_s,
+        };
+        let mut per_user = self.assemble(event_loop, inputs, provider, scheduler, None);
+        per_user.remove(&0).expect("user 0 always present")
+    }
+
+    /// The one path from an event loop to results: `event_loop` runs
+    /// with `sink` or, when there is none, with a sink that files each
+    /// record under its user through the engine's [`UserIndex`] (a
+    /// table lookup per record for dense ids, where a map search cost a
+    /// 1024-user session several percent of its run). Filed records of
+    /// a faulted run, which stream in completion order, are
+    /// stable-sorted by start time; fault-free ones stream in dispatch
+    /// order, already sorted. Each user gets one [`SimResult`], whose
+    /// `records` stay empty when the caller's sink took them.
+    fn assemble(
+        &self,
+        event_loop: EventLoop,
+        inputs: LoopInputs<'_>,
+        provider: &dyn CostProvider,
+        scheduler: &mut dyn Scheduler,
+        sink: Option<Sink<'_>>,
+    ) -> BTreeMap<u32, SimResult> {
+        let faulted = inputs.faults.is_some();
+        let ids: Vec<u32> = inputs.users.iter().map(|&(user, _)| user).collect();
+        let index = UserIndex::build(&ids);
+        let mut filed = vec![Vec::new(); ids.len()];
+        let mut file = |user, record: &ExecRecord| filed[index.get(user)].push(record.clone());
+        let sink: Sink<'_> = match sink {
+            Some(sink) => sink,
+            None => &mut file,
+        };
+        let per_user = event_loop(
+            self.config,
+            inputs.users,
+            inputs.requests,
             provider,
             scheduler,
-            self.config.duration_s,
-            RecordMode::Collect,
-            None,
+            inputs.faults,
+            sink,
         );
-        per_user.remove(&0).expect("user 0 always present")
+        per_user
+            .into_iter()
+            .map(|(user, stats)| {
+                let mut records = std::mem::take(&mut filed[index.get(user)]);
+                if faulted {
+                    records.sort_by(|a, b| a.t_start.total_cmp(&b.t_start));
+                } else {
+                    debug_assert!(
+                        records.windows(2).all(|w| w[0].t_start <= w[1].t_start),
+                        "fault-free dispatch order must be nondecreasing in t_start"
+                    );
+                }
+                let result = SimResult {
+                    records,
+                    stats,
+                    num_engines: provider.num_engines(),
+                    duration_s: inputs.duration_s,
+                };
+                (user, result)
+            })
+            .collect()
     }
 
     /// Reference counterpart of [`Simulator::run_requests`]: the same
@@ -1211,19 +1266,17 @@ mod tests {
             ("naive", crate::naive::run_tagged_naive),
         ];
         for (name, event_loop) in loops {
-            let per_user = event_loop(
-                sim.config,
-                &[(0, &spec)],
-                &mut LoadGenerator::new(sim.config.seed).arrivals(&spec, 1.0),
-                &p,
-                &mut LatencyGreedy::new(),
-                1.0,
-                RecordMode::Collect,
-                Some(FaultCtx {
+            let inputs = LoopInputs {
+                users: &[(0, &spec)],
+                requests: &mut LoadGenerator::new(sim.config.seed).arrivals(&spec, 1.0),
+                faults: Some(FaultCtx {
                     timeline: &timeline,
                     policy: RecoveryPolicy::Drop,
                 }),
-            );
+                duration_s: 1.0,
+            };
+            let mut scheduler = LatencyGreedy::new();
+            let per_user = sim.assemble(event_loop, inputs, &p, &mut scheduler, None);
             let r = &per_user[&0];
             assert_eq!(r.records[0], first, "{name}: first record changed");
             let preempted: u64 = r.stats.values().map(|s| s.dropped_preempted).sum();
@@ -1267,16 +1320,13 @@ mod tests {
         for (name, event_loop) in loops {
             for make in schedulers {
                 let run = |faults: Option<FaultCtx<'_>>| {
-                    let per_user = event_loop(
-                        sim.config,
-                        &users,
-                        &mut session.arrivals(sim.config.seed, sim.config.duration_s),
-                        &p,
-                        make().as_mut(),
-                        span_s,
-                        RecordMode::Collect,
+                    let inputs = LoopInputs {
+                        users: &users,
+                        requests: &mut session.arrivals(sim.config.seed, sim.config.duration_s),
                         faults,
-                    );
+                        duration_s: span_s,
+                    };
+                    let per_user = sim.assemble(event_loop, inputs, &p, make().as_mut(), None);
                     SessionSimResult {
                         session: session.name.clone(),
                         per_user: per_user.into_iter().collect(),
@@ -1356,17 +1406,17 @@ mod tests {
             engine: 0,
             action: FaultAction::Down(FaultKind::Failure),
         }]);
-        let run = |faults| {
-            let mut per_user = crate::engine::run_tagged(
-                SimConfig::default(),
-                &[(0, &spec)],
-                &mut requests.iter().cloned(),
-                &p,
-                &mut LatencyGreedy::new(),
-                1.0,
-                RecordMode::Collect,
+        let run = |faults: Option<FaultCtx<'_>>| {
+            let inputs = LoopInputs {
+                users: &[(0, &spec)],
+                requests: &mut requests.iter().cloned(),
                 faults,
-            );
+                duration_s: 1.0,
+            };
+            let event_loop = crate::engine::run_tagged;
+            let sim = Simulator::new(SimConfig::default());
+            let mut per_user =
+                sim.assemble(event_loop, inputs, &p, &mut LatencyGreedy::new(), None);
             per_user.remove(&0).expect("user 0 ran")
         };
         let clean = run(None);

@@ -152,13 +152,15 @@ impl SessionSpec {
     /// How many requests [`SessionSpec::generate`] emits for
     /// `duration_s`, counted without generating them: the sum of
     /// [`crate::ScenarioModel::request_count`] over every user's
-    /// models.
+    /// models. Like each of those counts, the sum saturates at
+    /// `u64::MAX` for a duration too long to count in a `u64`, rather
+    /// than overflowing.
     pub fn request_count(&self, duration_s: f64) -> u64 {
         self.users
             .iter()
             .flat_map(|u| &u.spec.models)
             .map(|sm| sm.request_count(duration_s))
-            .sum()
+            .fold(0, u64::saturating_add)
     }
 
     /// Generates the merged, time-sorted session request stream:
@@ -268,6 +270,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn request_count_saturates_instead_of_overflowing() {
+        // Each model's count saturates at u64::MAX for a huge finite
+        // duration; their sum used to overflow (a panic in debug builds,
+        // a wrapped count in release builds).
+        let s = SessionSpec::uniform("s", UsageScenario::VrGaming.spec(), 2, 0.0);
+        assert_eq!(s.request_count(1e300), u64::MAX);
     }
 
     #[test]

@@ -67,6 +67,32 @@ fn random_spec(state: &mut u64, name: &str) -> ScenarioSpec {
     b.build().expect("randomized spec is builder-valid")
 }
 
+/// Relabels the session's users, as a hand-built `SessionSpec` may:
+/// per `mode`, the builder's ids `0..n` stay (0), are shuffled (1: the
+/// engine's dense user table, out of order), or become distinct ids in
+/// no order, one from each of `n` disjoint ranges covering `u32` (2:
+/// with two or more users some lie above the dense-table bound
+/// `4 · users + 64`, so the engine finds users by binary search).
+fn relabel_users(session: &mut SessionSpec, mode: u64, st: &mut u64) {
+    let n = session.users.len();
+    let mut ids: Vec<u32> = match mode {
+        0 => return,
+        1 => (0..n as u32).collect(),
+        _ => {
+            let width = u32::MAX / n as u32;
+            (0..n as u32)
+                .map(|i| i * width + pick(st, width as usize) as u32)
+                .collect()
+        }
+    };
+    for i in (1..n).rev() {
+        ids.swap(i, pick(st, i + 1));
+    }
+    for (user, id) in session.users.iter_mut().zip(ids) {
+        user.user = id;
+    }
+}
+
 /// One scenario scored on 2 uniform engines at `latency_ms`, then on
 /// engines `speedup` times faster: `(slow, fast)`.
 fn slow_and_fast(
@@ -289,6 +315,7 @@ proptest! {
     fn calendar_engine_is_bit_identical_to_naive_loop(
         structure in 0u64..u64::MAX,
         seed in 0u64..5000,
+        relabel in 0u64..3,
     ) {
         // The fault-free differential: on randomized builder-generated
         // multi-user sessions — mixed scenarios, random rates,
@@ -305,10 +332,11 @@ proptest! {
             .collect();
         let users = 1 + pick(&mut st, 6) as u32;
         let stagger = [0.0, 0.003, 0.017, 0.25][pick(&mut st, 4)];
-        let session = SessionSpec::mixed("differential", &specs, users, stagger);
+        let mut session = SessionSpec::mixed("differential", &specs, users, stagger);
         let engines = 1 + pick(&mut st, 4);
         let latency = [0.0003, 0.002, 0.009, 0.035][pick(&mut st, 4)];
         let provider = UniformProvider::new(engines, latency, 0.001);
+        relabel_users(&mut session, relabel, &mut st);
         let sim = Simulator::new(SimConfig { duration_s: 1.0, seed });
         for sched_idx in 0..NUM_SCHEDULERS {
             // The reference loop always calls `select`, so one run of
@@ -337,9 +365,10 @@ proptest! {
                 prop_assert_eq!(
                     &fast,
                     &slow,
-                    "engines diverge: {} users, {} engines, {}s latency, scheduler {}, \
-                     kernel hidden {}",
+                    "engines diverge: {} users (ids relabeled: {}), {} engines, {}s latency, \
+                     scheduler {}, kernel hidden {}",
                     users,
+                    relabel,
                     engines,
                     latency,
                     sched_idx,
@@ -380,6 +409,7 @@ proptest! {
     fn calendar_engine_matches_naive_loop_under_faults(
         structure in 0u64..u64::MAX,
         seed in 0u64..5000,
+        relabel in 0u64..3,
     ) {
         // The faulted differential: on randomized sessions with engine
         // churn, preemption, and throttling, the production engine must
@@ -393,7 +423,7 @@ proptest! {
             .map(|i| random_spec(&mut st, &format!("frand-{i}")))
             .collect();
         let users = 1 + pick(&mut st, 4) as u32;
-        let session = SessionSpec::mixed("faulted-differential", &specs, users, 0.003);
+        let mut session = SessionSpec::mixed("faulted-differential", &specs, users, 0.003);
         let engines = 2 + pick(&mut st, 3);
         let latency = [0.0008, 0.004, 0.02][pick(&mut st, 3)];
         let provider = UniformProvider::new(engines, latency, 0.001);
@@ -409,6 +439,7 @@ proptest! {
             },
         };
         let policy = RecoveryPolicy::ALL[pick(&mut st, RecoveryPolicy::ALL.len())];
+        relabel_users(&mut session, relabel, &mut st);
         let sim = Simulator::new(SimConfig { duration_s: 1.0, seed });
         for sched_idx in 0..NUM_SCHEDULERS {
             let slow = sim.run_session_reference(
@@ -437,9 +468,10 @@ proptest! {
                 prop_assert_eq!(
                     &fast,
                     &slow,
-                    "faulted engines diverge: {} users, {} engines, {}s latency, \
-                     scheduler {}, kernel hidden {}, policy {}",
+                    "faulted engines diverge: {} users (ids relabeled: {}), {} engines, \
+                     {}s latency, scheduler {}, kernel hidden {}, policy {}",
                     users,
+                    relabel,
                     engines,
                     latency,
                     sched_idx,

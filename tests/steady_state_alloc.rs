@@ -3,17 +3,22 @@
 //! allocator, and a folded session run asserts that **zero** heap
 //! allocations happen between a post-warm-up checkpoint and a
 //! pre-teardown checkpoint taken inside the record sink. The check
-//! runs once per shipped scheduler: the four kernel schedulers cover
-//! both request orders (EDF and FIFO) and every engine rule of the
-//! indexed path, and `slack-edf` covers the `select` path over the
-//! view buffer.
+//! runs once per shipped scheduler fault-free, and once per shipped
+//! scheduler and recovery policy under a churny [`FaultProcess`]
+//! (failures, preemptions and throttling, so dispatches are revoked,
+//! dropped, requeued and migrated inside the window). The four kernel
+//! schedulers cover both request orders (EDF and FIFO) and every engine
+//! rule of the indexed path, and `slack-edf` covers the `select` path
+//! over the view buffer.
 //!
 //! The engine pre-sizes its state from spec-derived bounds (the
-//! completion heap, the stash of due completions and the free set
-//! from the engine count, queues, the pick heap and dispatch tables
-//! from the dense `users × models` key space) and `Vec` growth
-//! retains capacity, so any transient growth happens in the warm-up
-//! prefix; after that every event is served from pre-sized storage.
+//! completion heap, the stash of due completions, the free set and a
+//! faulted run's per-engine in-flight slots and sub-epsilon list from
+//! the engine count, queues, the pick heap and dispatch tables from the
+//! dense `users × models` key space) and `Vec` growth retains capacity,
+//! so any transient growth happens in the warm-up prefix; after that
+//! every event is served from pre-sized storage. A faulted run's fault
+//! timeline is expanded before the loop starts.
 //!
 //! This file deliberately holds a single `#[test]` so no concurrent
 //! test can allocate on another thread inside the measured window.
@@ -22,8 +27,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use xrbench::sim::{
-    FailoverAware, LatencyGreedy, LeastLoaded, RoundRobin, Scheduler, SimConfig, Simulator,
-    SlackAwareEdf, UniformProvider,
+    ExecRecord, FailoverAware, FaultProcess, LatencyGreedy, LeastLoaded, RecoveryPolicy,
+    RoundRobin, Scheduler, SimConfig, Simulator, SlackAwareEdf, ThrottleSpec, UniformProvider,
 };
 use xrbench::workload::{ScenarioCatalog, ScenarioSpec, SessionSpec};
 
@@ -69,20 +74,18 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Builds a fresh scheduler for each pass.
 type SchedulerFactory = fn() -> Box<dyn Scheduler>;
 
-/// Runs one sizing pass and one measured pass of `session` under
-/// fresh schedulers from `make`, and asserts that the measured pass
-/// allocates nothing between its warm-up and teardown checkpoints.
-fn assert_steady_state_allocation_free(
-    name: &str,
-    sim: &Simulator,
-    session: &SessionSpec,
-    provider: &UniformProvider,
-    make: SchedulerFactory,
-) {
+/// One folded run of the probe session under a fresh scheduler,
+/// streaming its records to the sink it is handed.
+type FoldedRun<'a> = &'a dyn Fn(&mut dyn FnMut(u32, &ExecRecord));
+
+/// Runs one sizing pass and one measured pass of `run`, and asserts
+/// that the measured pass allocates nothing between its warm-up and
+/// teardown checkpoints.
+fn assert_steady_state_allocation_free(name: &str, run: FoldedRun<'_>) {
     // Sizing pass: learn the record count so the checkpoints can sit
     // at fixed fractions of the run.
     let mut total = 0u64;
-    sim.run_session_folded(session, provider, make().as_mut(), &mut |_, _| total += 1);
+    run(&mut |_, _| total += 1);
     assert!(
         total > 1000,
         "{name}: alloc probe needs a substantial run, got {total} records"
@@ -96,7 +99,7 @@ fn assert_steady_state_allocation_free(
     let mut seen = 0u64;
     let mut at_warmup = 0u64;
     let mut at_end = 0u64;
-    sim.run_session_folded(session, provider, make().as_mut(), &mut |_, _| {
+    run(&mut |_, _| {
         seen += 1;
         if seen == warmup_end {
             at_warmup = ALLOCATIONS.load(Ordering::Relaxed);
@@ -144,7 +147,34 @@ fn steady_state_loop_does_not_allocate() {
         ("least-loaded", || Box::new(LeastLoaded::new())),
         ("failover-aware", || Box::new(FailoverAware::new())),
     ];
+    // The faulted passes run on 32 engines at 4 ms, so a few dozen
+    // dispatches are in flight at once: more than one node of a
+    // token-keyed B-tree holds. Per engine and second the process
+    // brings 3 failures and 6 preemptions, and throttles half the time,
+    // so the measured window sees dozens of each.
+    let faulted_provider = UniformProvider::new(32, 0.004, 0.001);
+    let churn = FaultProcess {
+        failure_rate_per_s: 3.0,
+        mean_downtime_s: 0.05,
+        preemption_rate_per_s: 6.0,
+        mean_preemption_s: 0.02,
+        throttle: Some(ThrottleSpec {
+            period_s: 0.2,
+            duty: 0.5,
+            factor: 0.5,
+        }),
+    };
     for (name, make) in schedulers {
-        assert_steady_state_allocation_free(name, &sim, &session, &provider, make);
+        assert_steady_state_allocation_free(name, &|sink| {
+            sim.run_session_folded(&session, &provider, make().as_mut(), sink);
+        });
+        for policy in RecoveryPolicy::ALL {
+            let faulted = format!("{name}, faulted, {policy}");
+            assert_steady_state_allocation_free(&faulted, &|sink| {
+                let (mut scheduler, provider) = (make(), &faulted_provider);
+                let scheduler = scheduler.as_mut();
+                sim.run_session_folded_faulted(&session, provider, scheduler, &churn, policy, sink);
+            });
+        }
     }
 }
