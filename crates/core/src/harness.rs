@@ -1,6 +1,6 @@
 //! The benchmark harness: run a scenario, score the timeline.
 
-use xrbench_fleet::{InferenceScorer, ScenarioFold};
+use xrbench_fleet::{InferenceScorer, ScenarioFold, SessionFold};
 use xrbench_score::{AccuracyParams, EnergyParams, RtParams};
 use xrbench_sim::{CostProvider, LatencyGreedy, Scheduler, SimConfig, SimResult, Simulator};
 use xrbench_workload::{ScenarioSpec, SessionSpec, UsageScenario};
@@ -108,6 +108,14 @@ impl Harness {
     /// scores down per user plus a session-level aggregate
     /// (`xrbench_score::session_breakdown` / `session_score`).
     ///
+    /// Records are scored as the simulator dispatches them, through a
+    /// [`SessionFold`] fed by [`Simulator::run_session_folded`], so the
+    /// run keeps no record, however long the session. Each user's
+    /// report equals [`Harness::score_result`] over that user's
+    /// collected records. The session's `mean_utilization` sums each
+    /// user's busy time in user-id order and divides once by span ×
+    /// engines.
+    ///
     /// # Panics
     ///
     /// Panics if the session has no users, session user ids are not
@@ -119,14 +127,18 @@ impl Harness {
         scheduler: &mut dyn Scheduler,
     ) -> SessionReport {
         let scheduler_name = scheduler.name();
-        let result = Simulator::new(self.sim).run_session(session, system, scheduler);
+        let scorer = InferenceScorer::new(self.score.rt, self.score.energy, self.score.accuracy);
+        let mut fold = SessionFold::new(session, system.num_engines());
+        let mut sink = |user, rec: &_| _ = fold.record(user, rec, &scorer);
+        let sim = Simulator::new(self.sim);
+        let result = sim.run_session_folded(session, system, scheduler, &mut sink);
         let mut users = Vec::with_capacity(session.users.len());
         let mut session_drops = DropBreakdownReport::default();
         for u in &session.users {
             let r = result
                 .user(u.user)
                 .expect("simulator returns every session user");
-            let report = self.score_result(&u.spec, system, scheduler_name, r);
+            let report = scenario_report(&u.spec, system, scheduler_name, fold.user(u.user), r);
             let model_drops: Vec<ModelDropReport> = u
                 .spec
                 .models
@@ -169,8 +181,8 @@ impl Harness {
             // under the name the suite-level score uses.
             session_score: aggregate.overall_score,
             aggregate,
-            total_energy_mj: result.total_energy_j() * 1e3,
-            mean_utilization: result.mean_utilization(),
+            total_energy_mj: fold.total_energy_j() * 1e3,
+            mean_utilization: fold.mean_utilization(result.span_s),
             drop_rate: result.drop_rate(),
             drops: session_drops,
             users,
@@ -182,7 +194,8 @@ impl Harness {
     ///
     /// # Panics
     ///
-    /// Panics if `result` holds a record of a model outside `spec`.
+    /// Panics if `result` holds a record of a model outside `spec` or
+    /// on an engine outside its `num_engines`.
     pub fn score_result(
         &self,
         spec: &ScenarioSpec,
@@ -191,41 +204,54 @@ impl Harness {
         result: &SimResult,
     ) -> ScenarioReport {
         let scorer = InferenceScorer::new(self.score.rt, self.score.energy, self.score.accuracy);
-        let mut fold = ScenarioFold::new(spec);
+        let mut fold = ScenarioFold::new(spec, result.num_engines);
         for rec in &result.records {
             fold.record(rec, &scorer);
         }
-        let models = spec
-            .models
-            .iter()
-            .zip(fold.model_means(&result.stats))
-            .map(|(sm, means)| {
-                let stats = result.stats.get(&sm.model).cloned().unwrap_or_default();
-                ModelReport {
-                    model: sm.model.abbrev().to_string(),
-                    target_fps: sm.target_fps,
-                    total_frames: stats.total_frames,
-                    executed_frames: stats.executed_frames,
-                    dropped_frames: stats.dropped_frames,
-                    untriggered_frames: stats.untriggered_frames,
-                    missed_deadlines: stats.missed_deadlines,
-                    mean_latency_ms: means.latency_s * 1e3,
-                    mean_energy_mj: means.energy_j * 1e3,
-                    per_model_score: means.per_model,
-                    qoe: means.qoe,
-                }
-            })
-            .collect();
-        ScenarioReport {
-            scenario: spec.name.clone(),
-            system: system.label(),
-            scheduler: scheduler_name.to_string(),
-            breakdown: BreakdownReport::from(fold.breakdown(&result.stats)),
-            models,
-            drop_rate: result.drop_rate(),
-            total_energy_mj: result.total_energy_j() * 1e3,
-            mean_utilization: result.mean_utilization(),
-        }
+        scenario_report(spec, system, scheduler_name, &fold, result)
+    }
+}
+
+/// Closes a user's fold into its scenario report: every records-derived
+/// field comes from `fold`, the frame accounting and the duration from
+/// `result`, whose records are not read.
+fn scenario_report(
+    spec: &ScenarioSpec,
+    system: &dyn CostProvider,
+    scheduler_name: &str,
+    fold: &ScenarioFold,
+    result: &SimResult,
+) -> ScenarioReport {
+    let models = spec
+        .models
+        .iter()
+        .zip(fold.model_means(&result.stats))
+        .map(|(sm, means)| {
+            let stats = result.stats.get(&sm.model).cloned().unwrap_or_default();
+            ModelReport {
+                model: sm.model.abbrev().to_string(),
+                target_fps: sm.target_fps,
+                total_frames: stats.total_frames,
+                executed_frames: stats.executed_frames,
+                dropped_frames: stats.dropped_frames,
+                untriggered_frames: stats.untriggered_frames,
+                missed_deadlines: stats.missed_deadlines,
+                mean_latency_ms: means.latency_s * 1e3,
+                mean_energy_mj: means.energy_j * 1e3,
+                per_model_score: means.per_model,
+                qoe: means.qoe,
+            }
+        })
+        .collect();
+    ScenarioReport {
+        scenario: spec.name.clone(),
+        system: system.label(),
+        scheduler: scheduler_name.to_string(),
+        breakdown: BreakdownReport::from(fold.breakdown(&result.stats)),
+        models,
+        drop_rate: result.drop_rate(),
+        total_energy_mj: fold.total_energy_j() * 1e3,
+        mean_utilization: fold.mean_utilization(result.duration_s),
     }
 }
 

@@ -243,10 +243,14 @@ fn average_reports(mut reports: Vec<ScenarioReport>) -> ScenarioReport {
         am.mean_latency_ms /= n;
         am.mean_energy_mj /= n;
         // Frame counters are averaged too (rounded), so an averaged
-        // report reads like a single representative run.
+        // report reads like a single representative run. Dropped is
+        // the rounded total minus the rounded executed, so the two
+        // still add up to the total; rounding is monotone and every
+        // run executes at most its total, so the difference is never
+        // negative.
         am.total_frames = (am.total_frames as f64 / n).round() as u64;
         am.executed_frames = (am.executed_frames as f64 / n).round() as u64;
-        am.dropped_frames = (am.dropped_frames as f64 / n).round() as u64;
+        am.dropped_frames = am.total_frames - am.executed_frames;
         am.untriggered_frames = (am.untriggered_frames as f64 / n).round() as u64;
         am.missed_deadlines = (am.missed_deadlines as f64 / n).round() as u64;
     }
@@ -448,5 +452,26 @@ mod tests {
     fn empty_session_batch_rejected() {
         let p = UniformProvider::new(1, 0.001, 0.001);
         let _ = run_sessions(&Harness::new(), &p, &[]);
+    }
+
+    #[test]
+    fn averaged_frame_counters_balance() {
+        // On one 13 ms engine, AR Assistant's DE and DR drop a frame in
+        // some repeats but not others, so rounding executed and
+        // dropped apart reads 29 + 2 against a total of 30.
+        let p = UniformProvider::new(1, 0.013, 0.001);
+        for repeats in [2, 4] {
+            for s in &run_suite(&Harness::new(), &p, repeats).scenarios {
+                for m in &s.models {
+                    assert_eq!(
+                        m.executed_frames + m.dropped_frames,
+                        m.total_frames,
+                        "{} {} over {repeats} repeats",
+                        s.scenario,
+                        m.model
+                    );
+                }
+            }
+        }
     }
 }

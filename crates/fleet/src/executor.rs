@@ -89,7 +89,7 @@ fn fold_session(
     acc: &mut FleetAccumulator,
 ) {
     let session = &group.session;
-    let mut fold = SessionFold::new(session);
+    let mut fold = SessionFold::new(session, system.num_engines());
     let mut sink = |user: u32, rec: &xrbench_sim::ExecRecord| {
         let combined = fold.record(user, rec, scorer);
         acc.latency.record(rec.latency_s());

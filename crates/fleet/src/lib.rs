@@ -90,7 +90,7 @@ pub use report::{
     DistributionReport, FleetDropReport, FleetReport, GroupFleetReport, ModelFleetReport,
     ScenarioFleetReport,
 };
-pub use scoring::{InferenceScorer, ModelMeans, ScenarioFold};
+pub use scoring::{InferenceScorer, ModelMeans, ScenarioFold, SessionFold};
 pub use shard::{
     check_partition, cut, fleet_fingerprint, merge_fleet_shards, plan_shards, run_fleet_shard,
     run_fleet_shard_with, ShardPiece, ShardPlan, ShardState,

@@ -3,18 +3,27 @@
 //! scenario (Definition 15) that every report is built from.
 //!
 //! [`ScenarioFold`] scores one user's executed inferences as they
-//! arrive and keeps only per-model sums, then closes against the
-//! run's frame accounting into the [`ScenarioBreakdown`] and each
-//! model's [`ModelMeans`]. Scenario and session reports
-//! (`Harness::score_result`) run one fold over a user's records in
-//! start order; the fleet executor runs one per session user while the
-//! simulator dispatches, so a device session is scored without ever
-//! retaining its per-request vectors. `xrbench_score::scenario_score`
-//! over materialized `ModelOutcome`s remains the Definition 15
-//! reference: per-model sums accumulate in record order and means
-//! divide in its order, so the fold reproduces it bit for bit
-//! (`tests/scoring_properties.rs` checks this under every scheduler
-//! and recovery policy).
+//! arrive and keeps only per-model sums, the user's energy and each
+//! engine's busy time, then closes against the run's frame accounting
+//! into the [`ScenarioBreakdown`], each model's [`ModelMeans`], the
+//! total energy and the mean engine utilization. [`SessionFold`]
+//! routes a device session's records to one fold per user and sums
+//! the users' energy and busy time in user-id order.
+//!
+//! Every report reads records only through these folds. Scenario
+//! reports (`Harness::score_result`) run one fold over a result's
+//! records in start order. Session reports (`Harness::run_session`)
+//! and the fleet executor feed a [`SessionFold`] from the simulator's
+//! sink while it dispatches, so a device session is scored without
+//! ever retaining its records. A fault-free run streams each user's
+//! records in dispatch order, the order a collecting run files them
+//! in, so both feeds fold the same sequence.
+//! `xrbench_score::scenario_score` over materialized `ModelOutcome`s
+//! remains the Definition 15 reference: per-model sums accumulate in
+//! record order and means divide in its order, so the fold reproduces
+//! it bit for bit (`tests/scoring_properties.rs` checks this under
+//! every scheduler and recovery policy, and checks a streamed session
+//! report against one scored from collected records).
 
 use std::collections::BTreeMap;
 
@@ -121,19 +130,27 @@ impl ModelFold {
 }
 
 /// The streaming scorer of one user's usage scenario: folds each
-/// executed inference into per-model sums, then closes against the
-/// run's frame accounting.
+/// executed inference into per-model sums, the user's energy and its
+/// engine's busy time, then closes against the run's frame
+/// accounting.
 #[derive(Debug, Clone)]
 pub struct ScenarioFold {
     /// Per-model sums, in the scenario's model order.
     models: Vec<(ModelId, ModelFold)>,
     /// `ModelId as usize` → index into `models`.
     slot_of: [Option<u8>; ModelId::ALL.len()],
+    /// Energy of every folded inference (J).
+    energy_j: f64,
+    /// Busy time of each engine (s).
+    busy_s: Vec<f64>,
 }
 
 impl ScenarioFold {
-    /// An empty fold over the scenario's models.
-    pub fn new(spec: &ScenarioSpec) -> Self {
+    /// An empty fold over the scenario's models on a system of
+    /// `engines` engines. The energy and busy sums start from −0.0, as
+    /// `Iterator::sum` does, so a user that executed nothing reports
+    /// the zero a sum over its (empty) records would.
+    pub fn new(spec: &ScenarioSpec, engines: usize) -> Self {
         let mut slot_of = [None; ModelId::ALL.len()];
         for (i, sm) in spec.models.iter().enumerate() {
             slot_of[sm.model as usize] =
@@ -146,6 +163,8 @@ impl ScenarioFold {
                 .map(|sm| (sm.model, ModelFold::default()))
                 .collect(),
             slot_of,
+            energy_j: -0.0,
+            busy_s: vec![-0.0; engines],
         }
     }
 
@@ -154,7 +173,8 @@ impl ScenarioFold {
     ///
     /// # Panics
     ///
-    /// Panics if the record's model is not one of the scenario's.
+    /// Panics if the record's model is not one of the scenario's, or
+    /// its engine is not one of the system's.
     pub fn record(&mut self, rec: &ExecRecord, scorer: &InferenceScorer) -> f64 {
         let slot = self.slot_of[rec.model as usize].expect("record for model outside the scenario");
         let s = scorer.score(rec);
@@ -166,7 +186,29 @@ impl ScenarioFold {
         m.acc_sum += s.accuracy;
         m.latency_sum += rec.latency_s();
         m.energy_sum += rec.energy_j;
+        self.energy_j += rec.energy_j;
+        self.busy_s[rec.engine] += rec.t_end - rec.t_start;
         s.combined()
+    }
+
+    /// Total energy of the folded inferences (J), summed in record
+    /// order.
+    pub fn total_energy_j(&self) -> f64 {
+        self.energy_j
+    }
+
+    /// Mean engine utilization over `duration_s`: each engine's busy
+    /// time over the duration, averaged over the system's engines (zero
+    /// without engines or a positive duration). This is the metric
+    /// §4.2.2 argues is *wrong* for XR workloads, reported so the
+    /// Figure 6 experiment can demonstrate exactly that. It exceeds 1
+    /// when work drains past the duration.
+    pub fn mean_utilization(&self, duration_s: f64) -> f64 {
+        if self.busy_s.is_empty() || duration_s <= 0.0 {
+            return 0.0;
+        }
+        let utilization: f64 = self.busy_s.iter().map(|busy| busy / duration_s).sum();
+        utilization / self.busy_s.len() as f64
     }
 
     /// Each model's means, in the scenario's model order, against the
@@ -217,42 +259,75 @@ impl ScenarioFold {
 }
 
 /// The streaming scorer of one device session: routes each record to
-/// its user's [`ScenarioFold`].
+/// its user's [`ScenarioFold`], and closes into the session's energy
+/// and utilization.
 #[derive(Debug, Clone)]
-pub(crate) struct SessionFold {
-    /// Per-user folds, in `SessionSpec::users` order.
-    users: Vec<ScenarioFold>,
-    /// Sorted `(user id, index)` pairs for record routing.
-    index: Vec<(u32, u32)>,
+pub struct SessionFold {
+    /// `(user id, fold)` pairs, sorted by user id.
+    users: Vec<(u32, ScenarioFold)>,
+    /// Engines of the shared system.
+    engines: usize,
 }
 
 impl SessionFold {
-    pub(crate) fn new(session: &SessionSpec) -> Self {
-        let mut index: Vec<(u32, u32)> = session
+    /// An empty fold over the session's users, sharing a system of
+    /// `engines` engines.
+    pub fn new(session: &SessionSpec, engines: usize) -> Self {
+        let mut users: Vec<(u32, ScenarioFold)> = session
             .users
             .iter()
-            .enumerate()
-            .map(|(i, u)| (u.user, i as u32))
+            .map(|u| (u.user, ScenarioFold::new(&u.spec, engines)))
             .collect();
-        index.sort_unstable();
-        Self {
-            users: session
-                .users
-                .iter()
-                .map(|u| ScenarioFold::new(&u.spec))
-                .collect(),
-            index,
-        }
+        users.sort_unstable_by_key(|&(user, _)| user);
+        Self { users, engines }
     }
 
-    /// Folds one executed inference; returns its combined score.
-    pub(crate) fn record(&mut self, user: u32, rec: &ExecRecord, scorer: &InferenceScorer) -> f64 {
-        let i = self.index[self
-            .index
-            .binary_search_by_key(&user, |e| e.0)
-            .expect("record for unknown session user")]
-        .1;
-        self.users[i as usize].record(rec, scorer)
+    /// The position of `user`'s fold.
+    fn position(&self, user: u32) -> usize {
+        self.users
+            .binary_search_by_key(&user, |&(id, _)| id)
+            .expect("unknown session user")
+    }
+
+    /// Folds one executed inference of `user`; returns its combined
+    /// score.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `user` is not a session user, or as
+    /// [`ScenarioFold::record`] does.
+    pub fn record(&mut self, user: u32, rec: &ExecRecord, scorer: &InferenceScorer) -> f64 {
+        let i = self.position(user);
+        self.users[i].1.record(rec, scorer)
+    }
+
+    /// One user's fold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `user` is not a session user.
+    pub fn user(&self, user: u32) -> &ScenarioFold {
+        &self.users[self.position(user)].1
+    }
+
+    /// Total energy of the session (J): the users' totals summed in
+    /// user-id order.
+    pub fn total_energy_j(&self) -> f64 {
+        self.users.iter().map(|(_, fold)| fold.energy_j).sum()
+    }
+
+    /// Mean utilization of the shared engines over `span_s`: each
+    /// user's busy time (its engines' sum), summed in user-id order and
+    /// divided once by span × engines. Like
+    /// [`ScenarioFold::mean_utilization`], it exceeds 1 when work
+    /// drains past the span.
+    pub fn mean_utilization(&self, span_s: f64) -> f64 {
+        let busy: f64 = self
+            .users
+            .iter()
+            .map(|(_, fold)| fold.busy_s.iter().sum::<f64>())
+            .sum();
+        busy / (span_s * self.engines as f64)
     }
 
     /// Closes the session: per-user scenario breakdowns, in
@@ -265,9 +340,9 @@ impl SessionFold {
         session
             .users
             .iter()
-            .zip(&self.users)
-            .map(|(su, fold)| {
-                fold.breakdown(&result.user(su.user).expect("simulated every user").stats)
+            .map(|su| {
+                let stats = &result.user(su.user).expect("simulated every user").stats;
+                self.user(su.user).breakdown(stats)
             })
             .collect()
     }
@@ -276,6 +351,7 @@ impl SessionFold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xrbench_workload::UsageScenario;
 
     #[test]
     fn scorer_matches_componentwise_recomputation() {
@@ -312,5 +388,49 @@ mod tests {
         assert!(s.realtime > 0.99);
         assert!((s.energy - (1.5 - 0.1) / 1.5).abs() < 1e-12);
         assert_eq!(s.accuracy, 1.0);
+    }
+
+    #[test]
+    fn utilization_accounting() {
+        let rec = |model, engine, t0, t1| ExecRecord {
+            model,
+            frame_id: 0,
+            sensor_frame: 0,
+            engine,
+            t_req: t0,
+            t_deadline: t0 + 0.016,
+            t_start: t0,
+            t_end: t1,
+            energy_j: 0.01,
+        };
+        let scorer = InferenceScorer::new(
+            RtParams::default(),
+            EnergyParams::default(),
+            AccuracyParams::default(),
+        );
+        // User 0 keeps engine 0 busy half the second and engine 1 all
+        // of it; user 1 executes nothing.
+        let session = SessionSpec::uniform("pair", UsageScenario::ArGaming.spec(), 2, 0.0);
+        let (busy, idle) = (session.users[0].user, session.users[1].user);
+        let mut fold = SessionFold::new(&session, 2);
+        for r in [
+            rec(ModelId::HandTracking, 0, 0.0, 0.25),
+            rec(ModelId::DepthEstimation, 0, 0.5, 0.75),
+            rec(ModelId::PlaneDetection, 1, 0.0, 1.0),
+        ] {
+            fold.record(busy, &r, &scorer);
+        }
+        let user = fold.user(busy);
+        assert!((user.mean_utilization(1.0) - 0.75).abs() < 1e-12);
+        assert!((user.mean_utilization(2.0) - 0.375).abs() < 1e-12);
+        assert!((user.total_energy_j() - 0.03).abs() < 1e-12);
+        assert!((fold.mean_utilization(1.0) - 0.75).abs() < 1e-12);
+        assert!((fold.total_energy_j() - 0.03).abs() < 1e-12);
+        // An idle user's sums are the zero `Iterator::sum` gives an
+        // empty record list: −0.0.
+        let user = fold.user(idle);
+        assert_eq!(user.total_energy_j().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(user.mean_utilization(1.0).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(user.mean_utilization(0.0).to_bits(), 0.0f64.to_bits());
     }
 }

@@ -1,5 +1,11 @@
 //! Simulation results: the execution timeline and per-model
 //! frame accounting.
+//!
+//! A result only carries what the event loop produced. Every metric
+//! derived from the records (scores, energy, engine utilization) is
+//! folded by the scoring layer (`xrbench_fleet::ScenarioFold`), which
+//! reads them as they stream, so a run whose records went to a sink
+//! is scored the same as one that collected them.
 
 use std::collections::BTreeMap;
 
@@ -132,7 +138,8 @@ impl ModelStats {
 /// The full outcome of one simulated run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimResult {
-    /// Completed inferences, ordered by start time.
+    /// Completed inferences, ordered by start time (empty when a sink
+    /// took them).
     pub records: Vec<ExecRecord>,
     /// Per-model accounting.
     pub stats: BTreeMap<ModelId, ModelStats>,
@@ -143,11 +150,6 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// Total energy across all executed inferences (J).
-    pub fn total_energy_j(&self) -> f64 {
-        self.records.iter().map(|r| r.energy_j).sum()
-    }
-
     /// Overall frame-drop rate across models (dropped / total).
     pub fn drop_rate(&self) -> f64 {
         let total: u64 = self.stats.values().map(|s| s.total_frames).sum();
@@ -159,37 +161,6 @@ impl SimResult {
         }
     }
 
-    /// Busy time of one engine (sum of execution intervals), seconds.
-    pub fn engine_busy_s(&self, engine: usize) -> f64 {
-        self.records
-            .iter()
-            .filter(|r| r.engine == engine)
-            .map(|r| r.t_end - r.t_start)
-            .sum()
-    }
-
-    /// Engine utilization over the run duration, in `[0, 1]` (may
-    /// exceed 1 slightly if work drains past the nominal duration).
-    pub fn engine_utilization(&self, engine: usize) -> f64 {
-        if self.duration_s <= 0.0 {
-            return 0.0;
-        }
-        self.engine_busy_s(engine) / self.duration_s
-    }
-
-    /// Mean engine utilization across the system — the metric §4.2.2
-    /// argues is *wrong* for XR workloads, exposed so the Figure 6
-    /// experiment can demonstrate exactly that.
-    pub fn mean_utilization(&self) -> f64 {
-        if self.num_engines == 0 {
-            return 0.0;
-        }
-        (0..self.num_engines)
-            .map(|e| self.engine_utilization(e))
-            .sum::<f64>()
-            / self.num_engines as f64
-    }
-
     /// The records belonging to one model, in start order.
     pub fn records_for(&self, model: ModelId) -> impl Iterator<Item = &ExecRecord> {
         self.records.iter().filter(move |r| r.model == model)
@@ -197,8 +168,7 @@ impl SimResult {
 }
 
 /// The outcome of one simulated multi-user session: one [`SimResult`]
-/// per user (all sharing the same engines over the same span), plus
-/// session-level aggregates.
+/// per user, all sharing the same engines over the same span.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionSimResult {
     /// Session display name.
@@ -220,26 +190,6 @@ impl SessionSimResult {
             .iter()
             .find(|(u, _)| *u == user)
             .map(|(_, r)| r)
-    }
-
-    /// Total energy across all users (J).
-    pub fn total_energy_j(&self) -> f64 {
-        self.per_user.iter().map(|(_, r)| r.total_energy_j()).sum()
-    }
-
-    /// Mean engine utilization across the shared system over the
-    /// session span, summed over users' work.
-    pub fn mean_utilization(&self) -> f64 {
-        if self.num_engines == 0 || self.span_s <= 0.0 {
-            return 0.0;
-        }
-        let busy: f64 = self
-            .per_user
-            .iter()
-            .flat_map(|(_, r)| r.records.iter())
-            .map(|r| r.t_end - r.t_start)
-            .sum();
-        busy / (self.span_s * self.num_engines as f64)
     }
 
     /// Overall frame-drop rate across all users.
@@ -297,24 +247,6 @@ mod tests {
         let ok = rec(ModelId::HandTracking, 0, 0.0, 0.010);
         assert!(!ok.missed_deadline());
         assert_eq!(ok.overrun_s(), 0.0);
-    }
-
-    #[test]
-    fn utilization_accounting() {
-        let result = SimResult {
-            records: vec![
-                rec(ModelId::HandTracking, 0, 0.0, 0.25),
-                rec(ModelId::DepthEstimation, 0, 0.5, 0.75),
-                rec(ModelId::PlaneDetection, 1, 0.0, 1.0),
-            ],
-            stats: BTreeMap::new(),
-            num_engines: 2,
-            duration_s: 1.0,
-        };
-        assert!((result.engine_utilization(0) - 0.5).abs() < 1e-12);
-        assert!((result.engine_utilization(1) - 1.0).abs() < 1e-12);
-        assert!((result.mean_utilization() - 0.75).abs() < 1e-12);
-        assert!((result.total_energy_j() - 0.03).abs() < 1e-12);
     }
 
     #[test]

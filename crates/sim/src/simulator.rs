@@ -39,6 +39,10 @@
 //! caller's sink through or collects the records per user, sorts a
 //! faulted run's records by start time, and builds every
 //! [`SimResult`], so the two loops produce bit-identical results.
+//! Nothing here derives metrics from records: session reports and
+//! fleets score them in the sink of
+//! [`Simulator::run_session_folded`], and scenario reports score the
+//! collected ones, through the same per-user fold.
 //!
 //! Both loops pull arrivals lazily: [`Simulator::run`] and every
 //! `run_session*` variant feed them the k-way merge of
@@ -266,21 +270,14 @@ impl Simulator {
     /// [`SessionSimResult`] carries complete per-user stats but empty
     /// `records`.
     ///
-    /// This is the memory contract fleet-scale execution builds on:
-    /// a session's footprint stays proportional to its in-flight
-    /// window (users × models) instead of its request count, however
-    /// long the run, since arrivals are merged lazily too. Apart
-    /// from the empty `records`, the run is bit-identical to
-    /// [`Simulator::run_session`]: same events, same stats, same
-    /// tie-breaks.
-    ///
-    /// **Caveat:** every records-derived metric on the returned value
-    /// — [`SimResult::total_energy_j`], [`SimResult::engine_busy_s`],
-    /// the utilization helpers, and their
-    /// [`SessionSimResult`] counterparts — reads as zero, because the
-    /// records backing them were folded away. Accumulate those
-    /// quantities in the sink instead (the fleet accumulator keeps
-    /// its own exact energy/latency sums for precisely this reason).
+    /// This is the memory contract session reports and fleet-scale
+    /// execution build on: both score the records in the sink
+    /// (`xrbench_fleet::SessionFold`), so a session's footprint stays
+    /// proportional to its in-flight window (users × models) instead
+    /// of its request count, however long the run, since arrivals are
+    /// merged lazily too. Apart from the empty `records`, the run is
+    /// bit-identical to [`Simulator::run_session`]: same events, same
+    /// stats, same tie-breaks.
     ///
     /// # Panics
     ///

@@ -1,8 +1,10 @@
 //! Property-based tests over the scoring stack and cross-crate
-//! invariants, using randomly generated workload outcomes, and the
+//! invariants, using randomly generated workload outcomes, the
 //! bitwise check of the streaming scorer that every report is built
 //! from (`xrbench::fleet::ScenarioFold`) against the Definition 15
-//! reference (`scenario_score` over materialized `ModelOutcome`s).
+//! reference (`scenario_score` over materialized `ModelOutcome`s), and
+//! the check that a session report scored as its records stream
+//! equals one scored from the collected records.
 
 use proptest::prelude::*;
 
@@ -10,11 +12,11 @@ use xrbench::fleet::{InferenceScorer, ScenarioFold};
 use xrbench::prelude::*;
 use xrbench::score::{
     accuracy_score, benchmark_score, energy_score, qoe_score, rt_score, scenario_score,
-    AccuracyParams, EnergyParams, InferenceScore, MetricKind, ModelOutcome, RtParams,
-    ScenarioBreakdown,
+    session_breakdown, AccuracyParams, EnergyParams, InferenceScore, MetricKind, ModelOutcome,
+    RtParams, ScenarioBreakdown,
 };
 use xrbench::sim::{
-    ExecRecord, FailoverAware, FaultProcess, RecoveryPolicy, SimResult, ThrottleSpec,
+    ExecRecord, FailoverAware, FaultProcess, PendingView, RecoveryPolicy, SimResult, ThrottleSpec,
     UniformProvider,
 };
 
@@ -153,7 +155,8 @@ fn breakdown_bits(b: &ScenarioBreakdown) -> [u64; 5] {
 
 /// Folds one user's records in start order and checks, bit for bit,
 /// the breakdown and every model's means against `scenario_score`
-/// over `ModelOutcome`s scored from the same records, and the
+/// over `ModelOutcome`s scored from the same records, the fold's
+/// energy and utilization against sums over the records, and the
 /// harness's report of the same result against both.
 fn check_fold_against_reference(
     spec: &ScenarioSpec,
@@ -166,7 +169,7 @@ fn check_fold_against_reference(
         EnergyParams::default(),
         AccuracyParams::default(),
     );
-    let mut fold = ScenarioFold::new(spec);
+    let mut fold = ScenarioFold::new(spec, result.num_engines);
     for rec in &result.records {
         let combined = fold.record(rec, &scorer);
         assert_eq!(
@@ -175,6 +178,30 @@ fn check_fold_against_reference(
             "{context}"
         );
     }
+    // Energy and utilization as sums over the records, in record
+    // order per engine.
+    let energy_j: f64 = result.records.iter().map(|r| r.energy_j).sum();
+    let utilization = (0..result.num_engines)
+        .map(|e| {
+            let busy: f64 = result
+                .records
+                .iter()
+                .filter(|r| r.engine == e)
+                .map(|r| r.t_end - r.t_start)
+                .sum();
+            busy / result.duration_s
+        })
+        .sum::<f64>()
+        / result.num_engines as f64;
+    assert_eq!(
+        [
+            fold.total_energy_j(),
+            fold.mean_utilization(result.duration_s)
+        ]
+        .map(f64::to_bits),
+        [energy_j, utilization].map(f64::to_bits),
+        "{context}"
+    );
     let outcomes: Vec<ModelOutcome> = spec
         .models
         .iter()
@@ -309,6 +336,123 @@ proptest! {
                     check_fold_against_reference(&u.spec, r, &provider, &context);
                 }
             }
+        }
+    }
+}
+
+/// A policy that dispatches the first listed request of any other user
+/// and never one of its own user's: that user executes nothing, and
+/// its frames starve.
+struct Shun(u32);
+
+impl Scheduler for Shun {
+    fn select(
+        &mut self,
+        ready: &[PendingView],
+        free_engines: &[usize],
+        _: &dyn CostProvider,
+        _: f64,
+    ) -> Option<(usize, usize)> {
+        let i = ready.iter().position(|r| r.user != self.0)?;
+        Some((i, free_engines[0]))
+    }
+
+    fn name(&self) -> &'static str {
+        "shun"
+    }
+}
+
+/// A session's busy time recomputed from its collected records the
+/// way `SessionFold` sums it: per engine in record order, over each
+/// user's engines, then over users in user-id order.
+fn collected_busy_s(result: &SessionSimResult) -> f64 {
+    result
+        .per_user
+        .iter()
+        .map(|(_, r)| {
+            (0..r.num_engines)
+                .map(|e| {
+                    r.records
+                        .iter()
+                        .filter(|rec| rec.engine == e)
+                        .map(|rec| rec.t_end - rec.t_start)
+                        .sum::<f64>()
+                })
+                .sum::<f64>()
+        })
+        .sum()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn streamed_session_report_matches_the_collected_records(
+        structure in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        // Mixed built-in scenarios on 1–4 engines, under the five
+        // shipped schedulers and one that shuns a drawn user, who then
+        // executes nothing (shipped schedulers always drain the
+        // queues). The 2 s latency outlasts the 0.5 s run.
+        let mut st = structure;
+        let specs: Vec<ScenarioSpec> = (0..1 + pick(&mut st, 3))
+            .map(|_| UsageScenario::ALL[pick(&mut st, UsageScenario::ALL.len())].spec())
+            .collect();
+        let users = 1 + pick(&mut st, 8) as u32;
+        let stagger_s = [0.0, 0.003, 0.05][pick(&mut st, 3)];
+        let session = SessionSpec::mixed("streamed", &specs, users, stagger_s);
+        let provider = UniformProvider::new(
+            1 + pick(&mut st, 4),
+            [0.0008, 0.004, 0.02, 2.0][pick(&mut st, 4)],
+            [0.0005, 0.02, 1.6][pick(&mut st, 3)],
+        );
+        let shunned = session.users[pick(&mut st, session.users.len())].user;
+        let scheduler = |idx| match idx {
+            NUM_SCHEDULERS => Box::new(Shun(shunned)),
+            _ => scheduler_for(idx),
+        };
+        let harness = Harness::new().with_seed(seed).with_duration(0.5);
+        let sim = Simulator::new(harness.sim_config());
+        for idx in 0..=NUM_SCHEDULERS {
+            let name = scheduler(idx).name();
+            let streamed = harness.run_session(&session, &provider, scheduler(idx).as_mut());
+            let collected = sim.run_session(&session, &provider, scheduler(idx).as_mut());
+            let mut breakdowns = Vec::new();
+            for (u, user) in session.users.iter().zip(&streamed.users) {
+                let r = collected.user(u.user).expect("simulated every user");
+                let expected = harness.score_result(&u.spec, &provider, name, r);
+                prop_assert_eq!(
+                    user.report.to_json(),
+                    expected.to_json(),
+                    "{}, user {}",
+                    name,
+                    u.user
+                );
+                breakdowns.push(expected.breakdown.into());
+            }
+            let aggregate = BreakdownReport::from(session_breakdown(&breakdowns));
+            prop_assert_eq!(&streamed.aggregate, &aggregate, "{}", name);
+            prop_assert_eq!(
+                streamed.session_score.to_bits(),
+                aggregate.overall_score.to_bits(),
+                "{}",
+                name
+            );
+            let energy_j: f64 = collected
+                .per_user
+                .iter()
+                .map(|(_, r)| r.records.iter().map(|rec| rec.energy_j).sum::<f64>())
+                .sum();
+            let utilization = collected_busy_s(&collected)
+                / (collected.span_s * collected.num_engines as f64);
+            prop_assert_eq!(
+                [streamed.total_energy_mj, streamed.drop_rate, streamed.mean_utilization]
+                    .map(f64::to_bits),
+                [energy_j * 1e3, collected.drop_rate(), utilization].map(f64::to_bits),
+                "{}",
+                name
+            );
         }
     }
 }
