@@ -2,12 +2,13 @@
 
 use xrbench_fleet::{InferenceScorer, ScenarioFold, SessionFold};
 use xrbench_score::{AccuracyParams, EnergyParams, RtParams};
-use xrbench_sim::{CostProvider, LatencyGreedy, Scheduler, SimConfig, SimResult, Simulator};
+use xrbench_sim::{
+    CostProvider, DropCounts, LatencyGreedy, Scheduler, SimConfig, SimResult, Simulator,
+};
 use xrbench_workload::{ScenarioSpec, SessionSpec, UsageScenario};
 
 use crate::report::{
-    BreakdownReport, DropBreakdownReport, ModelDropReport, ModelReport, ScenarioReport,
-    SessionReport, UserReport,
+    BreakdownReport, ModelDropReport, ModelReport, ScenarioReport, SessionReport, UserReport,
 };
 
 /// Scoring parameters for all four unit scores.
@@ -133,32 +134,24 @@ impl Harness {
         let sim = Simulator::new(self.sim);
         let result = sim.run_session_folded(session, system, scheduler, &mut sink);
         let mut users = Vec::with_capacity(session.users.len());
-        let mut session_drops = DropBreakdownReport::default();
+        let mut session_drops = DropCounts::default();
         for u in &session.users {
             let r = result
                 .user(u.user)
                 .expect("simulator returns every session user");
             let report = scenario_report(&u.spec, system, scheduler_name, fold.user(u.user), r);
-            let model_drops: Vec<ModelDropReport> = u
-                .spec
-                .models
-                .iter()
-                .map(|sm| {
-                    let st = r.stats.get(&sm.model).cloned().unwrap_or_default();
-                    ModelDropReport {
-                        model: sm.model.abbrev().to_string(),
-                        drops: DropBreakdownReport {
-                            superseded: st.dropped_superseded,
-                            upstream_dropped: st.dropped_upstream,
-                            starved: st.dropped_starved,
-                            preempted: st.dropped_preempted,
-                            device_lost: st.dropped_device_lost,
-                        },
-                    }
-                })
-                .collect();
-            for m in &model_drops {
-                session_drops.add(&m.drops);
+            let mut model_drops = Vec::with_capacity(u.spec.models.len());
+            for sm in &u.spec.models {
+                let drops = r
+                    .stats
+                    .get(&sm.model)
+                    .map(|st| st.drops)
+                    .unwrap_or_default();
+                session_drops.merge(&drops);
+                model_drops.push(ModelDropReport {
+                    model: sm.model.abbrev().to_string(),
+                    drops: drops.into(),
+                });
             }
             users.push(UserReport {
                 user: u.user,
@@ -184,7 +177,7 @@ impl Harness {
             total_energy_mj: fold.total_energy_j() * 1e3,
             mean_utilization: fold.mean_utilization(result.span_s),
             drop_rate: result.drop_rate(),
-            drops: session_drops,
+            drops: session_drops.into(),
             users,
         }
     }
@@ -233,7 +226,7 @@ fn scenario_report(
                 target_fps: sm.target_fps,
                 total_frames: stats.total_frames,
                 executed_frames: stats.executed_frames,
-                dropped_frames: stats.dropped_frames,
+                dropped_frames: stats.dropped_frames(),
                 untriggered_frames: stats.untriggered_frames,
                 missed_deadlines: stats.missed_deadlines,
                 mean_latency_ms: means.latency_s * 1e3,
@@ -395,18 +388,32 @@ mod tests {
         assert!(total_dropped > 0, "contention must drop frames");
         assert_eq!(r.drops.total(), total_dropped);
 
-        let mut sum = crate::report::DropBreakdownReport::default();
         for u in &r.users {
-            // Per-user totals line up with the user's scenario report.
-            let user_dropped: u64 = u.report.models.iter().map(|m| m.dropped_frames).sum();
-            assert_eq!(u.drops().total(), user_dropped, "user {}", u.user);
+            // Per-model causes line up with the user's scenario report.
+            for (d, m) in u.model_drops.iter().zip(&u.report.models) {
+                assert_eq!(d.drops.total(), m.dropped_frames, "user {}", u.user);
+            }
             // model_drops mirrors the scenario's model order.
             let names: Vec<&str> = u.model_drops.iter().map(|m| m.model.as_str()).collect();
             let expected: Vec<&str> = u.report.models.iter().map(|m| m.model.as_str()).collect();
             assert_eq!(names, expected);
-            sum.add(&u.drops());
         }
-        assert_eq!(sum, r.drops);
+        // The session's causes are the per-model causes summed.
+        let sum = |cause: fn(&xrbench_fleet::DropReport) -> u64| -> u64 {
+            r.users
+                .iter()
+                .flat_map(|u| &u.model_drops)
+                .map(|m| cause(&m.drops))
+                .sum()
+        };
+        let summed = xrbench_fleet::DropReport {
+            superseded: sum(|d| d.superseded),
+            upstream_dropped: sum(|d| d.upstream_dropped),
+            starved: sum(|d| d.starved),
+            preempted: sum(|d| d.preempted),
+            device_lost: sum(|d| d.device_lost),
+        };
+        assert_eq!(summed, r.drops);
 
         // The causes serialize with the report — and a fault-free run
         // never mentions the fault-only counters.

@@ -1,9 +1,14 @@
 //! Benchmark reports: machine-readable results with score breakdowns
 //! and detailed per-model statistics (the "Benchmark Outputs" box of
 //! Figure 2).
+//!
+//! Session reports print their drop breakdowns through
+//! [`xrbench_fleet::DropReport`], the type fleet reports print theirs
+//! through, so one serializer writes every drop breakdown.
 
 use serde::Serialize;
 
+use xrbench_fleet::DropReport;
 use xrbench_score::ScenarioBreakdown;
 
 /// Per-model results within one scenario run.
@@ -119,71 +124,6 @@ impl ScenarioReport {
     }
 }
 
-/// Frame drops split by cause — the accounting a session dispatcher
-/// tunes against: `superseded` means the system fell behind and the
-/// freshness policy discarded stale inputs, `upstream_dropped` means a
-/// cascade collapsed, `starved` means the run ended with work still
-/// queued. Fault-injected runs add `preempted` / `device_lost`:
-/// in-flight work revoked by an engine outage under the `drop`
-/// recovery policy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DropBreakdownReport {
-    /// Frames superseded by a newer frame of the same model.
-    pub superseded: u64,
-    /// Dependent frames whose upstream frame was itself dropped.
-    pub upstream_dropped: u64,
-    /// Frames still queued when the run ended.
-    pub starved: u64,
-    /// In-flight frames revoked by an engine preemption.
-    pub preempted: u64,
-    /// In-flight frames revoked by an engine failure.
-    pub device_lost: u64,
-}
-
-// Hand-written so the fault counters appear only when a fault process
-// actually revoked work: fault-free reports keep the pre-fault wire
-// format byte-for-byte (the golden fixtures pin it).
-impl Serialize for DropBreakdownReport {
-    fn to_json_value(&self) -> serde::json::JsonValue {
-        let mut obj = vec![
-            ("superseded".to_string(), self.superseded.to_json_value()),
-            (
-                "upstream_dropped".to_string(),
-                self.upstream_dropped.to_json_value(),
-            ),
-            ("starved".to_string(), self.starved.to_json_value()),
-        ];
-        if self.preempted > 0 {
-            obj.push(("preempted".to_string(), self.preempted.to_json_value()));
-        }
-        if self.device_lost > 0 {
-            obj.push(("device_lost".to_string(), self.device_lost.to_json_value()));
-        }
-        serde::json::JsonValue::Object(obj)
-    }
-}
-
-impl DropBreakdownReport {
-    /// Total drops across all causes.
-    pub fn total(&self) -> u64 {
-        self.superseded + self.upstream_dropped + self.starved + self.preempted + self.device_lost
-    }
-
-    /// Drops attributable to injected faults (preemption + churn).
-    pub fn fault_total(&self) -> u64 {
-        self.preempted + self.device_lost
-    }
-
-    /// Accumulates another breakdown into this one.
-    pub fn add(&mut self, other: &DropBreakdownReport) {
-        self.superseded += other.superseded;
-        self.upstream_dropped += other.upstream_dropped;
-        self.starved += other.starved;
-        self.preempted += other.preempted;
-        self.device_lost += other.device_lost;
-    }
-}
-
 /// One model's drop-cause split within a user's session slice.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ModelDropReport {
@@ -191,7 +131,7 @@ pub struct ModelDropReport {
     pub model: String,
     /// The drop-cause split.
     #[serde(flatten)]
-    pub drops: DropBreakdownReport,
+    pub drops: DropReport,
 }
 
 /// One user's slice of a multi-user session run.
@@ -206,17 +146,6 @@ pub struct UserReport {
     /// The user's full scenario report, scored against the shared
     /// engines over the session span.
     pub report: ScenarioReport,
-}
-
-impl UserReport {
-    /// This user's drop-cause totals across models.
-    pub fn drops(&self) -> DropBreakdownReport {
-        let mut total = DropBreakdownReport::default();
-        for m in &self.model_drops {
-            total.add(&m.drops);
-        }
-        total
-    }
 }
 
 /// The outcome of running a multi-user [`xrbench_workload::SessionSpec`]
@@ -244,7 +173,7 @@ pub struct SessionReport {
     /// Frame-drop rate across all users.
     pub drop_rate: f64,
     /// Session-wide drop causes, summed over users and models.
-    pub drops: DropBreakdownReport,
+    pub drops: DropReport,
     /// Per-user reports, in user-id order.
     pub users: Vec<UserReport>,
 }
@@ -353,34 +282,37 @@ mod tests {
 
     #[test]
     fn drop_breakdown_names_fault_counters_only_when_nonzero() {
-        let json = |d: &DropBreakdownReport| serde_json::to_string(d).unwrap();
-        let quiet = DropBreakdownReport {
+        use xrbench_sim::DropCounts;
+
+        let json = |d: DropCounts| serde_json::to_string(&DropReport::from(d)).unwrap();
+        let quiet = DropCounts {
             superseded: 3,
             upstream_dropped: 2,
             starved: 1,
             ..Default::default()
         };
         assert_eq!(
-            json(&quiet),
+            json(quiet),
             r#"{"superseded":3.0,"upstream_dropped":2.0,"starved":1.0}"#
         );
         assert_eq!(quiet.fault_total(), 0);
 
         let mut faulted = quiet;
-        faulted.add(&DropBreakdownReport {
+        faulted.merge(&DropCounts {
             preempted: 4,
             ..Default::default()
         });
         assert_eq!(
-            json(&faulted),
+            json(faulted),
             r#"{"superseded":3.0,"upstream_dropped":2.0,"starved":1.0,"preempted":4.0}"#
         );
-        faulted.add(&DropBreakdownReport {
+        faulted.merge(&DropCounts {
             device_lost: 5,
             ..Default::default()
         });
-        assert!(json(&faulted).ends_with(r#""preempted":4.0,"device_lost":5.0}"#));
+        assert!(json(faulted).ends_with(r#""preempted":4.0,"device_lost":5.0}"#));
         assert_eq!(faulted.fault_total(), 9);
         assert_eq!(faulted.total(), 15);
+        assert_eq!(DropReport::from(faulted).total(), 15);
     }
 }

@@ -157,25 +157,7 @@ impl SystemSpec {
 
         if let Some(acc) = accelerator {
             acc.deny_unknown_fields(&["id", "pes"])?;
-            let id_cursor = acc.field("id")?;
-            let id_str = id_cursor.as_str()?;
-            let id = match id_str.chars().next() {
-                Some(c) if id_str.chars().count() == 1 => c,
-                _ => {
-                    return Err(SpecError::Invalid {
-                        path: id_cursor.path().to_string(),
-                        message: format!(
-                            "accelerator id must be a single letter A-M, got `{id_str}`"
-                        ),
-                    })
-                }
-            };
-            if config_by_id(id).is_none() {
-                return Err(SpecError::Invalid {
-                    path: id_cursor.path().to_string(),
-                    message: format!("unknown accelerator `{id}` (Table 5 defines A-M)"),
-                });
-            }
+            let id = accelerator_id(&acc.field("id")?)?;
             let pes_cursor = acc.field("pes")?;
             let pes: u64 = pes_cursor.get()?;
             if pes == 0 {
@@ -184,10 +166,7 @@ impl SystemSpec {
                     message: "pes must be at least 1".to_string(),
                 });
             }
-            return Ok(SystemSpec::Accelerator {
-                id: id.to_ascii_uppercase(),
-                pes,
-            });
+            return Ok(SystemSpec::Accelerator { id, pes });
         }
 
         if let Some(uni) = uniform {
@@ -337,6 +316,39 @@ impl SystemSpec {
         }
         Ok(())
     }
+}
+
+/// Decodes a Table 5 accelerator id, one letter in either case, to
+/// the uppercase form ids print in (`J@8192`): the one decoder of run
+/// documents' `hardware` and sweeps' `accelerators`.
+pub(crate) fn accelerator_id(cursor: &Cursor<'_>) -> Result<char, SpecError> {
+    let text = cursor.as_str()?;
+    let id = match text.chars().next() {
+        Some(c) if text.chars().count() == 1 => c.to_ascii_uppercase(),
+        _ => {
+            return Err(SpecError::Invalid {
+                path: cursor.path().to_string(),
+                message: format!("accelerator id must be a single letter A-M, got `{text}`"),
+            })
+        }
+    };
+    if config_by_id(id).is_none() {
+        return Err(SpecError::Invalid {
+            path: cursor.path().to_string(),
+            message: format!("unknown accelerator `{id}` (Table 5 defines A-M)"),
+        });
+    }
+    Ok(id)
+}
+
+/// Decodes a recovery-policy name: the one decoder of fleet
+/// documents' `recovery` and sweeps' `recovery` axis.
+pub(crate) fn recovery_policy(cursor: &Cursor<'_>) -> Result<RecoveryPolicy, SpecError> {
+    let name = cursor.as_str()?;
+    RecoveryPolicy::parse(name).ok_or_else(|| SpecError::Invalid {
+        path: cursor.path().to_string(),
+        message: format!("unknown recovery policy `{name}` (expected drop, requeue, or migrate)"),
+    })
 }
 
 fn positive_engines(cursor: &Cursor<'_>) -> Result<usize, SpecError> {
@@ -801,15 +813,7 @@ impl RunDocument {
             None => None,
         };
         let recovery = match cursor.opt_field("recovery")? {
-            Some(c) => {
-                let name = c.as_str()?;
-                RecoveryPolicy::parse(name).ok_or_else(|| SpecError::Invalid {
-                    path: c.path().to_string(),
-                    message: format!(
-                        "unknown recovery policy `{name}` (expected drop, requeue, or migrate)"
-                    ),
-                })?
-            }
+            Some(c) => recovery_policy(&c)?,
             None => RecoveryPolicy::default(),
         };
         let catalog = extend_catalog(cursor, base)?;
@@ -1137,6 +1141,43 @@ mod tests {
             let err = RunDocument::from_json_str(text).unwrap_err();
             assert!(err.to_string().contains(needle), "{text}: {err}");
         }
+    }
+
+    #[test]
+    fn run_documents_and_sweeps_word_bad_ids_and_policies_alike() {
+        // One decoder per value: a run document and a sweep axis word
+        // the same bad accelerator id or policy name identically.
+        let message = |text: &str| match RunDocument::from_json_str(text) {
+            Err(SpecError::Invalid { message, .. }) => message,
+            other => panic!("{text}: {other:?}"),
+        };
+        let sweep = |axis: &str| {
+            message(&format!(
+                r#"{{ "kind": "sweep", {axis}, "workloads": [ {{ "scenario": "VR Gaming" }} ] }}"#
+            ))
+        };
+        for (id, expected) in [
+            ("z", "unknown accelerator `Z` (Table 5 defines A-M)"),
+            ("JK", "accelerator id must be a single letter A-M, got `JK`"),
+        ] {
+            let suite = message(&format!(
+                r#"{{ "kind": "suite", "hardware": {{ "accelerator": {{ "id": "{id}", "pes": 4096 }} }} }}"#
+            ));
+            assert_eq!(suite, expected);
+            assert_eq!(sweep(&format!(r#""accelerators": ["{id}"]"#)), expected);
+        }
+        let fleet = message(&format!(
+            r#"{{ "kind": "fleet", {UNIFORM_HW}, "recovery": "teleport",
+                 "fleet": {{ "name": "f", "groups": [
+                     {{ "name": "a", "replicas": 1, "session":
+                         {{ "name": "s", "uniform": {{ "scenario": "VR Gaming", "users": 1 }} }} }} ] }} }}"#
+        ));
+        let expected = "unknown recovery policy `teleport` (expected drop, requeue, or migrate)";
+        assert_eq!(fleet, expected);
+        assert_eq!(
+            sweep(r#""accelerators": ["J"], "recovery": ["teleport"]"#),
+            expected
+        );
     }
 
     #[test]

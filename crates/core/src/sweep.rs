@@ -92,7 +92,6 @@ use serde::de::Cursor;
 use serde::json::JsonValue;
 use serde::Serialize;
 
-use xrbench_accel::config_by_id;
 use xrbench_fleet::wire::{self, float, int, obj, parse_float, parse_int, Header, Kind};
 use xrbench_fleet::{
     check_partition, cut, default_workers, fleet_to_json, run_fleet_with, FleetRunConfig, FleetSpec,
@@ -106,7 +105,7 @@ use xrbench_workload::{ScenarioCatalog, ScenarioSpace, ScenarioSpec, SessionSpec
 use crate::error::XrError;
 use crate::pareto::{pareto_frontier, ParetoPoint};
 use crate::pool::{parallel_map, parallel_map_observed};
-use crate::spec::{RunParams, SchedulerSpec, SystemSpec};
+use crate::spec::{accelerator_id, recovery_policy, RunParams, SchedulerSpec, SystemSpec};
 
 /// The checkpoint envelope. Version 2 moved the points into the
 /// shared envelope's body.
@@ -973,27 +972,7 @@ fn decode_accelerators(cursor: &Cursor<'_>) -> Result<Vec<char>, SpecError> {
         cursor,
         "accelerators must name at least one Table 5 id",
         |id| format!("duplicate accelerator `{id}`"),
-        |item| {
-            let text = item.as_str()?;
-            let id = match text.chars().next() {
-                Some(c) if text.chars().count() == 1 => c.to_ascii_uppercase(),
-                _ => {
-                    return Err(SpecError::Invalid {
-                        path: item.path().to_string(),
-                        message: format!(
-                            "accelerator id must be a single letter A-M, got `{text}`"
-                        ),
-                    })
-                }
-            };
-            if config_by_id(id).is_none() {
-                return Err(SpecError::Invalid {
-                    path: item.path().to_string(),
-                    message: format!("unknown accelerator `{id}` (Table 5 defines A-M)"),
-                });
-            }
-            Ok(id)
-        },
+        accelerator_id,
     )
 }
 
@@ -1034,15 +1013,7 @@ fn decode_recovery(cursor: &Cursor<'_>) -> Result<Vec<RecoveryPolicy>, SpecError
         cursor,
         "recovery must list at least one policy",
         |policy| format!("duplicate recovery policy `{policy}`"),
-        |item| {
-            let name = item.as_str()?;
-            RecoveryPolicy::parse(name).ok_or_else(|| SpecError::Invalid {
-                path: item.path().to_string(),
-                message: format!(
-                    "unknown recovery policy `{name}` (expected drop, requeue, or migrate)"
-                ),
-            })
-        },
+        recovery_policy,
     )
 }
 

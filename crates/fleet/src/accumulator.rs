@@ -10,7 +10,8 @@
 //! commutative, and lossless:
 //!
 //! * **integer counters** (`u64`) for frames, drops, and deadline
-//!   misses;
+//!   misses: each model's [`ModelStats`], the engine's own frame
+//!   accounting, summed with [`ModelStats::merge`];
 //! * **fixed-point integer sums** (`i128`, power-of-two scales) for
 //!   every summed quantity — latency, energy, scores. Converting
 //!   `v → round(v·2^k)` is deterministic, multiplying by a power of
@@ -139,58 +140,13 @@ impl StatAgg {
     }
 }
 
-/// Frame drops split by cause, fleet-wide.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DropCounts {
-    /// Frames superseded by a newer frame of the same model.
-    pub superseded: u64,
-    /// Dependent frames whose upstream frame was itself dropped.
-    pub upstream_dropped: u64,
-    /// Frames still queued when their session's run ended.
-    pub starved: u64,
-    /// In-flight frames revoked by an engine preemption (fault
-    /// injection under the `Drop` recovery policy).
-    pub preempted: u64,
-    /// In-flight frames revoked by an engine failure (fault injection
-    /// under the `Drop` recovery policy).
-    pub device_lost: u64,
-}
-
-impl DropCounts {
-    /// Total drops across causes.
-    pub fn total(&self) -> u64 {
-        self.superseded + self.upstream_dropped + self.starved + self.preempted + self.device_lost
-    }
-
-    /// Drops attributable to injected faults (preemption + churn).
-    pub fn fault_total(&self) -> u64 {
-        self.preempted + self.device_lost
-    }
-
-    /// Adds another breakdown into this one.
-    pub fn merge(&mut self, other: &DropCounts) {
-        self.superseded += other.superseded;
-        self.upstream_dropped += other.upstream_dropped;
-        self.starved += other.starved;
-        self.preempted += other.preempted;
-        self.device_lost += other.device_lost;
-    }
-}
-
 /// One model's fleet-wide aggregate: frame accounting plus
 /// latency/energy count/mean/min/max.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ModelAccumulator {
-    /// Frames streamed and triggered (`NumFrm`), across the fleet.
-    pub total_frames: u64,
-    /// Frames executed.
-    pub executed_frames: u64,
-    /// Frames deactivated by failed cascade draws.
-    pub untriggered_frames: u64,
-    /// Executed frames delivered past their deadline.
-    pub missed_deadlines: u64,
-    /// Drops by cause.
-    pub drops: DropCounts,
+    /// Frame accounting summed over every session, the same type each
+    /// run counts into.
+    pub frames: ModelStats,
     /// End-to-end latency (seconds, [`TIME_SCALE`]).
     pub latency: StatAgg,
     /// Per-inference energy (joules, [`ENERGY_SCALE`]).
@@ -204,33 +160,17 @@ impl ModelAccumulator {
         self.energy.record(rec.energy_j, ENERGY_SCALE);
     }
 
-    /// Folds one session's per-model frame accounting.
-    pub fn absorb_stats(&mut self, st: &ModelStats) {
-        self.total_frames += st.total_frames;
-        self.executed_frames += st.executed_frames;
-        self.untriggered_frames += st.untriggered_frames;
-        self.missed_deadlines += st.missed_deadlines;
-        self.drops.superseded += st.dropped_superseded;
-        self.drops.upstream_dropped += st.dropped_upstream;
-        self.drops.starved += st.dropped_starved;
-        self.drops.preempted += st.dropped_preempted;
-        self.drops.device_lost += st.dropped_device_lost;
-    }
-
     /// Merges another model aggregate (exact).
     pub fn merge(&mut self, other: &ModelAccumulator) {
-        self.total_frames += other.total_frames;
-        self.executed_frames += other.executed_frames;
-        self.untriggered_frames += other.untriggered_frames;
-        self.missed_deadlines += other.missed_deadlines;
-        self.drops.merge(&other.drops);
+        self.frames.merge(&other.frames);
         self.latency.merge(&other.latency);
         self.energy.merge(&other.energy);
     }
 
     /// Whether anything was streamed to this model fleet-wide.
     pub fn touched(&self) -> bool {
-        self.total_frames + self.untriggered_frames + self.drops.total() > 0
+        let f = &self.frames;
+        f.total_frames + f.untriggered_frames + f.dropped_frames() > 0
     }
 }
 
@@ -375,39 +315,9 @@ impl FleetAccumulator {
         }
     }
 
-    /// Fleet-wide streamed-and-triggered frames.
-    pub fn total_frames(&self) -> u64 {
-        self.per_model.iter().map(|m| m.total_frames).sum()
-    }
-
-    /// Fleet-wide executed inferences.
-    pub fn executed_frames(&self) -> u64 {
-        self.per_model.iter().map(|m| m.executed_frames).sum()
-    }
-
-    /// Fleet-wide untriggered (cascade-deactivated) frames.
-    pub fn untriggered_frames(&self) -> u64 {
-        self.per_model.iter().map(|m| m.untriggered_frames).sum()
-    }
-
-    /// Fleet-wide executed frames past their deadline.
-    pub fn missed_deadlines(&self) -> u64 {
-        self.per_model.iter().map(|m| m.missed_deadlines).sum()
-    }
-
-    /// Fleet-wide drops by cause.
-    pub fn drops(&self) -> DropCounts {
-        let mut d = DropCounts::default();
-        for m in &self.per_model {
-            d.merge(&m.drops);
-        }
-        d
-    }
-
-    /// Fleet-wide generated arrivals: streamed frames plus the frames
-    /// a failed cascade draw deactivated.
-    pub fn arrivals(&self) -> u64 {
-        self.total_frames() + self.untriggered_frames()
+    /// Fleet-wide frame accounting: every model's counts summed.
+    pub fn frames(&self) -> ModelStats {
+        self.per_model.iter().map(|m| &m.frames).sum()
     }
 
     /// Fleet-wide total energy (J), from the exact fixed-point sums.
@@ -536,6 +446,7 @@ mod tests {
     #[test]
     fn model_accumulator_tracks_stats_and_records() {
         use xrbench_models::ModelId;
+        use xrbench_sim::DropReason;
         let mut acc = FleetAccumulator::new();
         let rec = ExecRecord {
             model: ModelId::HandTracking,
@@ -549,22 +460,22 @@ mod tests {
             energy_j: 0.002,
         };
         acc.model_mut(ModelId::HandTracking).record_exec(&rec);
-        let st = ModelStats {
+        let mut st = ModelStats {
             total_frames: 3,
             executed_frames: 1,
-            dropped_frames: 2,
-            dropped_superseded: 1,
-            dropped_starved: 1,
             ..Default::default()
         };
-        acc.model_mut(ModelId::HandTracking).absorb_stats(&st);
+        st.record_drop(DropReason::Superseded);
+        st.record_drop(DropReason::Starved);
+        acc.model_mut(ModelId::HandTracking).frames.merge(&st);
         let m = acc.model(ModelId::HandTracking);
         assert!(m.touched());
         assert_eq!(m.latency.count, 1);
-        assert_eq!(m.drops.total(), 2);
-        assert_eq!(acc.total_frames(), 3);
-        assert_eq!(acc.executed_frames(), 1);
-        assert_eq!(acc.arrivals(), 3);
+        assert_eq!(m.frames.dropped_frames(), 2);
+        let frames = acc.frames();
+        assert_eq!(frames.total_frames, 3);
+        assert_eq!(frames.executed_frames, 1);
+        assert_eq!(frames.total_frames + frames.untriggered_frames, 3);
         assert!((acc.total_energy_j() - 0.002).abs() < 1e-9);
         assert!(!acc.model(ModelId::ObjectDetection).touched());
     }

@@ -105,7 +105,7 @@ fn fold_session(
     };
     for (_, r) in &result.per_user {
         for (m, st) in &r.stats {
-            acc.model_mut(*m).absorb_stats(st);
+            acc.model_mut(*m).frames.merge(st);
         }
     }
     let breakdowns = fold.finish(session, &result);

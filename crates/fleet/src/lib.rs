@@ -81,13 +81,13 @@ mod supervisor;
 pub mod wire;
 
 pub use accumulator::{
-    DropCounts, FleetAccumulator, ModelAccumulator, ScenarioAccumulator, StatAgg, ENERGY_SCALE,
-    SCORE_SCALE, TIME_SCALE,
+    FleetAccumulator, ModelAccumulator, ScenarioAccumulator, StatAgg, ENERGY_SCALE, SCORE_SCALE,
+    TIME_SCALE,
 };
 pub use compare::{compare_recovery_policies, PolicyComparisonReport, PolicyOutcome};
 pub use executor::{default_workers, run_fleet, run_fleet_with, FleetRunConfig};
 pub use report::{
-    DistributionReport, FleetDropReport, FleetReport, GroupFleetReport, ModelFleetReport,
+    DistributionReport, DropReport, FleetReport, GroupFleetReport, ModelFleetReport,
     ScenarioFleetReport,
 };
 pub use scoring::{InferenceScorer, ModelMeans, ScenarioFold, SessionFold};

@@ -4,37 +4,64 @@
 //! Every number here is derived from the exactly-merged
 //! [`FleetAccumulator`], so the serialized report is byte-identical
 //! for any worker count (see `DESIGN.md`'s determinism argument).
+//!
+//! [`DropReport`] lives here because the fleet crate is the lowest one
+//! that serializes: it is the drop breakdown of session reports too,
+//! built from the engine's [`DropCounts`] on both paths.
 
 use serde::Serialize;
 
 use xrbench_score::FixedHistogram;
+use xrbench_sim::DropCounts;
 
-use crate::accumulator::{
-    DropCounts, FleetAccumulator, StatAgg, ENERGY_SCALE, SCORE_SCALE, TIME_SCALE,
-};
+use crate::accumulator::{FleetAccumulator, StatAgg, ENERGY_SCALE, SCORE_SCALE, TIME_SCALE};
 use crate::spec::FleetSpec;
 
-/// Frame drops split by cause.
+/// Frames dropped, split by cause: the drop breakdown of every report
+/// (fleet, fleet model, session, session user model). `superseded`
+/// means the system fell behind and the freshness policy discarded
+/// stale inputs, `upstream_dropped` that a cascade collapsed, and
+/// `starved` that the run ended with work still queued. Fault-injected
+/// runs add `preempted` and `device_lost`: in-flight work revoked by
+/// an engine outage under the `drop` recovery policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FleetDropReport {
+pub struct DropReport {
     /// Frames superseded by a newer frame of the same model.
     pub superseded: u64,
     /// Dependent frames whose upstream frame was itself dropped.
     pub upstream_dropped: u64,
-    /// Frames still queued when their session's run ended.
+    /// Frames still queued when their run ended.
     pub starved: u64,
-    /// In-flight frames revoked by engine preemption (fault
-    /// injection, `Drop` recovery policy).
+    /// In-flight frames revoked by an engine preemption.
     pub preempted: u64,
-    /// In-flight frames revoked by engine failure (fault injection,
-    /// `Drop` recovery policy).
+    /// In-flight frames revoked by an engine failure.
     pub device_lost: u64,
 }
 
-// Hand-written so the fault counters appear only in fault-injected
-// runs: fault-free reports must stay byte-identical to the pre-fault
-// wire format (the golden fixtures pin it).
-impl Serialize for FleetDropReport {
+impl DropReport {
+    /// Total drops across causes.
+    pub fn total(&self) -> u64 {
+        self.superseded + self.upstream_dropped + self.starved + self.preempted + self.device_lost
+    }
+}
+
+impl From<DropCounts> for DropReport {
+    fn from(d: DropCounts) -> Self {
+        Self {
+            superseded: d.superseded,
+            upstream_dropped: d.upstream_dropped,
+            starved: d.starved,
+            preempted: d.preempted,
+            device_lost: d.device_lost,
+        }
+    }
+}
+
+// Hand-written so the fault counters appear only when a fault process
+// actually revoked work: fault-free reports keep the pre-fault wire
+// format byte for byte (the golden fixtures pin it), and the vendored
+// derive cannot skip a field.
+impl Serialize for DropReport {
     fn to_json_value(&self) -> serde::json::JsonValue {
         let mut obj = vec![
             ("superseded".to_string(), self.superseded.to_json_value()),
@@ -51,18 +78,6 @@ impl Serialize for FleetDropReport {
             obj.push(("device_lost".to_string(), self.device_lost.to_json_value()));
         }
         serde::json::JsonValue::Object(obj)
-    }
-}
-
-impl From<DropCounts> for FleetDropReport {
-    fn from(d: DropCounts) -> Self {
-        Self {
-            superseded: d.superseded,
-            upstream_dropped: d.upstream_dropped,
-            starved: d.starved,
-            preempted: d.preempted,
-            device_lost: d.device_lost,
-        }
     }
 }
 
@@ -143,7 +158,7 @@ pub struct ModelFleetReport {
     /// Executed frames past their deadline.
     pub missed_deadlines: u64,
     /// Drops by cause.
-    pub drops: FleetDropReport,
+    pub drops: DropReport,
     /// Mean end-to-end latency over executed frames (ms).
     pub mean_latency_ms: f64,
     /// Fastest executed frame (ms).
@@ -210,7 +225,7 @@ pub struct FleetReport {
     /// Drop rate (dropped / streamed-and-triggered).
     pub drop_rate: f64,
     /// Drops by cause.
-    pub drops: FleetDropReport,
+    pub drops: DropReport,
     /// Total energy across the fleet (mJ).
     pub total_energy_mj: f64,
     /// End-to-end latency distribution over executed inferences.
@@ -261,8 +276,7 @@ pub(crate) fn build_report(
     group_accs: &[FleetAccumulator],
     fleet: &FleetAccumulator,
 ) -> FleetReport {
-    let drops = fleet.drops();
-    let total = fleet.total_frames();
+    let frames = fleet.frames();
     let latency_stats = fleet.latency_stats();
     // An overrun never exceeds the latency of the same inference
     // (t_end − t_deadline ≤ t_end − t_req), so the latency maximum is
@@ -291,11 +305,11 @@ pub(crate) fn build_report(
         .models()
         .map(|(m, a)| ModelFleetReport {
             model: m.abbrev().to_string(),
-            total_frames: a.total_frames,
-            executed_frames: a.executed_frames,
-            untriggered_frames: a.untriggered_frames,
-            missed_deadlines: a.missed_deadlines,
-            drops: a.drops.into(),
+            total_frames: a.frames.total_frames,
+            executed_frames: a.frames.executed_frames,
+            untriggered_frames: a.frames.untriggered_frames,
+            missed_deadlines: a.frames.missed_deadlines,
+            drops: a.frames.drops.into(),
             mean_latency_ms: a.latency.mean(TIME_SCALE) * 1e3,
             min_latency_ms: a.latency.min() * 1e3,
             max_latency_ms: a.latency.max() * 1e3,
@@ -308,23 +322,15 @@ pub(crate) fn build_report(
         .iter()
         .zip(group_accs)
         .enumerate()
-        .map(|(i, (g, acc))| {
-            let gd = acc.drops();
-            let gt = acc.total_frames();
-            GroupFleetReport {
-                group: i,
-                name: g.name.clone(),
-                sessions: acc.sessions,
-                users: acc.users,
-                session_score: acc.session_score.mean(SCORE_SCALE),
-                min_session_score: acc.session_score.min(),
-                max_session_score: acc.session_score.max(),
-                drop_rate: if gt == 0 {
-                    0.0
-                } else {
-                    gd.total() as f64 / gt as f64
-                },
-            }
+        .map(|(i, (g, acc))| GroupFleetReport {
+            group: i,
+            name: g.name.clone(),
+            sessions: acc.sessions,
+            users: acc.users,
+            session_score: acc.session_score.mean(SCORE_SCALE),
+            min_session_score: acc.session_score.min(),
+            max_session_score: acc.session_score.max(),
+            drop_rate: acc.frames().drop_rate(),
         })
         .collect();
 
@@ -338,17 +344,13 @@ pub(crate) fn build_report(
         fleet_score: fleet.session_score.mean(SCORE_SCALE),
         session_score_min: fleet.session_score.min(),
         session_score_max: fleet.session_score.max(),
-        total_requests: total,
-        executed_inferences: fleet.executed_frames(),
-        dropped_frames: drops.total(),
-        untriggered_frames: fleet.untriggered_frames(),
-        missed_deadlines: fleet.missed_deadlines(),
-        drop_rate: if total == 0 {
-            0.0
-        } else {
-            drops.total() as f64 / total as f64
-        },
-        drops: drops.into(),
+        total_requests: frames.total_frames,
+        executed_inferences: frames.executed_frames,
+        dropped_frames: frames.dropped_frames(),
+        untriggered_frames: frames.untriggered_frames,
+        missed_deadlines: frames.missed_deadlines,
+        drop_rate: frames.drop_rate(),
+        drops: frames.drops.into(),
         total_energy_mj: fleet.total_energy_j() * 1e3,
         latency: distribution(&latency_stats, &fleet.latency),
         overrun_p95_ms: pct_ms(&fleet.overrun, 0.95, max_overrun),
@@ -358,7 +360,8 @@ pub(crate) fn build_report(
         // containing bucket's 1.125 edge.
         inference_score_p05: fleet.score.percentile(0.05).min(1.0),
         inference_score_p50: fleet.score.percentile(0.50).min(1.0),
-        events: fleet.arrivals() + fleet.executed_frames(),
+        // Arrivals (streamed plus untriggered frames) and completions.
+        events: frames.total_frames + frames.untriggered_frames + frames.executed_frames,
         scenarios,
         models,
         groups,

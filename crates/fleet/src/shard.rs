@@ -49,12 +49,10 @@ use serde::json::JsonValue;
 
 use xrbench_models::ModelId;
 use xrbench_score::FixedHistogram;
-use xrbench_sim::{CostProvider, Scheduler};
+use xrbench_sim::{CostProvider, DropCounts, ModelStats, Scheduler};
 use xrbench_workload::spec::SpecError;
 
-use crate::accumulator::{
-    DropCounts, FleetAccumulator, ModelAccumulator, ScenarioAccumulator, StatAgg,
-};
+use crate::accumulator::{FleetAccumulator, ModelAccumulator, ScenarioAccumulator, StatAgg};
 use crate::executor::{flat_jobs, run_jobs, FleetRunConfig};
 use crate::report::{build_report, FleetReport};
 use crate::spec::FleetSpec;
@@ -420,12 +418,12 @@ fn ints_to_value(values: &[u64]) -> JsonValue {
 }
 
 fn model_to_value(m: &ModelAccumulator) -> JsonValue {
-    let d = &m.drops;
+    let (f, d) = (&m.frames, &m.frames.drops);
     obj(vec![
-        ("total_frames", int(m.total_frames)),
-        ("executed_frames", int(m.executed_frames)),
-        ("untriggered_frames", int(m.untriggered_frames)),
-        ("missed_deadlines", int(m.missed_deadlines)),
+        ("total_frames", int(f.total_frames)),
+        ("executed_frames", int(f.executed_frames)),
+        ("untriggered_frames", int(f.untriggered_frames)),
+        ("missed_deadlines", int(f.missed_deadlines)),
         (
             "drops",
             ints_to_value(&[
@@ -536,16 +534,18 @@ fn model_from_value(c: &Cursor<'_>) -> Result<ModelAccumulator, SpecError> {
         unreachable!("exactly 5 drop counters were read")
     };
     Ok(ModelAccumulator {
-        total_frames: parse_int(&c.field("total_frames")?)?,
-        executed_frames: parse_int(&c.field("executed_frames")?)?,
-        untriggered_frames: parse_int(&c.field("untriggered_frames")?)?,
-        missed_deadlines: parse_int(&c.field("missed_deadlines")?)?,
-        drops: DropCounts {
-            superseded,
-            upstream_dropped,
-            starved,
-            preempted,
-            device_lost,
+        frames: ModelStats {
+            total_frames: parse_int(&c.field("total_frames")?)?,
+            executed_frames: parse_int(&c.field("executed_frames")?)?,
+            untriggered_frames: parse_int(&c.field("untriggered_frames")?)?,
+            missed_deadlines: parse_int(&c.field("missed_deadlines")?)?,
+            drops: DropCounts {
+                superseded,
+                upstream_dropped,
+                starved,
+                preempted,
+                device_lost,
+            },
         },
         latency: stat_from_value(&c.field("latency")?)?,
         energy: stat_from_value(&c.field("energy")?)?,

@@ -67,7 +67,7 @@ pub use fault::{
     ThrottleSpec, FAULT_SEED_SALT,
 };
 pub use provider::{CostProvider, DenseCostCache, InferenceCost, TableProvider, UniformProvider};
-pub use result::{DropReason, ExecRecord, ModelStats, SessionSimResult, SimResult};
+pub use result::{DropCounts, DropReason, ExecRecord, ModelStats, SessionSimResult, SimResult};
 pub use scheduler::{
     DispatchKernel, FailoverAware, LatencyGreedy, LeastLoaded, PendingView, RoundRobin, Scheduler,
     SlackAwareEdf,

@@ -1,6 +1,12 @@
 //! Simulation results: the execution timeline and per-model
 //! frame accounting.
 //!
+//! [`ModelStats`] is the one frame-accounting type. The event loops
+//! count into it, and every sum of it (a session, a fleet accumulator,
+//! a shard state) is another `ModelStats` built by
+//! [`ModelStats::merge`]. Its drops live in one [`DropCounts`], so the
+//! dropped total is the sum of the drops by reason by construction.
+//!
 //! A result only carries what the event loop produced. Every metric
 //! derived from the records (scores, energy, engine utilization) is
 //! folded by the scoring layer (`xrbench_fleet::ScenarioFold`), which
@@ -77,7 +83,55 @@ impl ExecRecord {
     }
 }
 
-/// Per-model frame accounting for one run.
+/// Frames dropped, counted by [`DropReason`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DropCounts {
+    /// [`DropReason::Superseded`] drops.
+    pub superseded: u64,
+    /// [`DropReason::UpstreamDropped`] drops.
+    pub upstream_dropped: u64,
+    /// [`DropReason::Starved`] drops.
+    pub starved: u64,
+    /// [`DropReason::Preempted`] drops.
+    pub preempted: u64,
+    /// [`DropReason::DeviceLost`] drops.
+    pub device_lost: u64,
+}
+
+impl DropCounts {
+    /// Counts one drop attributed to `reason`.
+    pub fn record(&mut self, reason: DropReason) {
+        *match reason {
+            DropReason::Superseded => &mut self.superseded,
+            DropReason::UpstreamDropped => &mut self.upstream_dropped,
+            DropReason::Starved => &mut self.starved,
+            DropReason::Preempted => &mut self.preempted,
+            DropReason::DeviceLost => &mut self.device_lost,
+        } += 1;
+    }
+
+    /// Drops across every reason.
+    pub fn total(&self) -> u64 {
+        self.superseded + self.upstream_dropped + self.starved + self.preempted + self.device_lost
+    }
+
+    /// Drops caused by injected faults (preemption and device loss).
+    pub fn fault_total(&self) -> u64 {
+        self.preempted + self.device_lost
+    }
+
+    /// Adds another count into this one.
+    pub fn merge(&mut self, other: &DropCounts) {
+        self.superseded += other.superseded;
+        self.upstream_dropped += other.upstream_dropped;
+        self.starved += other.starved;
+        self.preempted += other.preempted;
+        self.device_lost += other.device_lost;
+    }
+}
+
+/// Per-model frame accounting: one model of one run, or a sum of them
+/// ([`ModelStats::merge`]) over users, sessions and whole fleets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ModelStats {
     /// Frames that were streamed *and triggered* for this model
@@ -86,52 +140,50 @@ pub struct ModelStats {
     pub total_frames: u64,
     /// Frames that actually executed (`NumFrm_exec`).
     pub executed_frames: u64,
-    /// Frames dropped (all reasons; equals the sum of the per-reason
-    /// counters below).
-    pub dropped_frames: u64,
     /// Frames whose control-dependency draw deactivated them.
     pub untriggered_frames: u64,
     /// Executed frames that missed their deadline.
     pub missed_deadlines: u64,
-    /// Drops caused by a newer frame superseding this one
-    /// ([`DropReason::Superseded`]).
-    pub dropped_superseded: u64,
-    /// Drops caused by the upstream frame itself being dropped
-    /// ([`DropReason::UpstreamDropped`]).
-    pub dropped_upstream: u64,
-    /// Drops caused by the run ending with the frame still queued
-    /// ([`DropReason::Starved`]).
-    pub dropped_starved: u64,
-    /// Drops caused by a mid-flight engine preemption
-    /// ([`DropReason::Preempted`]).
-    pub dropped_preempted: u64,
-    /// Drops caused by a mid-flight engine failure
-    /// ([`DropReason::DeviceLost`]).
-    pub dropped_device_lost: u64,
+    /// Dropped frames by reason.
+    pub drops: DropCounts,
 }
 
 impl ModelStats {
     /// Records one dropped frame, attributing it to `reason`.
     pub fn record_drop(&mut self, reason: DropReason) {
-        self.dropped_frames += 1;
-        match reason {
-            DropReason::Superseded => self.dropped_superseded += 1,
-            DropReason::UpstreamDropped => self.dropped_upstream += 1,
-            DropReason::Starved => self.dropped_starved += 1,
-            DropReason::Preempted => self.dropped_preempted += 1,
-            DropReason::DeviceLost => self.dropped_device_lost += 1,
-        }
+        self.drops.record(reason);
     }
 
-    /// The drop count attributed to `reason`.
-    pub fn drops_for(&self, reason: DropReason) -> u64 {
-        match reason {
-            DropReason::Superseded => self.dropped_superseded,
-            DropReason::UpstreamDropped => self.dropped_upstream,
-            DropReason::Starved => self.dropped_starved,
-            DropReason::Preempted => self.dropped_preempted,
-            DropReason::DeviceLost => self.dropped_device_lost,
+    /// Frames dropped, for every reason.
+    pub fn dropped_frames(&self) -> u64 {
+        self.drops.total()
+    }
+
+    /// Adds another model's (or run's) accounting into this one.
+    pub fn merge(&mut self, other: &ModelStats) {
+        self.total_frames += other.total_frames;
+        self.executed_frames += other.executed_frames;
+        self.untriggered_frames += other.untriggered_frames;
+        self.missed_deadlines += other.missed_deadlines;
+        self.drops.merge(&other.drops);
+    }
+
+    /// The frame-drop rate, dropped / total (0 when no frame streamed).
+    pub fn drop_rate(&self) -> f64 {
+        if self.total_frames == 0 {
+            0.0
+        } else {
+            self.dropped_frames() as f64 / self.total_frames as f64
         }
+    }
+}
+
+impl<'a> std::iter::Sum<&'a ModelStats> for ModelStats {
+    fn sum<I: Iterator<Item = &'a ModelStats>>(iter: I) -> Self {
+        iter.fold(Self::default(), |mut sum, s| {
+            sum.merge(s);
+            sum
+        })
     }
 }
 
@@ -152,13 +204,7 @@ pub struct SimResult {
 impl SimResult {
     /// Overall frame-drop rate across models (dropped / total).
     pub fn drop_rate(&self) -> f64 {
-        let total: u64 = self.stats.values().map(|s| s.total_frames).sum();
-        let dropped: u64 = self.stats.values().map(|s| s.dropped_frames).sum();
-        if total == 0 {
-            0.0
-        } else {
-            dropped as f64 / total as f64
-        }
+        self.stats.values().sum::<ModelStats>().drop_rate()
     }
 
     /// The records belonging to one model, in start order.
@@ -194,23 +240,11 @@ impl SessionSimResult {
 
     /// Overall frame-drop rate across all users.
     pub fn drop_rate(&self) -> f64 {
-        let total: u64 = self
-            .per_user
+        self.per_user
             .iter()
             .flat_map(|(_, r)| r.stats.values())
-            .map(|s| s.total_frames)
-            .sum();
-        let dropped: u64 = self
-            .per_user
-            .iter()
-            .flat_map(|(_, r)| r.stats.values())
-            .map(|s| s.dropped_frames)
-            .sum();
-        if total == 0 {
-            0.0
-        } else {
-            dropped as f64 / total as f64
-        }
+            .sum::<ModelStats>()
+            .drop_rate()
     }
 }
 
@@ -257,7 +291,10 @@ mod tests {
             ModelStats {
                 total_frames: 30,
                 executed_frames: 20,
-                dropped_frames: 10,
+                drops: DropCounts {
+                    superseded: 10,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
         );
@@ -276,5 +313,62 @@ mod tests {
             duration_s: 1.0,
         };
         assert!((result.drop_rate() - 10.0 / 60.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn model_stats_merge_adds_every_counter() {
+        let counts = |base: u64| ModelStats {
+            total_frames: base,
+            executed_frames: base + 1,
+            untriggered_frames: base + 2,
+            missed_deadlines: base + 3,
+            drops: DropCounts {
+                superseded: base + 4,
+                upstream_dropped: base + 5,
+                starved: base + 6,
+                preempted: base + 7,
+                device_lost: base + 8,
+            },
+        };
+        let mut sum = counts(10);
+        sum.merge(&counts(100));
+        let expected = ModelStats {
+            total_frames: 110,
+            executed_frames: 112,
+            untriggered_frames: 114,
+            missed_deadlines: 116,
+            drops: DropCounts {
+                superseded: 118,
+                upstream_dropped: 120,
+                starved: 122,
+                preempted: 124,
+                device_lost: 126,
+            },
+        };
+        assert_eq!(sum, expected);
+        assert_eq!(sum.dropped_frames(), 118 + 120 + 122 + 124 + 126);
+        assert_eq!(sum.drops.fault_total(), 124 + 126);
+        assert_eq!(
+            [counts(10), counts(100)].iter().sum::<ModelStats>(),
+            expected
+        );
+    }
+
+    #[test]
+    fn drop_rate_is_zero_without_frames() {
+        // Nothing streamed: no division by zero, and no NaN in a report.
+        assert_eq!(ModelStats::default().drop_rate(), 0.0);
+        assert_eq!(SimResult::default().drop_rate(), 0.0);
+        assert_eq!(SessionSimResult::default().drop_rate(), 0.0);
+        let st = ModelStats {
+            total_frames: 4,
+            executed_frames: 3,
+            drops: DropCounts {
+                starved: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        assert_eq!(st.drop_rate(), 0.25);
     }
 }

@@ -598,7 +598,7 @@ mod tests {
         let p = UniformProvider::new(2, 0.0001, 0.001);
         let r = run_scenario(UsageScenario::VrGaming, &p, 1);
         for (m, st) in &r.stats {
-            assert_eq!(st.dropped_frames, 0, "{m}");
+            assert_eq!(st.dropped_frames(), 0, "{m}");
             assert_eq!(st.executed_frames, st.total_frames, "{m}");
             assert_eq!(st.missed_deadlines, 0, "{m}");
         }
@@ -611,14 +611,14 @@ mod tests {
         // 40 ms per inference on 1 engine: far beyond 165 req/s.
         let p = UniformProvider::new(1, 0.040, 0.001);
         let r = run_scenario(UsageScenario::VrGaming, &p, 1);
-        let dropped: u64 = r.stats.values().map(|s| s.dropped_frames).sum();
+        let dropped: u64 = r.stats.values().map(|s| s.dropped_frames()).sum();
         assert!(dropped > 50, "expected heavy drops, got {dropped}");
         // Conservation: total = executed + dropped (+ nothing else for
         // the 1.0-probability VR gaming pipelines).
         for (m, st) in &r.stats {
             assert_eq!(
                 st.total_frames,
-                st.executed_frames + st.dropped_frames,
+                st.executed_frames + st.dropped_frames(),
                 "{m}"
             );
         }
@@ -634,8 +634,8 @@ mod tests {
                 let r = run_scenario(scenario, &p, 7);
                 for (m, st) in &r.stats {
                     assert_eq!(
-                        st.dropped_frames,
-                        st.dropped_superseded + st.dropped_upstream + st.dropped_starved,
+                        st.dropped_frames(),
+                        st.drops.superseded + st.drops.upstream_dropped + st.drops.starved,
                         "{scenario:?}/{m} at {latency}s"
                     );
                 }
@@ -647,7 +647,7 @@ mod tests {
     fn overload_drops_are_attributed_to_reasons() {
         let p = UniformProvider::new(1, 0.040, 0.001);
         let r = run_scenario(UsageScenario::SocialInteractionA, &p, 1);
-        let superseded: u64 = r.stats.values().map(|s| s.dropped_superseded).sum();
+        let superseded: u64 = r.stats.values().map(|s| s.drops.superseded).sum();
         assert!(superseded > 0, "freshness policy must fire under overload");
     }
 
@@ -684,12 +684,12 @@ mod tests {
         let r = sim.run(&spec, &p, &mut LatencyGreedy::new());
         let st = &r.stats[&ModelId::DepthRefinement];
         assert!(
-            st.dropped_upstream > 0,
+            st.drops.upstream_dropped > 0,
             "with p = 0.2 over 30 frames, some DR frame must lose its upstream"
         );
         assert_eq!(
-            st.dropped_frames,
-            st.dropped_superseded + st.dropped_upstream + st.dropped_starved
+            st.dropped_frames(),
+            st.drops.superseded + st.drops.upstream_dropped + st.drops.starved
         );
     }
 
@@ -944,7 +944,7 @@ mod tests {
             &p,
             &mut LatencyGreedy::new(),
         );
-        let solo_drops: u64 = solo.stats.values().map(|s| s.dropped_frames).sum();
+        let solo_drops: u64 = solo.stats.values().map(|s| s.dropped_frames()).sum();
         assert_eq!(solo_drops, 0, "solo run should be drop-free");
         let session = SessionSpec::uniform("crowd", UsageScenario::VrGaming.spec(), 8, 0.005);
         let sr = sim.run_session(&session, &p, &mut LatencyGreedy::new());
@@ -952,7 +952,7 @@ mod tests {
             .per_user
             .iter()
             .flat_map(|(_, r)| r.stats.values())
-            .map(|s| s.dropped_frames)
+            .map(|s| s.dropped_frames())
             .sum();
         assert!(crowd_drops > 0, "8-way contention should drop frames");
     }
@@ -1124,20 +1124,20 @@ mod tests {
         let (mut preempted, mut lost) = (0u64, 0u64);
         for (_, u) in &r.per_user {
             for st in u.stats.values() {
-                preempted += st.dropped_preempted;
-                lost += st.dropped_device_lost;
+                preempted += st.drops.preempted;
+                lost += st.drops.device_lost;
                 assert_eq!(
-                    st.dropped_frames,
-                    st.dropped_superseded
-                        + st.dropped_upstream
-                        + st.dropped_starved
-                        + st.dropped_preempted
-                        + st.dropped_device_lost,
+                    st.dropped_frames(),
+                    st.drops.superseded
+                        + st.drops.upstream_dropped
+                        + st.drops.starved
+                        + st.drops.preempted
+                        + st.drops.device_lost,
                     "per-reason counters must partition dropped_frames"
                 );
                 assert_eq!(
                     st.total_frames,
-                    st.executed_frames + st.dropped_frames,
+                    st.executed_frames + st.dropped_frames(),
                     "frames must be accounted exactly once"
                 );
             }
@@ -1159,7 +1159,7 @@ mod tests {
                 for (m, st) in &u.stats {
                     assert_eq!(
                         st.total_frames,
-                        st.executed_frames + st.dropped_frames,
+                        st.executed_frames + st.dropped_frames(),
                         "{policy}/{m}"
                     );
                 }
@@ -1186,7 +1186,7 @@ mod tests {
                     .per_user
                     .iter()
                     .flat_map(|(_, u)| u.stats.values())
-                    .map(|s| s.dropped_preempted + s.dropped_device_lost)
+                    .map(|s| s.drops.fault_total())
                     .sum();
                 assert_eq!(fault_drops, 0, "{policy}");
             }
@@ -1276,7 +1276,7 @@ mod tests {
             let per_user = sim.assemble(event_loop, inputs, &p, &mut scheduler, None);
             let r = &per_user[&0];
             assert_eq!(r.records[0], first, "{name}: first record changed");
-            let preempted: u64 = r.stats.values().map(|s| s.dropped_preempted).sum();
+            let preempted: u64 = r.stats.values().map(|s| s.drops.preempted).sum();
             assert_eq!(
                 preempted, 0,
                 "{name}: work ending at the Down was preempted"

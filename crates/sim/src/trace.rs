@@ -45,7 +45,7 @@ pub fn stats_csv(result: &SimResult) -> String {
             model.abbrev(),
             st.total_frames,
             st.executed_frames,
-            st.dropped_frames,
+            st.dropped_frames(),
             st.untriggered_frames,
             st.missed_deadlines,
         )

@@ -1,20 +1,24 @@
 //! Property-based tests over the fleet layer: exact-merge algebra of
 //! the accumulator, worker-count invariance of whole fleet runs, and
-//! the 1-session fleet ↔ `Harness::run_session` parity: both score
-//! through the same `ScenarioFold`, so they differ only by the fleet
-//! accumulator's fixed-point quantization.
+//! the 1-session fleet ↔ `Harness::run_session` parity (with a faulted
+//! twin against `Simulator::run_session_faulted`): frame accounting
+//! matches exactly, and both score through the same `ScenarioFold`, so
+//! scores differ only by the fleet accumulator's fixed-point
+//! quantization.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use xrbench::fleet::{
-    merge_fleet_shards, plan_shards, replica_seed, run_fleet_shard, FleetAccumulator, FleetSpec,
-    ShardState, StatAgg, SCORE_SCALE, TIME_SCALE,
+    merge_fleet_shards, plan_shards, replica_seed, run_fleet_shard, run_fleet_with, DropReport,
+    FleetAccumulator, FleetSpec, ShardState, StatAgg, SCORE_SCALE, TIME_SCALE,
 };
 use xrbench::models::ModelId;
 use xrbench::prelude::*;
 use xrbench::score::ScenarioBreakdown;
 use xrbench::sim::{
-    ExecRecord, FaultProcess, ModelStats, RecoveryPolicy, ThrottleSpec, UniformProvider,
+    DropCounts, ExecRecord, FaultProcess, ModelStats, RecoveryPolicy, ThrottleSpec, UniformProvider,
 };
 
 /// A fleet run configuration: the base seed, the worker count and the
@@ -74,11 +78,15 @@ fn synth_acc(seed: u64) -> FleetAccumulator {
         acc.overrun.record(rec.overrun_s());
         acc.score.record(unit(&mut st));
         acc.model_mut(rec.model).record_exec(&rec);
-        acc.model_mut(rec.model).absorb_stats(&ModelStats {
+        // Fields evaluate in source order, so the draws keep their order.
+        acc.model_mut(rec.model).frames.merge(&ModelStats {
             total_frames: 1 + mix(&mut st) % 3,
             executed_frames: 1,
-            dropped_superseded: mix(&mut st) % 2,
-            dropped_starved: mix(&mut st) % 2,
+            drops: DropCounts {
+                superseded: mix(&mut st) % 2,
+                starved: mix(&mut st) % 2,
+                ..Default::default()
+            },
             ..Default::default()
         });
     }
@@ -288,6 +296,75 @@ proptest! {
     }
 }
 
+/// The five shipped schedulers.
+const SCHEDULERS: [SchedulerSpec; 5] = [
+    SchedulerSpec::LatencyGreedy,
+    SchedulerSpec::RoundRobin,
+    SchedulerSpec::SlackAwareEdf,
+    SchedulerSpec::LeastLoaded,
+    SchedulerSpec::FailoverAware,
+];
+
+/// A one-device session of 1–4 users drawn round-robin from 1–3
+/// built-in scenarios, under a scheduler drawn from the five shipped.
+fn random_session(st: &mut u64, users: u32) -> (SessionSpec, SchedulerSpec) {
+    let specs: Vec<ScenarioSpec> = (0..1 + pick(st, 3))
+        .map(|_| UsageScenario::ALL[pick(st, UsageScenario::ALL.len())].spec())
+        .collect();
+    let session = SessionSpec::mixed("solo", &specs, users, 0.003);
+    (session, SCHEDULERS[pick(st, SCHEDULERS.len())])
+}
+
+fn drop_counts(d: &DropReport) -> DropCounts {
+    DropCounts {
+        superseded: d.superseded,
+        upstream_dropped: d.upstream_dropped,
+        starved: d.starved,
+        preempted: d.preempted,
+        device_lost: d.device_lost,
+    }
+}
+
+/// Checks a one-session fleet report's frame accounting against the
+/// same session run directly: `direct` holds that run's counters per
+/// model, summed over users, and `drop_rate` the run's own drop rate.
+/// Every count must match exactly, and the drop rate bit for bit.
+fn check_frames(fleet: &FleetReport, direct: &BTreeMap<String, ModelStats>, drop_rate: f64) {
+    let listed: BTreeMap<String, ModelStats> = fleet
+        .models
+        .iter()
+        .map(|m| {
+            let st = ModelStats {
+                total_frames: m.total_frames,
+                executed_frames: m.executed_frames,
+                untriggered_frames: m.untriggered_frames,
+                missed_deadlines: m.missed_deadlines,
+                drops: drop_counts(&m.drops),
+            };
+            (m.model.clone(), st)
+        })
+        .collect();
+    // A fleet lists only the models something streamed to.
+    let touched: BTreeMap<String, ModelStats> = direct
+        .iter()
+        .filter(|(_, s)| s.total_frames + s.untriggered_frames + s.dropped_frames() > 0)
+        .map(|(m, s)| (m.clone(), s.clone()))
+        .collect();
+    assert_eq!(&listed, &touched);
+    let all: ModelStats = direct.values().sum();
+    assert_eq!(fleet.total_requests, all.total_frames);
+    assert_eq!(fleet.executed_inferences, all.executed_frames);
+    assert_eq!(fleet.dropped_frames, all.dropped_frames());
+    assert_eq!(fleet.untriggered_frames, all.untriggered_frames);
+    assert_eq!(fleet.missed_deadlines, all.missed_deadlines);
+    assert_eq!(drop_counts(&fleet.drops), all.drops);
+    assert_eq!(
+        fleet.events,
+        all.total_frames + all.untriggered_frames + all.executed_frames
+    );
+    assert_eq!(fleet.drop_rate.to_bits(), drop_rate.to_bits());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -296,62 +373,44 @@ proptest! {
         seed in any::<u64>(),
         users in 1u32..5,
         engines in 1usize..4,
-        latency in 0.0005f64..0.006,
+        latency in 0.0005f64..0.02,
     ) {
         let mut st = seed;
-        let scenario = UsageScenario::ALL[pick(&mut st, UsageScenario::ALL.len())];
-        let session = SessionSpec::uniform("solo", scenario.spec(), users, 0.003);
+        let (session, scheduler) = random_session(&mut st, users);
         let p = UniformProvider::new(engines, latency, 0.001);
 
         // The fleet derives session seeds from its base seed; run the
         // reference session under exactly the derived seed.
-        let fleet_report = run_fleet(
+        let fleet_report = run_fleet_with(
             &FleetSpec::uniform("one", session.clone(), 1),
             &p,
             &config(seed, 2, RecoveryPolicy::default()),
+            &|| scheduler.build(),
         );
         let session_report = Harness::new()
             .with_seed(replica_seed(seed, 0, 0))
-            .run_session(&session, &p, &mut LatencyGreedy::new());
-
-        // Integer accounting matches exactly.
+            .run_session(&session, &p, scheduler.build().as_mut());
         prop_assert_eq!(fleet_report.num_sessions, 1);
         prop_assert_eq!(fleet_report.num_users as usize, session_report.num_users);
-        let total: u64 = session_report
-            .users
-            .iter()
-            .flat_map(|u| u.report.models.iter())
-            .map(|m| m.total_frames)
-            .sum();
-        let executed: u64 = session_report
-            .users
-            .iter()
-            .flat_map(|u| u.report.models.iter())
-            .map(|m| m.executed_frames)
-            .sum();
-        let missed: u64 = session_report
-            .users
-            .iter()
-            .flat_map(|u| u.report.models.iter())
-            .map(|m| m.missed_deadlines)
-            .sum();
-        prop_assert_eq!(fleet_report.total_requests, total);
-        prop_assert_eq!(fleet_report.executed_inferences, executed);
-        prop_assert_eq!(fleet_report.missed_deadlines, missed);
-        prop_assert_eq!(fleet_report.drops.superseded, session_report.drops.superseded);
-        prop_assert_eq!(
-            fleet_report.drops.upstream_dropped,
-            session_report.drops.upstream_dropped
-        );
-        prop_assert_eq!(fleet_report.drops.starved, session_report.drops.starved);
 
-        // Per-model counts match exactly.
+        // Integer accounting matches exactly, per model and in total.
+        let mut direct: BTreeMap<String, ModelStats> = BTreeMap::new();
         for u in &session_report.users {
-            for m in &u.report.models {
-                let fm = fleet_report.model(&m.model).expect("fleet lists the model");
-                prop_assert!(fm.total_frames >= m.total_frames);
+            for (m, d) in u.report.models.iter().zip(&u.model_drops) {
+                prop_assert_eq!(&m.model, &d.model);
+                let st = ModelStats {
+                    total_frames: m.total_frames,
+                    executed_frames: m.executed_frames,
+                    untriggered_frames: m.untriggered_frames,
+                    missed_deadlines: m.missed_deadlines,
+                    drops: drop_counts(&d.drops),
+                };
+                prop_assert_eq!(m.dropped_frames, st.dropped_frames());
+                direct.entry(m.model.clone()).or_default().merge(&st);
             }
         }
+        check_frames(&fleet_report, &direct, session_report.drop_rate);
+        prop_assert_eq!(drop_counts(&session_report.drops), direct.values().sum::<ModelStats>().drops);
 
         // Score aggregates match up to the accumulator's fixed-point
         // quantization (2^-62 per value — far below 1e-9).
@@ -361,18 +420,78 @@ proptest! {
             fleet_report.fleet_score,
             session_report.session_score
         );
-        let fs = &fleet_report.scenarios[0];
-        let agg = &session_report.aggregate;
-        prop_assert!((fs.overall_score - agg.overall_score).abs() < 1e-9);
-        prop_assert!((fs.realtime_score - agg.realtime_score).abs() < 1e-9);
-        prop_assert!((fs.energy_score - agg.energy_score).abs() < 1e-9);
-        prop_assert!((fs.accuracy_score - agg.accuracy_score).abs() < 1e-9);
-        prop_assert!((fs.qoe_score - agg.qoe_score).abs() < 1e-9);
+        for fs in &fleet_report.scenarios {
+            let runs: Vec<&BreakdownReport> = session_report
+                .users
+                .iter()
+                .filter(|u| u.report.scenario == fs.scenario)
+                .map(|u| &u.report.breakdown)
+                .collect();
+            prop_assert_eq!(fs.users, runs.len() as u64);
+            let agg = BreakdownReport::from(xrbench::score::session_breakdown(
+                &runs.iter().map(|&&b| ScenarioBreakdown::from(b)).collect::<Vec<_>>(),
+            ));
+            prop_assert!((fs.overall_score - agg.overall_score).abs() < 1e-9);
+            prop_assert!((fs.realtime_score - agg.realtime_score).abs() < 1e-9);
+            prop_assert!((fs.energy_score - agg.energy_score).abs() < 1e-9);
+            prop_assert!((fs.accuracy_score - agg.accuracy_score).abs() < 1e-9);
+            prop_assert!((fs.qoe_score - agg.qoe_score).abs() < 1e-9);
 
-        // The fairness extremes bracket every user's overall score.
-        for u in &session_report.users {
-            let o = u.report.overall();
-            prop_assert!(o >= fs.min_overall - 1e-9 && o <= fs.max_overall + 1e-9);
+            // The fairness extremes bracket every user's overall score.
+            for b in &runs {
+                let o = b.overall_score;
+                prop_assert!(o >= fs.min_overall - 1e-9 && o <= fs.max_overall + 1e-9);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn one_faulted_session_fleet_matches_run_session_faulted(
+        seed in any::<u64>(),
+        users in 1u32..5,
+        engines in 1usize..4,
+        latency in 0.0005f64..0.02,
+    ) {
+        let mut st = seed;
+        let (session, scheduler) = random_session(&mut st, users);
+        let faults = FaultProcess {
+            failure_rate_per_s: unit(&mut st) * 4.0,
+            mean_downtime_s: 0.01 + unit(&mut st) * 0.1,
+            preemption_rate_per_s: unit(&mut st) * 8.0,
+            mean_preemption_s: 0.005 + unit(&mut st) * 0.05,
+            throttle: (pick(&mut st, 2) == 0).then_some(ThrottleSpec {
+                period_s: 0.2 + unit(&mut st),
+                duty: 0.3,
+                factor: 0.5,
+            }),
+        };
+        let p = UniformProvider::new(engines, latency, 0.001);
+        let fleet = FleetSpec::new("one").group_faulted("g", session.clone(), 1, faults);
+        let sim = Simulator::new(SimConfig {
+            seed: replica_seed(seed, 0, 0),
+            ..SimConfig::default()
+        });
+        for policy in RecoveryPolicy::ALL {
+            let fleet_report =
+                run_fleet_with(&fleet, &p, &config(seed, 2, policy), &|| scheduler.build());
+            let result = sim.run_session_faulted(
+                &session,
+                &p,
+                scheduler.build().as_mut(),
+                &faults,
+                policy,
+            );
+            let mut direct: BTreeMap<String, ModelStats> = BTreeMap::new();
+            for (_, r) in &result.per_user {
+                for (m, s) in &r.stats {
+                    direct.entry(m.abbrev().to_string()).or_default().merge(s);
+                }
+            }
+            check_frames(&fleet_report, &direct, result.drop_rate());
         }
     }
 }

@@ -173,7 +173,7 @@ proptest! {
             // Every triggered frame either executed or dropped.
             prop_assert_eq!(
                 st.total_frames,
-                st.executed_frames + st.dropped_frames,
+                st.executed_frames + st.dropped_frames(),
                 "{} violates conservation",
                 model
             );

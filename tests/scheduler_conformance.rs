@@ -172,7 +172,7 @@ fn conformance_whole_run_invariants_per_scenario() {
             for (m, st) in &a.stats {
                 assert_eq!(
                     st.total_frames,
-                    st.executed_frames + st.dropped_frames,
+                    st.executed_frames + st.dropped_frames(),
                     "{name}/{}/{m}: frame conservation violated",
                     spec.name
                 );
@@ -405,7 +405,7 @@ fn conformance_faulted_runs_stay_deterministic_per_scheduler() {
                 for (m, st) in &r.stats {
                     assert_eq!(
                         st.total_frames,
-                        st.executed_frames + st.dropped_frames,
+                        st.executed_frames + st.dropped_frames(),
                         "{name}/{policy}/{m}: frame conservation violated under faults"
                     );
                 }
