@@ -241,6 +241,14 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Resul
         .map_err(|_| usage_error(format!("invalid value for {flag}: `{value}`")))
 }
 
+/// Parses an `--accelerator` id through the decoder run documents and
+/// sweeps use, so every surface accepts and words ids alike.
+fn parse_accelerator(value: Option<String>) -> Result<char, CliError> {
+    let value = value.ok_or_else(|| usage_error("--accelerator needs a value"))?;
+    xrbench_core::spec::parse_accelerator_id(&value)
+        .map_err(|e| usage_error(format!("invalid value for --accelerator: {e}")))
+}
+
 /// Parses a `K/N` shard coordinate (`0 ≤ K < N`).
 fn parse_shard(value: &str) -> Result<(u32, u32), CliError> {
     let err = || {
@@ -379,7 +387,7 @@ impl Command {
                 while let Some(arg) = it.next() {
                     match arg.as_str() {
                         "--json" => json = true,
-                        "--accelerator" => accelerator = parse_value("--accelerator", it.next())?,
+                        "--accelerator" => accelerator = parse_accelerator(it.next())?,
                         "--pes" => pes = parse_value("--pes", it.next())?,
                         _ if arg.starts_with('-') => {
                             return Err(usage_error(format!("unknown flag `{arg}`")))
@@ -410,7 +418,7 @@ impl Command {
                         "--seed" => seed = parse_value("--seed", it.next())?,
                         "--count" => count = parse_value("--count", it.next())?,
                         "--feasible" => feasible = true,
-                        "--accelerator" => accelerator = parse_value("--accelerator", it.next())?,
+                        "--accelerator" => accelerator = parse_accelerator(it.next())?,
                         "--pes" => pes = parse_value("--pes", it.next())?,
                         "--min-models" => {
                             min_models = Some(parse_value("--min-models", it.next())?)
@@ -881,17 +889,11 @@ fn peak_rss_mib() -> Option<f64> {
 }
 
 /// Builds the default system bare specs are analyzed against: a Table
-/// 5 accelerator instantiated at a PE count.
-fn default_system(
-    accelerator: char,
-    pes: u64,
-) -> Result<xrbench_accel::AcceleratorSystem, CliError> {
-    let config = xrbench_accel::config_by_id(accelerator).ok_or_else(|| {
-        run_error(format!(
-            "unknown accelerator `{accelerator}` (expected a Table 5 letter A-M)"
-        ))
-    })?;
-    Ok(xrbench_accel::AcceleratorSystem::new(config, pes))
+/// 5 accelerator, decoded by [`parse_accelerator`], instantiated at a
+/// PE count.
+fn default_system(accelerator: char, pes: u64) -> xrbench_accel::AcceleratorSystem {
+    let config = xrbench_accel::config_by_id(accelerator).expect("--accelerator was decoded");
+    xrbench_accel::AcceleratorSystem::new(config, pes)
 }
 
 /// Loads any spec file — run document or bare scenario / session /
@@ -911,20 +913,17 @@ fn load_analysis(spec: &Path, accelerator: char, pes: u64) -> Result<Analysis, C
     } else if has("groups") {
         let fleet = xrbench_fleet::fleet_from_str(&text, &ScenarioCatalog::builtin())
             .map_err(|e| spec_err(&e))?;
-        Ok(analyze_fleet(&fleet, &default_system(accelerator, pes)?))
+        Ok(analyze_fleet(&fleet, &default_system(accelerator, pes)))
     } else if has("models") {
         let scenario = xrbench_workload::scenario_from_str(&text).map_err(|e| spec_err(&e))?;
         Ok(analyze_scenario(
             &scenario,
-            &default_system(accelerator, pes)?,
+            &default_system(accelerator, pes),
         ))
     } else if has("users") || has("uniform") || has("mixed") {
         let session = xrbench_workload::session_from_str(&text, &ScenarioCatalog::builtin())
             .map_err(|e| spec_err(&e))?;
-        Ok(analyze_session(
-            &session,
-            &default_system(accelerator, pes)?,
-        ))
+        Ok(analyze_session(&session, &default_system(accelerator, pes)))
     } else {
         Err(run_error(format!(
             "{}: not a recognizable spec (expected a `kind` run document, or a scenario / \
@@ -990,7 +989,7 @@ fn gen_scenarios(params: GenParams<'_>) -> Result<Output, CliError> {
         )));
     }
     let specs = if feasible {
-        let system = default_system(accelerator, pes)?;
+        let system = default_system(accelerator, pes);
         space
             .feasible_only(&system)
             .try_sample_many(seed, count)
@@ -1583,7 +1582,7 @@ mod tests {
             pes: 4096,
         };
         let out = execute(&gen).unwrap();
-        let system = default_system('J', 4096).unwrap();
+        let system = default_system('J', 4096);
         let value = xrbench_workload::spec::parse_json(&out.stdout).unwrap();
         let items = serde::de::Cursor::root(&value).items().unwrap();
         assert_eq!(items.len(), 4);

@@ -673,6 +673,59 @@ fn strict_runs_refuse_infeasible_specs_and_plain_runs_hint() {
 }
 
 #[test]
+fn accelerator_flag_decodes_like_run_documents() {
+    // `--accelerator` goes through the decoder of run documents and
+    // sweeps, so a bad id reads the same everywhere; as a malformed
+    // flag value it is a usage error.
+    let cases = [
+        ("z", "unknown accelerator `Z` (Table 5 defines A-M)"),
+        ("JK", "accelerator id must be a single letter A-M, got `JK`"),
+    ];
+    let dir = scratch("accelerator-id");
+    for (id, message) in cases {
+        for args in [
+            vec![
+                "analyze",
+                "specs/scenarios/ar_assistant.json",
+                "--accelerator",
+                id,
+            ],
+            vec!["gen-scenarios", "--feasible", "--accelerator", id],
+        ] {
+            let out = xrbench(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert_eq!(
+                stderr.lines().next(),
+                Some(
+                    format!("xrbench: error: invalid value for --accelerator: {message}").as_str()
+                ),
+                "{args:?}"
+            );
+            assert!(out.stdout.is_empty(), "{args:?}");
+        }
+        // A run document with the same id fails with the same words.
+        let doc = dir.join(format!("{id}.json"));
+        let text = fs::read_to_string(repo_root().join("specs/suite_default.json"))
+            .unwrap()
+            .replacen("\"id\": \"J\"", &format!("\"id\": \"{id}\""), 1);
+        fs::write(&doc, text).unwrap();
+        let out = xrbench(&["run-suite", doc.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(message), "{stderr}");
+    }
+    // Ids are read in either case, as documents read them.
+    let out = xrbench(&[
+        "analyze",
+        "specs/scenarios/vr_gaming.json",
+        "--accelerator",
+        "j",
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+}
+
+#[test]
 fn feasible_gen_scenarios_filters_against_the_default_system() {
     let dir = scratch("gen-feasible");
     // A tiny accelerator (A at 512 PEs) makes several default-space

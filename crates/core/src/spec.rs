@@ -320,25 +320,34 @@ impl SystemSpec {
 
 /// Decodes a Table 5 accelerator id, one letter in either case, to
 /// the uppercase form ids print in (`J@8192`): the one decoder of run
-/// documents' `hardware` and sweeps' `accelerators`.
-pub(crate) fn accelerator_id(cursor: &Cursor<'_>) -> Result<char, SpecError> {
-    let text = cursor.as_str()?;
+/// documents' `hardware`, sweeps' `accelerators` and the CLI's
+/// `--accelerator`.
+///
+/// # Errors
+///
+/// Returns the message naming what is wrong with `text`: more or less
+/// than one letter, or a letter Table 5 does not define.
+pub fn parse_accelerator_id(text: &str) -> Result<char, String> {
     let id = match text.chars().next() {
         Some(c) if text.chars().count() == 1 => c.to_ascii_uppercase(),
         _ => {
-            return Err(SpecError::Invalid {
-                path: cursor.path().to_string(),
-                message: format!("accelerator id must be a single letter A-M, got `{text}`"),
-            })
+            return Err(format!(
+                "accelerator id must be a single letter A-M, got `{text}`"
+            ))
         }
     };
     if config_by_id(id).is_none() {
-        return Err(SpecError::Invalid {
-            path: cursor.path().to_string(),
-            message: format!("unknown accelerator `{id}` (Table 5 defines A-M)"),
-        });
+        return Err(format!("unknown accelerator `{id}` (Table 5 defines A-M)"));
     }
     Ok(id)
+}
+
+/// [`parse_accelerator_id`] at a document path.
+pub(crate) fn accelerator_id(cursor: &Cursor<'_>) -> Result<char, SpecError> {
+    parse_accelerator_id(cursor.as_str()?).map_err(|message| SpecError::Invalid {
+        path: cursor.path().to_string(),
+        message,
+    })
 }
 
 /// Decodes a recovery-policy name: the one decoder of fleet
@@ -995,6 +1004,48 @@ mod tests {
         assert_eq!(other.merge_shards(&theirs).unwrap(), other.execute());
         let ours = [run.run_shard(1, 2), run.run_shard(0, 2)];
         assert_eq!(run.merge_shards(&ours).unwrap(), run.execute());
+    }
+
+    #[test]
+    fn shard_states_whose_sums_overflow_are_refused() {
+        use xrbench_fleet::{FleetAccumulator, ShardState};
+        use xrbench_models::ModelId;
+        use xrbench_score::{FixedHistogram, NUM_BUCKETS};
+
+        let text = include_str!("../../../specs/fleet_default.json");
+        let Ok(RunDocument::Fleet(run)) = RunDocument::from_json_str(text) else {
+            panic!("the default fleet loads");
+        };
+        fn hist(count: u64) -> FixedHistogram {
+            let mut buckets = vec![0; NUM_BUCKETS];
+            buckets[1] = count;
+            FixedHistogram::from_buckets(&buckets).expect("a histogram")
+        }
+        type Edit = fn(&mut FleetAccumulator, u64);
+        // Each edit sets one counter of shard 0's first group to
+        // `u64::MAX` and the same counter of shard 1's to 1: two states
+        // the decoder accepts, whose sum passes a `u64`.
+        let edits: [(&str, Edit); 3] = [
+            ("frames", |acc, n| {
+                acc.model_mut(ModelId::HandTracking).frames.total_frames = n;
+            }),
+            ("drops", |acc, n| {
+                acc.model_mut(ModelId::EyeSegmentation)
+                    .frames
+                    .drops
+                    .superseded = n;
+            }),
+            ("histogram", |acc, n| acc.latency = hist(n)),
+        ];
+        for (name, edit) in edits {
+            let mut states = [run.run_shard(0, 2), run.run_shard(1, 2)];
+            edit(&mut states[0].groups[0], u64::MAX);
+            edit(&mut states[1].groups[0], 1);
+            let states = states.map(|s| ShardState::from_json(&s.to_json()).expect("decodes"));
+            let err = run.merge_shards(&states).unwrap_err().to_string();
+            assert!(err.contains("shard 1: merging group"), "{name}: {err}");
+            assert!(err.contains("overflows"), "{name}: {err}");
+        }
     }
 
     #[test]

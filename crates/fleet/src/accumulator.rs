@@ -100,16 +100,38 @@ impl StatAgg {
     }
 
     /// Merges another aggregate (exact: integer sum, min/max).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a counter or the fixed-point sum would overflow its
+    /// integer type. Decoded shard states merge with checked adds and
+    /// report that instead ([`crate::merge_fleet_shards`]).
     pub fn merge(&mut self, other: &StatAgg) {
-        self.count += other.count;
-        self.anomalies += other.anomalies;
-        self.sum_fp += other.sum_fp;
-        if other.min < self.min {
-            self.min = other.min;
-        }
-        if other.max > self.max {
-            self.max = other.max;
-        }
+        self.checked_merge(other)
+            .expect("an aggregate overflows its integer type");
+    }
+
+    /// [`StatAgg::merge`] with checked adds: `None`, with this
+    /// aggregate unchanged, when a counter or the fixed-point sum would
+    /// overflow its integer type.
+    #[must_use]
+    pub(crate) fn checked_merge(&mut self, other: &StatAgg) -> Option<()> {
+        *self = StatAgg {
+            count: self.count.checked_add(other.count)?,
+            anomalies: self.anomalies.checked_add(other.anomalies)?,
+            sum_fp: self.sum_fp.checked_add(other.sum_fp)?,
+            min: if other.min < self.min {
+                other.min
+            } else {
+                self.min
+            },
+            max: if other.max > self.max {
+                other.max
+            } else {
+                self.max
+            },
+        };
+        Some(())
     }
 
     /// The mean at the given scale (0 when empty).
@@ -160,11 +182,12 @@ impl ModelAccumulator {
         self.energy.record(rec.energy_j, ENERGY_SCALE);
     }
 
-    /// Merges another model aggregate (exact).
-    pub fn merge(&mut self, other: &ModelAccumulator) {
-        self.frames.merge(&other.frames);
-        self.latency.merge(&other.latency);
-        self.energy.merge(&other.energy);
+    /// [`FleetAccumulator::checked_merge`] for one model.
+    #[must_use]
+    fn checked_merge(&mut self, other: &ModelAccumulator) -> Option<()> {
+        self.frames.checked_merge(&other.frames)?;
+        self.latency.checked_merge(&other.latency)?;
+        self.energy.checked_merge(&other.energy)
     }
 
     /// Whether anything was streamed to this model fleet-wide.
@@ -198,14 +221,16 @@ impl ScenarioAccumulator {
         self.qoe_fp += fp(b.qoe, SCORE_SCALE);
     }
 
-    /// Merges another scenario aggregate (exact).
-    pub fn merge(&mut self, other: &ScenarioAccumulator) {
-        self.users += other.users;
-        self.overall.merge(&other.overall);
-        self.realtime_fp += other.realtime_fp;
-        self.energy_fp += other.energy_fp;
-        self.accuracy_fp += other.accuracy_fp;
-        self.qoe_fp += other.qoe_fp;
+    /// [`FleetAccumulator::checked_merge`] for one scenario.
+    #[must_use]
+    fn checked_merge(&mut self, other: &ScenarioAccumulator) -> Option<()> {
+        self.users = self.users.checked_add(other.users)?;
+        self.overall.checked_merge(&other.overall)?;
+        self.realtime_fp = self.realtime_fp.checked_add(other.realtime_fp)?;
+        self.energy_fp = self.energy_fp.checked_add(other.energy_fp)?;
+        self.accuracy_fp = self.accuracy_fp.checked_add(other.accuracy_fp)?;
+        self.qoe_fp = self.qoe_fp.checked_add(other.qoe_fp)?;
+        Some(())
     }
 
     /// The mean per-user breakdown.
@@ -297,22 +322,39 @@ impl FleetAccumulator {
     /// counter, fixed-point sum, histogram, or min/max, so the merge
     /// is associative and commutative and any merge tree over the
     /// same session set produces bit-identical state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a counter or fixed-point sum would overflow its
+    /// integer type. Decoded shard states merge with checked adds and
+    /// report that instead ([`crate::merge_fleet_shards`]).
     pub fn merge(&mut self, other: &FleetAccumulator) {
-        self.sessions += other.sessions;
-        self.users += other.users;
-        self.session_score.merge(&other.session_score);
-        self.latency.merge(&other.latency);
-        self.overrun.merge(&other.overrun);
-        self.score.merge(&other.score);
+        self.checked_merge(other)
+            .expect("an accumulator overflows its integer type");
+    }
+
+    /// [`FleetAccumulator::merge`] with checked adds, for states that
+    /// crossed a process boundary: `None` when a counter, fixed-point
+    /// sum or histogram count would overflow its integer type. This
+    /// accumulator is then partly merged, and should be discarded.
+    #[must_use]
+    pub(crate) fn checked_merge(&mut self, other: &FleetAccumulator) -> Option<()> {
+        self.sessions = self.sessions.checked_add(other.sessions)?;
+        self.users = self.users.checked_add(other.users)?;
+        self.session_score.checked_merge(&other.session_score)?;
+        self.latency.checked_merge(&other.latency)?;
+        self.overrun.checked_merge(&other.overrun)?;
+        self.score.checked_merge(&other.score)?;
         for (a, b) in self.per_model.iter_mut().zip(&other.per_model) {
-            a.merge(b);
+            a.checked_merge(b)?;
         }
         for (name, agg) in &other.per_scenario {
             self.per_scenario
                 .entry(name.clone())
                 .or_default()
-                .merge(agg);
+                .checked_merge(agg)?;
         }
+        Some(())
     }
 
     /// Fleet-wide frame accounting: every model's counts summed.

@@ -345,8 +345,10 @@ pub fn run_fleet_shard(
 /// Returns a [`SpecError`] when the states do not form a complete,
 /// consistent partition ([`check_partition`]: wrong shard count, a
 /// missing or duplicated shard index, states of different runs), a
-/// group list that does not match the spec, or a group whose merged
-/// session count differs from its replica count.
+/// group list that does not match the spec, a merge whose counters or
+/// fixed-point sums would overflow their integer types (every decoded
+/// state merges with checked adds), or a group whose merged session
+/// count differs from its replica count.
 pub fn merge_fleet_shards(
     spec: &FleetSpec,
     system_label: &str,
@@ -373,8 +375,13 @@ pub fn merge_fleet_shards(
                 spec.groups.len()
             )));
         }
-        for (g, acc) in st.groups.iter().enumerate() {
-            group_accs[g].merge(acc);
+        for ((merged, acc), group) in group_accs.iter_mut().zip(&st.groups).zip(&spec.groups) {
+            merged.checked_merge(acc).ok_or_else(|| {
+                invalid(format!(
+                    "shard {}: merging group `{}` overflows a counter or fixed-point sum",
+                    st.shard, group.name
+                ))
+            })?;
         }
     }
     for (group, acc) in spec.groups.iter().zip(&group_accs) {
@@ -386,8 +393,13 @@ pub fn merge_fleet_shards(
         }
     }
     let mut fleet_acc = FleetAccumulator::new();
-    for g in &group_accs {
-        fleet_acc.merge(g);
+    for (acc, group) in group_accs.iter().zip(&spec.groups) {
+        fleet_acc.checked_merge(acc).ok_or_else(|| {
+            invalid(format!(
+                "adding group `{}` to the fleet total overflows a counter or fixed-point sum",
+                group.name
+            ))
+        })?;
     }
     Ok(build_report(
         spec,
@@ -505,17 +517,11 @@ fn stat_from_value(c: &Cursor<'_>) -> Result<StatAgg, SpecError> {
 
 fn hist_from_value(c: &Cursor<'_>) -> Result<FixedHistogram, SpecError> {
     let buckets = ints_from_value(c, xrbench_score::NUM_BUCKETS)?;
-    if buckets
-        .iter()
-        .try_fold(0u64, |sum, &b| sum.checked_add(b))
-        .is_none()
-    {
-        return Err(SpecError::Invalid {
-            path: c.path().to_string(),
-            message: "histogram total overflows a u64".to_string(),
-        });
-    }
-    Ok(FixedHistogram::from_buckets(&buckets).expect("the bucket count was checked"))
+    // The bucket count was checked, so only an overflowing total is left.
+    FixedHistogram::from_buckets(&buckets).ok_or_else(|| SpecError::Invalid {
+        path: c.path().to_string(),
+        message: "histogram total overflows a u64".to_string(),
+    })
 }
 
 fn model_from_value(c: &Cursor<'_>) -> Result<ModelAccumulator, SpecError> {

@@ -162,15 +162,18 @@ impl FixedHistogram {
 
     /// Rebuilds a histogram from raw bucket counters previously read
     /// via [`FixedHistogram::buckets`]. Returns `None` unless exactly
-    /// [`NUM_BUCKETS`] counters are supplied; the total count is
-    /// recomputed as their sum, so the round trip is exact.
+    /// [`NUM_BUCKETS`] counters are supplied and their sum fits a
+    /// `u64`; the total count is recomputed as that sum, so the round
+    /// trip is exact.
     pub fn from_buckets(buckets: &[u64]) -> Option<Self> {
         if buckets.len() != NUM_BUCKETS {
             return None;
         }
         Some(Self {
             counts: buckets.to_vec(),
-            count: buckets.iter().sum(),
+            count: buckets
+                .iter()
+                .try_fold(0u64, |sum, &b| sum.checked_add(b))?,
         })
     }
 
@@ -181,11 +184,27 @@ impl FixedHistogram {
 
     /// Merges another histogram into this one — element-wise integer
     /// addition, so merging is associative, commutative, and exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the total count would overflow `u64`;
+    /// [`FixedHistogram::checked_merge`] reports that instead.
     pub fn merge(&mut self, other: &FixedHistogram) {
+        self.checked_merge(other)
+            .expect("a histogram count overflows u64");
+    }
+
+    /// [`FixedHistogram::merge`], or `None` with this histogram
+    /// unchanged when the total count would overflow `u64`. Every
+    /// histogram's count is the sum of its buckets, so no bucket can
+    /// overflow when the total does not.
+    #[must_use]
+    pub fn checked_merge(&mut self, other: &FixedHistogram) -> Option<()> {
+        self.count = self.count.checked_add(other.count)?;
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
-        self.count += other.count;
+        Some(())
     }
 
     /// The `q`-quantile (`q` in `(0, 1]`) as the upper edge of the

@@ -30,7 +30,10 @@
 //! Multi-user sessions ([`xrbench_workload::SessionSpec`]) run through
 //! [`Simulator::run_session`]: the merged request stream of all users
 //! shares the engines concurrently, and the result splits back into
-//! per-user [`SimResult`]s inside a [`SessionSimResult`].
+//! per-user [`SimResult`]s inside a [`SessionSimResult`]. A session of
+//! at least [`PREFETCH_MIN_REQUESTS`] requests, on a host with a second
+//! core, generates that stream on a helper thread ahead of the event
+//! loop; the loop sees the same requests in the same order.
 //!
 //! ## Example
 //!
@@ -55,6 +58,7 @@
 mod calendar;
 mod engine;
 mod fault;
+mod feed;
 mod naive;
 mod provider;
 mod result;
@@ -66,6 +70,7 @@ pub use fault::{
     fault_seed, FaultAction, FaultEvent, FaultKind, FaultProcess, FaultTimeline, RecoveryPolicy,
     ThrottleSpec, FAULT_SEED_SALT,
 };
+pub use feed::PREFETCH_MIN_REQUESTS;
 pub use provider::{CostProvider, DenseCostCache, InferenceCost, TableProvider, UniformProvider};
 pub use result::{DropCounts, DropReason, ExecRecord, ModelStats, SessionSimResult, SimResult};
 pub use scheduler::{

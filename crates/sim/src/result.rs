@@ -121,12 +121,28 @@ impl DropCounts {
     }
 
     /// Adds another count into this one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a counter would overflow `u64`;
+    /// [`DropCounts::checked_merge`] reports that instead.
     pub fn merge(&mut self, other: &DropCounts) {
-        self.superseded += other.superseded;
-        self.upstream_dropped += other.upstream_dropped;
-        self.starved += other.starved;
-        self.preempted += other.preempted;
-        self.device_lost += other.device_lost;
+        self.checked_merge(other)
+            .expect("a drop counter overflows u64");
+    }
+
+    /// [`DropCounts::merge`] with checked adds: `None`, with this count
+    /// unchanged, when a counter would overflow `u64`.
+    #[must_use]
+    pub fn checked_merge(&mut self, other: &DropCounts) -> Option<()> {
+        *self = DropCounts {
+            superseded: self.superseded.checked_add(other.superseded)?,
+            upstream_dropped: self.upstream_dropped.checked_add(other.upstream_dropped)?,
+            starved: self.starved.checked_add(other.starved)?,
+            preempted: self.preempted.checked_add(other.preempted)?,
+            device_lost: self.device_lost.checked_add(other.device_lost)?,
+        };
+        Some(())
     }
 }
 
@@ -160,12 +176,32 @@ impl ModelStats {
     }
 
     /// Adds another model's (or run's) accounting into this one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a counter would overflow `u64`;
+    /// [`ModelStats::checked_merge`] reports that instead.
     pub fn merge(&mut self, other: &ModelStats) {
-        self.total_frames += other.total_frames;
-        self.executed_frames += other.executed_frames;
-        self.untriggered_frames += other.untriggered_frames;
-        self.missed_deadlines += other.missed_deadlines;
-        self.drops.merge(&other.drops);
+        self.checked_merge(other)
+            .expect("a frame counter overflows u64");
+    }
+
+    /// [`ModelStats::merge`] with checked adds: `None`, with this
+    /// accounting unchanged, when a counter would overflow `u64`.
+    #[must_use]
+    pub fn checked_merge(&mut self, other: &ModelStats) -> Option<()> {
+        let mut drops = self.drops;
+        drops.checked_merge(&other.drops)?;
+        *self = ModelStats {
+            total_frames: self.total_frames.checked_add(other.total_frames)?,
+            executed_frames: self.executed_frames.checked_add(other.executed_frames)?,
+            untriggered_frames: self
+                .untriggered_frames
+                .checked_add(other.untriggered_frames)?,
+            missed_deadlines: self.missed_deadlines.checked_add(other.missed_deadlines)?,
+            drops,
+        };
+        Some(())
     }
 
     /// The frame-drop rate, dropped / total (0 when no frame streamed).

@@ -48,7 +48,11 @@
 //! `run_session*` variant feed them the k-way merge of
 //! [`LoadGenerator::arrivals`] / [`SessionSpec::arrivals`], so a run
 //! holds one pending arrival per `(user, model)` stream, never the
-//! whole request stream.
+//! whole request stream. A session of at least
+//! [`PREFETCH_MIN_REQUESTS`](crate::PREFETCH_MIN_REQUESTS) requests, on
+//! a host with a second core, advances that merge on a helper thread
+//! (`crate::feed`), which runs at most a few fixed-size batches ahead
+//! of the loop.
 
 use std::collections::BTreeMap;
 
@@ -62,6 +66,7 @@ use xrbench_workload::{
 
 use crate::engine::{FaultCtx, Sink, UserIndex, UserStats};
 use crate::fault::{FaultProcess, FaultTimeline, RecoveryPolicy};
+use crate::feed;
 use crate::provider::CostProvider;
 use crate::result::{ExecRecord, SessionSimResult, SimResult};
 use crate::scheduler::Scheduler;
@@ -394,8 +399,17 @@ impl Simulator {
     }
 
     /// The session pipeline behind every `run_session*` variant:
-    /// session inputs → fault-timeline expansion → [`Self::assemble`].
-    /// A `sink` takes the records instead of the results.
+    /// session inputs → fault-timeline expansion → arrival feed →
+    /// [`Self::assemble`]. A `sink` takes the records instead of the
+    /// results.
+    ///
+    /// The arrival stream is a pure function of the session, the seed
+    /// and the duration, so a session of at least
+    /// [`PREFETCH_MIN_REQUESTS`](crate::PREFETCH_MIN_REQUESTS) requests
+    /// on a host with a second core generates it on a helper thread
+    /// ([`crate::feed`]); every other session, and a host that refuses
+    /// the thread, merges it inline. Both feed the loop the same
+    /// requests in the same order.
     fn drive(
         &self,
         event_loop: EventLoop,
@@ -406,19 +420,29 @@ impl Simulator {
         sink: Option<Sink<'_>>,
     ) -> SessionSimResult {
         assert!(!session.users.is_empty(), "session has no users");
-        let span_s = session.span_s(self.config.duration_s);
+        let SimConfig { duration_s, seed } = self.config;
+        let span_s = session.span_s(duration_s);
         let specs: Vec<(u32, &ScenarioSpec)> =
-            session.users.iter().map(|u| (u.user, &u.spec)).collect();
+            session.users.iter().map(|u| (u.user, &*u.spec)).collect();
         let timeline =
             faults.and_then(|(process, _)| self.expand_timeline(process, provider, span_s));
-        let inputs = LoopInputs {
-            users: &specs,
-            requests: &mut session.arrivals(self.config.seed, self.config.duration_s),
-            faults: (timeline.as_ref().zip(faults))
-                .map(|(timeline, (_, policy))| FaultCtx { timeline, policy }),
-            duration_s: span_s,
+        let faults = (timeline.as_ref().zip(faults))
+            .map(|(timeline, (_, policy))| FaultCtx { timeline, policy });
+        let run = |requests: Requests<'_>| {
+            let inputs = LoopInputs {
+                users: &specs,
+                requests,
+                faults,
+                duration_s: span_s,
+            };
+            self.assemble(event_loop, inputs, provider, scheduler, sink)
         };
-        let per_user = self.assemble(event_loop, inputs, provider, scheduler, sink);
+        let arrivals = || session.arrivals(seed, duration_s);
+        let per_user = if feed::prefetch_pays(session.request_count(duration_s)) {
+            feed::prefetched(feed::helper(), arrivals, run)
+        } else {
+            run(&mut arrivals())
+        };
         SessionSimResult {
             session: session.name.clone(),
             per_user: per_user.into_iter().collect(),
@@ -1302,7 +1326,7 @@ mod tests {
         let session = SessionSpec::mixed("after-horizon", &specs, 6, 0.01);
         let span_s = session.span_s(sim.config.duration_s);
         let users: Vec<(u32, &ScenarioSpec)> =
-            session.users.iter().map(|u| (u.user, &u.spec)).collect();
+            session.users.iter().map(|u| (u.user, &*u.spec)).collect();
         let schedulers: [fn() -> Box<dyn Scheduler>; 5] = [
             || Box::new(LatencyGreedy::new()),
             || Box::new(RoundRobin::new()),

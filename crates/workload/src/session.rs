@@ -13,6 +13,13 @@
 //! `(user, model)` streams of [`crate::loadgen`] one request at a time,
 //! so a simulation holds one pending arrival per stream instead of the
 //! whole session.
+//!
+//! Users running the same scenario share one [`ScenarioSpec`] through
+//! an [`Arc`]: [`SessionSpec::uniform`] and [`SessionSpec::mixed`] wrap
+//! each listed spec once, so building or cloning a session of N users
+//! copies N pointers rather than N specs.
+
+use std::sync::Arc;
 
 use crate::loadgen::{Arrivals, InferenceRequest, ModelStream};
 use crate::scenario::ScenarioSpec;
@@ -22,8 +29,9 @@ use crate::scenario::ScenarioSpec;
 pub struct SessionUser {
     /// Dense user id (0-based, assigned in registration order).
     pub user: u32,
-    /// The scenario this user runs.
-    pub spec: ScenarioSpec,
+    /// The scenario this user runs, shared with every other user of
+    /// the session that runs the same listed spec.
+    pub spec: Arc<ScenarioSpec>,
     /// When the user's streams start, relative to session start (s).
     pub start_offset_s: f64,
 }
@@ -72,12 +80,14 @@ impl SessionSpec {
 
     /// Adds one user running `spec`, starting `start_offset_s` after
     /// session start. User ids are assigned densely in call order.
+    /// Passing an `Arc` shares the spec with the users that already
+    /// hold it; passing a [`ScenarioSpec`] wraps it for this user.
     ///
     /// # Panics
     ///
     /// Panics if the offset is negative or not finite.
     #[must_use]
-    pub fn with_user(mut self, spec: ScenarioSpec, start_offset_s: f64) -> Self {
+    pub fn with_user(mut self, spec: impl Into<Arc<ScenarioSpec>>, start_offset_s: f64) -> Self {
         assert!(
             start_offset_s.is_finite() && start_offset_s >= 0.0,
             "start offset must be finite and non-negative, got {start_offset_s}"
@@ -85,29 +95,31 @@ impl SessionSpec {
         let user = self.users.len() as u32;
         self.users.push(SessionUser {
             user,
-            spec,
+            spec: spec.into(),
             start_offset_s,
         });
         self
     }
 
     /// N users all running the same scenario, joining `stagger_s`
-    /// apart (user k starts at `k × stagger_s`).
+    /// apart (user k starts at `k × stagger_s`). Every user shares the
+    /// one spec.
     ///
     /// # Panics
     ///
     /// Panics if `users == 0` or `stagger_s` is negative/not finite.
     pub fn uniform(
         name: impl Into<String>,
-        spec: ScenarioSpec,
+        spec: impl Into<Arc<ScenarioSpec>>,
         users: u32,
         stagger_s: f64,
     ) -> Self {
-        Self::mixed(name, &[spec], users, stagger_s)
+        Self::staggered(name, &[spec.into()], users, stagger_s)
     }
 
     /// N users drawing scenarios round-robin from `specs`, joining
-    /// `stagger_s` apart — the mixed-population case.
+    /// `stagger_s` apart — the mixed-population case. Each listed spec
+    /// is wrapped once and shared by every user that draws it.
     ///
     /// # Panics
     ///
@@ -119,6 +131,18 @@ impl SessionSpec {
         users: u32,
         stagger_s: f64,
     ) -> Self {
+        let specs: Vec<Arc<ScenarioSpec>> = specs.iter().cloned().map(Arc::new).collect();
+        Self::staggered(name, &specs, users, stagger_s)
+    }
+
+    /// The round-robin, staggered user list behind
+    /// [`SessionSpec::uniform`] and [`SessionSpec::mixed`].
+    fn staggered(
+        name: impl Into<String>,
+        specs: &[Arc<ScenarioSpec>],
+        users: u32,
+        stagger_s: f64,
+    ) -> Self {
         assert!(!specs.is_empty(), "session needs at least one scenario");
         assert!(users > 0, "session needs at least one user");
         assert!(
@@ -127,7 +151,7 @@ impl SessionSpec {
         );
         let mut s = Self::new(name);
         for k in 0..users {
-            let spec = specs[k as usize % specs.len()].clone();
+            let spec = Arc::clone(&specs[k as usize % specs.len()]);
             s = s.with_user(spec, f64::from(k) * stagger_s);
         }
         s
@@ -348,7 +372,7 @@ mod tests {
         // not silently merge two users' streams.
         let u = SessionUser {
             user: 0,
-            spec: UsageScenario::VrGaming.spec(),
+            spec: Arc::new(UsageScenario::VrGaming.spec()),
             start_offset_s: 0.0,
         };
         let s = SessionSpec {

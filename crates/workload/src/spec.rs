@@ -479,24 +479,24 @@ pub fn session_from_str(text: &str, catalog: &ScenarioCatalog) -> Result<Session
 pub fn session_to_value(session: &SessionSpec) -> JsonValue {
     let builtin = ScenarioCatalog::builtin();
     let mut local: Vec<&ScenarioSpec> = Vec::new();
-    for u in &session.users {
-        if builtin.get(&u.spec.name) == Some(&u.spec) {
+    for spec in session.users.iter().map(|u| &*u.spec) {
+        if builtin.get(&spec.name) == Some(spec) {
             continue;
         }
         assert!(
-            !builtin.contains(&u.spec.name),
+            !builtin.contains(&spec.name),
             "scenario {:?} shadows a builtin name with different content; \
              rename it to make the session exportable",
-            u.spec.name
+            spec.name
         );
-        match local.iter().find(|s| s.name == u.spec.name) {
+        match local.iter().find(|s| s.name == spec.name) {
             Some(existing) => assert!(
-                *existing == &u.spec,
+                *existing == spec,
                 "two different scenarios share the name {:?}; \
                  rename one to make the session exportable",
-                u.spec.name
+                spec.name
             ),
-            None => local.push(&u.spec),
+            None => local.push(spec),
         }
     }
     let mut obj: Vec<(String, JsonValue)> =

@@ -11,14 +11,12 @@ use xrbench::core::render_timeline;
 use xrbench::prelude::*;
 
 fn main() {
-    let id = std::env::args()
-        .nth(1)
-        .and_then(|s| s.chars().next())
-        .unwrap_or('J');
-    let config = table5()
-        .into_iter()
-        .find(|c| c.id == id.to_ascii_uppercase())
-        .unwrap_or_else(|| panic!("no accelerator {id} in Table 5 (use A..M)"));
+    let arg = std::env::args().nth(1).unwrap_or_else(|| "J".to_string());
+    let id = xrbench::core::spec::parse_accelerator_id(&arg).unwrap_or_else(|e| {
+        eprintln!("ar_gaming_deep_dive: {e}");
+        std::process::exit(2)
+    });
+    let config = xrbench::accel::config_by_id(id).expect("decoded ids are in Table 5");
     println!("accelerator {config}\n");
 
     let harness = Harness::new();

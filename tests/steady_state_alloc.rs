@@ -20,6 +20,13 @@
 //! every event is served from pre-sized storage. A faulted run's fault
 //! timeline is expanded before the loop starts.
 //!
+//! A session of at least [`PREFETCH_MIN_REQUESTS`] requests generates
+//! its arrivals on a helper thread when the host has a second core. The
+//! counting allocator sees every thread, so one more pass over such a
+//! session shows that the helper and its batch hand-off allocate
+//! nothing in steady state either: the batches are allocated before
+//! the loop starts and recycled after.
+//!
 //! This file deliberately holds a single `#[test]` so no concurrent
 //! test can allocate on another thread inside the measured window.
 
@@ -29,6 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use xrbench::sim::{
     ExecRecord, FailoverAware, FaultProcess, LatencyGreedy, LeastLoaded, RecoveryPolicy,
     RoundRobin, Scheduler, SimConfig, Simulator, SlackAwareEdf, ThrottleSpec, UniformProvider,
+    PREFETCH_MIN_REQUESTS,
 };
 use xrbench::workload::{ScenarioCatalog, ScenarioSpec, SessionSpec};
 
@@ -164,6 +172,19 @@ fn steady_state_loop_does_not_allocate() {
             factor: 0.5,
         }),
     };
+    // 256 users for 3 s issue more than PREFETCH_MIN_REQUESTS requests,
+    // so on a host with two or more cores their arrivals come from the
+    // helper thread.
+    let large = SessionSpec::mixed("alloc-probe-prefetched", &specs, 256, 0.002);
+    let long = Simulator::new(SimConfig {
+        duration_s: 3.0,
+        ..SimConfig::default()
+    });
+    assert!(large.request_count(3.0) >= PREFETCH_MIN_REQUESTS);
+    let wide_provider = UniformProvider::new(32, 0.001, 0.001);
+    assert_steady_state_allocation_free("latency-greedy, prefetched arrivals", &|sink| {
+        long.run_session_folded(&large, &wide_provider, &mut LatencyGreedy::new(), sink);
+    });
     for (name, make) in schedulers {
         assert_steady_state_allocation_free(name, &|sink| {
             sim.run_session_folded(&session, &provider, make().as_mut(), sink);
